@@ -4,20 +4,18 @@
 /**
  * @file
  * Portable 128-bit SIMD abstraction for the vectorized numerics
- * kernel layer: four-lane float / int32 vectors over SSE2 or NEON
- * intrinsics with a scalar fallback, selected at compile time, plus
- * aligned-buffer and software-prefetch helpers.
+ * kernel layer: four-lane float / int32 vectors over SSE2 (x86-64
+ * baseline, no -m flags) or NEON (AArch64) intrinsics, a software
+ * prefetch, aligned buffers, and the runtime SimdIsa tier.
  *
- * The backend is chosen once per build:
- *
- *  - SSE2 on x86-64 (baseline ISA, no -m flags needed),
- *  - NEON on AArch64,
- *  - the scalar fallback everywhere else, or anywhere when the CMake
- *    option MTIA_NO_SIMD is ON (useful to isolate a suspected
- *    vectorization bug or to benchmark the scalar reference paths).
+ * The vector types exist only where MTIA_SIMD_VEC128 is defined, and
+ * code using them compiles only under that guard. Which path runs is
+ * decided at runtime: on SimdIsa::Scalar (e.g. MTIA_SIMD_ISA=scalar,
+ * or any target without SSE2/NEON) kernels run their element-at-a-time
+ * reference, on every other tier their 128-bit path.
  *
  * Contract: every kernel written on top of this layer must produce
- * bit-identical results on all three backends. The integer ops are
+ * bit-identical results to its scalar reference. The integer ops are
  * exact by construction; the float ops (+, -, *) are IEEE-754
  * single-precision with round-to-nearest-even on every backend, so
  * lane-for-lane they match the equivalent scalar expression. Lane
@@ -29,53 +27,38 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <cmath>
 #include <new>
 #include <utility>
 
-#if !defined(MTIA_NO_SIMD) && \
-    (defined(__SSE2__) || defined(_M_X64) || \
-     (defined(_M_IX86_FP) && _M_IX86_FP >= 2))
+#if defined(__SSE2__) || defined(_M_X64) || \
+    (defined(_M_IX86_FP) && _M_IX86_FP >= 2)
 #define MTIA_SIMD_SSE2 1
+#define MTIA_SIMD_VEC128 1
 #include <emmintrin.h>
-#elif !defined(MTIA_NO_SIMD) && defined(__ARM_NEON) && defined(__aarch64__)
+#elif defined(__ARM_NEON) && defined(__aarch64__)
 #define MTIA_SIMD_NEON 1
+#define MTIA_SIMD_VEC128 1
 #include <arm_neon.h>
-#else
-#define MTIA_SIMD_SCALAR 1
 #endif
 
 namespace mtia::simd {
 
-/** Lanes per vector on every backend. */
+/** Lanes per 128-bit vector. */
 inline constexpr std::size_t kLanes = 4;
 
 /** Alignment of AlignedBuffer storage (one cache line). */
 inline constexpr std::size_t kAlignment = 64;
 
-/** Name of the compiled-in backend ("sse2", "neon", "scalar"). */
-inline const char *
-backendName()
-{
-#if defined(MTIA_SIMD_SSE2)
-    return "sse2";
-#elif defined(MTIA_SIMD_NEON)
-    return "neon";
-#else
-    return "scalar";
-#endif
-}
+#if defined(MTIA_SIMD_VEC128)
 
-/** Hint the cache that @p p will be read soon (no-op where unsupported). */
+/** Hint the cache that @p p will be read soon. */
 inline void
 prefetch(const void *p)
 {
 #if defined(MTIA_SIMD_SSE2)
     _mm_prefetch(static_cast<const char *>(p), _MM_HINT_T0);
-#elif defined(__GNUC__) || defined(__clang__)
+#elif defined(MTIA_SIMD_NEON)
     __builtin_prefetch(p, 0, 3);
-#else
-    (void)p;
 #endif
 }
 
@@ -89,8 +72,6 @@ struct VecI32
     __m128i v;
 #elif defined(MTIA_SIMD_NEON)
     int32x4_t v;
-#else
-    std::int32_t v[4];
 #endif
 
     static VecI32
@@ -100,8 +81,6 @@ struct VecI32
         return {_mm_set1_epi32(x)};
 #elif defined(MTIA_SIMD_NEON)
         return {vdupq_n_s32(x)};
-#else
-        return {{x, x, x, x}};
 #endif
     }
 
@@ -120,10 +99,6 @@ struct VecI32
         return {_mm_loadu_si128(reinterpret_cast<const __m128i *>(p))};
 #elif defined(MTIA_SIMD_NEON)
         return {vld1q_s32(p)};
-#else
-        VecI32 r;
-        std::memcpy(r.v, p, sizeof(r.v));
-        return r;
 #endif
     }
 
@@ -134,8 +109,6 @@ struct VecI32
         _mm_storeu_si128(reinterpret_cast<__m128i *>(p), v);
 #elif defined(MTIA_SIMD_NEON)
         vst1q_s32(p, v);
-#else
-        std::memcpy(p, v, sizeof(v));
 #endif
     }
 };
@@ -147,8 +120,6 @@ struct VecF32
     __m128 v;
 #elif defined(MTIA_SIMD_NEON)
     float32x4_t v;
-#else
-    float v[4];
 #endif
 
     static VecF32
@@ -158,8 +129,6 @@ struct VecF32
         return {_mm_set1_ps(x)};
 #elif defined(MTIA_SIMD_NEON)
         return {vdupq_n_f32(x)};
-#else
-        return {{x, x, x, x}};
 #endif
     }
 
@@ -170,10 +139,6 @@ struct VecF32
         return {_mm_loadu_ps(p)};
 #elif defined(MTIA_SIMD_NEON)
         return {vld1q_f32(p)};
-#else
-        VecF32 r;
-        std::memcpy(r.v, p, sizeof(r.v));
-        return r;
 #endif
     }
 
@@ -184,8 +149,6 @@ struct VecF32
         _mm_storeu_ps(p, v);
 #elif defined(MTIA_SIMD_NEON)
         vst1q_f32(p, v);
-#else
-        std::memcpy(p, v, sizeof(v));
 #endif
     }
 };
@@ -199,13 +162,6 @@ operator+(VecI32 a, VecI32 b)
     return {_mm_add_epi32(a.v, b.v)};
 #elif defined(MTIA_SIMD_NEON)
     return {vaddq_s32(a.v, b.v)};
-#else
-    VecI32 r;
-    for (std::size_t i = 0; i < kLanes; ++i)
-        r.v[i] = static_cast<std::int32_t>(
-            static_cast<std::uint32_t>(a.v[i]) +
-            static_cast<std::uint32_t>(b.v[i]));
-    return r;
 #endif
 }
 
@@ -216,13 +172,6 @@ operator-(VecI32 a, VecI32 b)
     return {_mm_sub_epi32(a.v, b.v)};
 #elif defined(MTIA_SIMD_NEON)
     return {vsubq_s32(a.v, b.v)};
-#else
-    VecI32 r;
-    for (std::size_t i = 0; i < kLanes; ++i)
-        r.v[i] = static_cast<std::int32_t>(
-            static_cast<std::uint32_t>(a.v[i]) -
-            static_cast<std::uint32_t>(b.v[i]));
-    return r;
 #endif
 }
 
@@ -243,13 +192,6 @@ mulLo(VecI32 a, VecI32 b)
     return {_mm_unpacklo_epi32(even_lo, odd_lo)};
 #elif defined(MTIA_SIMD_NEON)
     return {vmulq_s32(a.v, b.v)};
-#else
-    VecI32 r;
-    for (std::size_t i = 0; i < kLanes; ++i)
-        r.v[i] = static_cast<std::int32_t>(
-            static_cast<std::uint32_t>(a.v[i]) *
-            static_cast<std::uint32_t>(b.v[i]));
-    return r;
 #endif
 }
 
@@ -260,11 +202,6 @@ operator&(VecI32 a, VecI32 b)
     return {_mm_and_si128(a.v, b.v)};
 #elif defined(MTIA_SIMD_NEON)
     return {vandq_s32(a.v, b.v)};
-#else
-    VecI32 r;
-    for (std::size_t i = 0; i < kLanes; ++i)
-        r.v[i] = a.v[i] & b.v[i];
-    return r;
 #endif
 }
 
@@ -275,11 +212,6 @@ operator|(VecI32 a, VecI32 b)
     return {_mm_or_si128(a.v, b.v)};
 #elif defined(MTIA_SIMD_NEON)
     return {vorrq_s32(a.v, b.v)};
-#else
-    VecI32 r;
-    for (std::size_t i = 0; i < kLanes; ++i)
-        r.v[i] = a.v[i] | b.v[i];
-    return r;
 #endif
 }
 
@@ -290,11 +222,6 @@ operator^(VecI32 a, VecI32 b)
     return {_mm_xor_si128(a.v, b.v)};
 #elif defined(MTIA_SIMD_NEON)
     return {veorq_s32(a.v, b.v)};
-#else
-    VecI32 r;
-    for (std::size_t i = 0; i < kLanes; ++i)
-        r.v[i] = a.v[i] ^ b.v[i];
-    return r;
 #endif
 }
 
@@ -306,11 +233,6 @@ andnot(VecI32 a, VecI32 b)
     return {_mm_andnot_si128(a.v, b.v)};
 #elif defined(MTIA_SIMD_NEON)
     return {vbicq_s32(b.v, a.v)};
-#else
-    VecI32 r;
-    for (std::size_t i = 0; i < kLanes; ++i)
-        r.v[i] = b.v[i] & ~a.v[i];
-    return r;
 #endif
 }
 
@@ -323,12 +245,6 @@ shiftLeft(VecI32 a)
     return {_mm_slli_epi32(a.v, N)};
 #elif defined(MTIA_SIMD_NEON)
     return {vshlq_n_s32(a.v, N)};
-#else
-    VecI32 r;
-    for (std::size_t i = 0; i < kLanes; ++i)
-        r.v[i] = static_cast<std::int32_t>(
-            static_cast<std::uint32_t>(a.v[i]) << N);
-    return r;
 #endif
 }
 
@@ -343,12 +259,6 @@ shiftRightLogical(VecI32 a)
 #elif defined(MTIA_SIMD_NEON)
     return {vreinterpretq_s32_u32(
         vshrq_n_u32(vreinterpretq_u32_s32(a.v), N))};
-#else
-    VecI32 r;
-    for (std::size_t i = 0; i < kLanes; ++i)
-        r.v[i] = static_cast<std::int32_t>(
-            static_cast<std::uint32_t>(a.v[i]) >> N);
-    return r;
 #endif
 }
 
@@ -360,11 +270,6 @@ cmpGt(VecI32 a, VecI32 b)
     return {_mm_cmpgt_epi32(a.v, b.v)};
 #elif defined(MTIA_SIMD_NEON)
     return {vreinterpretq_s32_u32(vcgtq_s32(a.v, b.v))};
-#else
-    VecI32 r;
-    for (std::size_t i = 0; i < kLanes; ++i)
-        r.v[i] = a.v[i] > b.v[i] ? -1 : 0;
-    return r;
 #endif
 }
 
@@ -375,11 +280,6 @@ cmpEq(VecI32 a, VecI32 b)
     return {_mm_cmpeq_epi32(a.v, b.v)};
 #elif defined(MTIA_SIMD_NEON)
     return {vreinterpretq_s32_u32(vceqq_s32(a.v, b.v))};
-#else
-    VecI32 r;
-    for (std::size_t i = 0; i < kLanes; ++i)
-        r.v[i] = a.v[i] == b.v[i] ? -1 : 0;
-    return r;
 #endif
 }
 
@@ -403,11 +303,6 @@ operator+(VecF32 a, VecF32 b)
     return {_mm_add_ps(a.v, b.v)};
 #elif defined(MTIA_SIMD_NEON)
     return {vaddq_f32(a.v, b.v)};
-#else
-    VecF32 r;
-    for (std::size_t i = 0; i < kLanes; ++i)
-        r.v[i] = a.v[i] + b.v[i];
-    return r;
 #endif
 }
 
@@ -418,11 +313,6 @@ operator-(VecF32 a, VecF32 b)
     return {_mm_sub_ps(a.v, b.v)};
 #elif defined(MTIA_SIMD_NEON)
     return {vsubq_f32(a.v, b.v)};
-#else
-    VecF32 r;
-    for (std::size_t i = 0; i < kLanes; ++i)
-        r.v[i] = a.v[i] - b.v[i];
-    return r;
 #endif
 }
 
@@ -433,11 +323,6 @@ operator*(VecF32 a, VecF32 b)
     return {_mm_mul_ps(a.v, b.v)};
 #elif defined(MTIA_SIMD_NEON)
     return {vmulq_f32(a.v, b.v)};
-#else
-    VecF32 r;
-    for (std::size_t i = 0; i < kLanes; ++i)
-        r.v[i] = a.v[i] * b.v[i];
-    return r;
 #endif
 }
 
@@ -449,11 +334,6 @@ vmin(VecF32 a, VecF32 b)
     return {_mm_min_ps(a.v, b.v)};
 #elif defined(MTIA_SIMD_NEON)
     return {vminq_f32(a.v, b.v)};
-#else
-    VecF32 r;
-    for (std::size_t i = 0; i < kLanes; ++i)
-        r.v[i] = a.v[i] < b.v[i] ? a.v[i] : b.v[i];
-    return r;
 #endif
 }
 
@@ -465,11 +345,6 @@ vmax(VecF32 a, VecF32 b)
     return {_mm_max_ps(a.v, b.v)};
 #elif defined(MTIA_SIMD_NEON)
     return {vmaxq_f32(a.v, b.v)};
-#else
-    VecF32 r;
-    for (std::size_t i = 0; i < kLanes; ++i)
-        r.v[i] = a.v[i] > b.v[i] ? a.v[i] : b.v[i];
-    return r;
 #endif
 }
 
@@ -482,10 +357,6 @@ bitcastToI32(VecF32 a)
     return {_mm_castps_si128(a.v)};
 #elif defined(MTIA_SIMD_NEON)
     return {vreinterpretq_s32_f32(a.v)};
-#else
-    VecI32 r;
-    std::memcpy(r.v, a.v, sizeof(r.v));
-    return r;
 #endif
 }
 
@@ -496,10 +367,6 @@ bitcastToF32(VecI32 a)
     return {_mm_castsi128_ps(a.v)};
 #elif defined(MTIA_SIMD_NEON)
     return {vreinterpretq_f32_s32(a.v)};
-#else
-    VecF32 r;
-    std::memcpy(r.v, a.v, sizeof(r.v));
-    return r;
 #endif
 }
 
@@ -515,11 +382,6 @@ toI32Rtne(VecF32 a)
     return {_mm_cvtps_epi32(a.v)};
 #elif defined(MTIA_SIMD_NEON)
     return {vcvtnq_s32_f32(a.v)};
-#else
-    VecI32 r;
-    for (std::size_t i = 0; i < kLanes; ++i)
-        r.v[i] = static_cast<std::int32_t>(std::nearbyintf(a.v[i]));
-    return r;
 #endif
 }
 
@@ -531,11 +393,6 @@ toF32(VecI32 a)
     return {_mm_cvtepi32_ps(a.v)};
 #elif defined(MTIA_SIMD_NEON)
     return {vcvtq_f32_s32(a.v)};
-#else
-    VecF32 r;
-    for (std::size_t i = 0; i < kLanes; ++i)
-        r.v[i] = static_cast<float>(a.v[i]);
-    return r;
 #endif
 }
 
@@ -551,11 +408,6 @@ loadU16AsI32(const std::uint16_t *p)
     return {_mm_unpacklo_epi16(v, _mm_setzero_si128())};
 #elif defined(MTIA_SIMD_NEON)
     return {vreinterpretq_s32_u32(vmovl_u16(vld1_u16(p)))};
-#else
-    VecI32 r;
-    for (std::size_t i = 0; i < kLanes; ++i)
-        r.v[i] = static_cast<std::int32_t>(p[i]);
-    return r;
 #endif
 }
 
@@ -563,18 +415,16 @@ loadU16AsI32(const std::uint16_t *p)
 inline VecI32
 loadI8AsI32(const std::uint8_t *p)
 {
-#if defined(MTIA_SIMD_SSE2)
     std::int32_t packed;
     std::memcpy(&packed, p, 4);
+#if defined(MTIA_SIMD_SSE2)
     __m128i v = _mm_cvtsi32_si128(packed);
     v = _mm_unpacklo_epi8(v, v);
     v = _mm_unpacklo_epi16(v, v);
     return {_mm_srai_epi32(v, 24)};
-#else
-    VecI32 r;
-    for (std::size_t i = 0; i < kLanes; ++i)
-        r.v[i] = static_cast<std::int8_t>(p[i]);
-    return r;
+#elif defined(MTIA_SIMD_NEON)
+    const int8x8_t b = vreinterpret_s8_s32(vdup_n_s32(packed));
+    return {vmovl_s16(vget_low_s16(vmovl_s8(b)))};
 #endif
 }
 
@@ -595,11 +445,6 @@ storeLow16(VecI32 a, VecI32 b, std::uint16_t *dst)
     const uint16x4_t lo = vmovn_u32(vreinterpretq_u32_s32(a.v));
     const uint16x4_t hi = vmovn_u32(vreinterpretq_u32_s32(b.v));
     vst1q_u16(dst, vcombine_u16(lo, hi));
-#else
-    for (std::size_t i = 0; i < kLanes; ++i) {
-        dst[i] = static_cast<std::uint16_t>(a.v[i]);
-        dst[i + kLanes] = static_cast<std::uint16_t>(b.v[i]);
-    }
 #endif
 }
 
@@ -621,18 +466,10 @@ storeI8Saturate(VecI32 a, VecI32 b, VecI32 c, VecI32 d, std::uint8_t *dst)
     const int8x16_t s8 =
         vcombine_s8(vqmovn_s16(s16lo), vqmovn_s16(s16hi));
     vst1q_s8(reinterpret_cast<std::int8_t *>(dst), s8);
-#else
-    const VecI32 lanes[4] = {a, b, c, d};
-    for (std::size_t g = 0; g < 4; ++g) {
-        for (std::size_t i = 0; i < kLanes; ++i) {
-            std::int32_t x = lanes[g].v[i];
-            x = x < -128 ? -128 : (x > 127 ? 127 : x);
-            dst[g * kLanes + i] = static_cast<std::uint8_t>(
-                static_cast<std::int8_t>(x));
-        }
-    }
 #endif
 }
+
+#endif // MTIA_SIMD_VEC128
 
 // ---------------------------------------------------- aligned buffer
 
@@ -699,10 +536,14 @@ template <typename T> class AlignedBuffer
 // ------------------------------------------------- runtime dispatch
 
 /**
- * Vector ISA tiers the GEMM kernel layer dispatches among at runtime.
+ * Vector ISA tiers the kernel layers dispatch among at runtime. The
+ * GEMM has a micro-kernel per tier; the numerics kernels (dtype
+ * conversion, INT8 quantization, TBE gather) run their scalar
+ * reference on `Scalar` and the 128-bit VecF32/VecI32 path on every
+ * other tier (SSE2 on x86 for Sse2/Avx2/Avx512, NEON on AArch64).
  * `Scalar` is the bit-exact reference; every wider tier must produce
  * byte-identical results (same mul-then-add fp chains, vectorized only
- * across independent output columns).
+ * across independent output columns or elements).
  */
 enum class SimdIsa
 {
@@ -718,8 +559,9 @@ const char *isaName(SimdIsa isa);
 
 /**
  * True when the running CPU supports `isa` AND the matching kernel TU
- * was compiled into this binary (AVX2/AVX-512 TUs are built only when
- * the compiler accepts -mavx2/-mavx512f and MTIA_NO_SIMD is off).
+ * was compiled into this binary (Sse2/Neon need MTIA_SIMD_VEC128;
+ * AVX2/AVX-512 TUs are built only when the compiler accepts
+ * -mavx2/-mavx512f).
  */
 bool isaSupported(SimdIsa isa);
 
@@ -727,7 +569,7 @@ bool isaSupported(SimdIsa isa);
 SimdIsa detectBestIsa();
 
 /**
- * Tier the GEMM kernels should use right now. Resolution order:
+ * Tier the GEMM and numerics kernels should use right now. Resolution order:
  * innermost thread-local ScopedIsa override, else the cached
  * `MTIA_SIMD_ISA` env override (checked against isaSupported), else
  * detectBestIsa(). Drivers resolve this on the calling thread before

@@ -51,10 +51,11 @@ cpuHasIsa(SimdIsa isa)
     MTIA_UNREACHABLE("bad SimdIsa");
 }
 
-// Whether the micro-kernel TU for this tier exists in the binary. The
-// 128-bit tiers ride on core/simd.h's compile-time backend; the wider
-// x86 tiers are separate TUs added by CMake only when the compiler
-// accepts their -m flags (MTIA_GEMM_HAVE_* definitions).
+// Whether the kernels for this tier exist in the binary. Sse2 and Neon
+// ride on core/simd.h's 128-bit backend (MTIA_SIMD_VEC128; cpuHasIsa
+// tells the two apart); the wider x86 tiers are separate GEMM TUs
+// added by CMake only when the compiler accepts their -m flags
+// (MTIA_GEMM_HAVE_* definitions).
 bool
 tierCompiled(SimdIsa isa)
 {
@@ -62,13 +63,8 @@ tierCompiled(SimdIsa isa)
     case SimdIsa::Scalar:
         return true;
     case SimdIsa::Sse2:
-#if defined(MTIA_SIMD_SSE2)
-        return true;
-#else
-        return false;
-#endif
     case SimdIsa::Neon:
-#if defined(MTIA_SIMD_NEON)
+#if defined(MTIA_SIMD_VEC128)
         return true;
 #else
         return false;

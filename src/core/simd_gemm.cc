@@ -182,7 +182,7 @@ microKernel(SimdIsa isa)
         return detail::scalarGemmKernel();
     case SimdIsa::Sse2:
     case SimdIsa::Neon:
-#if defined(MTIA_SIMD_SSE2) || defined(MTIA_SIMD_NEON)
+#if defined(MTIA_SIMD_VEC128)
         return detail::vec128GemmKernel();
 #else
         break;

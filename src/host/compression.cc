@@ -114,6 +114,8 @@ readBlockHeader(const ByteBuffer &in, std::size_t &pos,
     cum[0] = 0;
     for (int s = 0; s < 256; ++s)
         cum[s + 1] = cum[s] + freq[s];
+    MTIA_CHECK_EQ(cum[256], kProbScale)
+        << ": rANS corrupted frequency table";
     slot2sym.assign(kProbScale, 0);
     for (int s = 0; s < 256; ++s)
         for (std::uint32_t i = cum[s]; i < cum[s + 1]; ++i)

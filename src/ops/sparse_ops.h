@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/simd.h"
 #include "ops/op.h"
 #include "tensor/jagged.h"
 
@@ -21,13 +22,14 @@ namespace tbe_kernels {
 
 /**
  * Accumulate @p count weighted embedding rows into one output row:
- * out[d] += weights[p] * rows[p][d] for p in order. Blocked over the
- * embedding dimension with software prefetch of upcoming rows;
- * bit-identical to gatherAccumulateScalar (separate multiply and add,
- * accumulation order over p preserved).
+ * out[d] += weights[p] * rows[p][d] for p in order. Vector tiers block
+ * over the embedding dimension with software prefetch of upcoming
+ * rows; SimdIsa::Scalar runs gatherAccumulateScalar. Bit-identical
+ * either way (separate multiply and add, order over p preserved).
  */
 void gatherAccumulate(const float *const *rows, const float *weights,
-                      std::size_t count, std::int64_t dim, float *out);
+                      std::size_t count, std::int64_t dim, float *out,
+                      simd::SimdIsa isa = simd::activeIsa());
 
 /** Element-at-a-time reference for gatherAccumulate. */
 void gatherAccumulateScalar(const float *const *rows,

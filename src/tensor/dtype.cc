@@ -159,6 +159,8 @@ roundTrip(float f, DType t)
 
 // ------------------------------------------------------ batch kernels
 
+#if defined(MTIA_SIMD_VEC128)
+
 namespace {
 
 using simd::VecF32;
@@ -318,30 +320,44 @@ widenBuffer(const std::uint16_t *src, float *dst, std::size_t n,
 
 } // namespace
 
+#endif // MTIA_SIMD_VEC128
+
 void
 convertBuffer(const float *src, std::uint16_t *dst, std::size_t n,
               DType to)
 {
-    MTIA_DCHECK(to == DType::FP16 || to == DType::BF16)
-        << ": convertBuffer target must be a 16-bit float dtype";
-    if (to == DType::FP16)
-        narrowBuffer<fp16FromFp32Vec, fp32ToFp16Bits>(src, dst, n);
-    else
-        narrowBuffer<bf16FromFp32Vec, fp32ToBf16Bits>(src, dst, n);
-    numerics::noteBytesConverted(n * sizeof(float));
+#if defined(MTIA_SIMD_VEC128)
+    if (simd::activeIsa() != simd::SimdIsa::Scalar) {
+        MTIA_DCHECK(to == DType::FP16 || to == DType::BF16)
+            << ": convertBuffer target must be a 16-bit float dtype";
+        if (to == DType::FP16)
+            narrowBuffer<fp16FromFp32Vec, fp32ToFp16Bits>(src, dst, n);
+        else
+            narrowBuffer<bf16FromFp32Vec, fp32ToBf16Bits>(src, dst, n);
+        numerics::noteBytesConverted(n * sizeof(float));
+        return;
+    }
+#endif
+    scalar::convertBuffer(src, dst, n, to);
 }
 
 void
 convertBuffer(const std::uint16_t *src, float *dst, std::size_t n,
               DType from)
 {
-    MTIA_DCHECK(from == DType::FP16 || from == DType::BF16)
-        << ": convertBuffer source must be a 16-bit float dtype";
-    if (from == DType::FP16)
-        widenBuffer<fp16BitsToFp32>(src, dst, n, false);
-    else
-        widenBuffer<bf16BitsToFp32>(src, dst, n, true);
-    numerics::noteBytesConverted(n * sizeof(std::uint16_t));
+#if defined(MTIA_SIMD_VEC128)
+    if (simd::activeIsa() != simd::SimdIsa::Scalar) {
+        MTIA_DCHECK(from == DType::FP16 || from == DType::BF16)
+            << ": convertBuffer source must be a 16-bit float dtype";
+        if (from == DType::FP16)
+            widenBuffer<fp16BitsToFp32>(src, dst, n, false);
+        else
+            widenBuffer<bf16BitsToFp32>(src, dst, n, true);
+        numerics::noteBytesConverted(n * sizeof(std::uint16_t));
+        return;
+    }
+#endif
+    scalar::convertBuffer(src, dst, n, from);
 }
 
 namespace scalar {

@@ -14,12 +14,13 @@
  *  - per-element fp32ToFp16Bits / fp16BitsToFp32 / fp32ToBf16Bits /
  *    bf16BitsToFp32 — the branchy scalar reference semantics; fine
  *    for single values and cold paths;
- *  - convertBuffer — the batch kernel layer. Branch-free
- *    (mask/select) round-to-nearest-even over core/simd.h vectors,
- *    bit-identical to the per-element functions for every input
- *    including NaN payloads, ±0, denormals, and ties. scalar::
- *    convertBuffer is the element-at-a-time reference loop the
- *    equivalence tests and benches compare against.
+ *  - convertBuffer — the batch kernel layer, dispatched on
+ *    simd::activeIsa(): branch-free (mask/select)
+ *    round-to-nearest-even over core/simd.h vectors on every vector
+ *    tier, bit-identical to the per-element functions for every input
+ *    including NaN payloads, ±0, denormals, and ties. On the scalar
+ *    tier it runs scalar::convertBuffer, the element-at-a-time
+ *    reference loop the equivalence tests and benches compare against.
  *
  * Hot loops outside this kernel layer must call convertBuffer, not
  * the per-element functions (enforced by the scalar-hot-loop rule in

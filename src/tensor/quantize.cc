@@ -37,8 +37,12 @@ quantizeGroup(const Tensor &src, Tensor &dst, std::int64_t r0,
     }
 }
 
+// The range kernels run their 128-bit loop only when @p vec128 is set;
+// on the scalar tier their tail loop does all the work.
+#if defined(MTIA_SIMD_VEC128)
 using simd::VecF32;
 using simd::VecI32;
+#endif
 
 /**
  * Max |x| over a contiguous range, single fused pass: a running
@@ -48,11 +52,12 @@ using simd::VecI32;
  * |x| = max(-x, x).
  */
 float
-absMaxRange(const float *src, std::size_t n)
+absMaxRange(const float *src, std::size_t n, [[maybe_unused]] bool vec128)
 {
     float m = 0.0f;
     std::size_t i = 0;
-    if (n >= simd::kLanes) {
+#if defined(MTIA_SIMD_VEC128)
+    if (vec128 && n >= simd::kLanes) {
         VecF32 lo = VecF32::broadcast(0.0f);
         VecF32 hi = VecF32::broadcast(0.0f);
         for (; i + simd::kLanes <= n; i += simd::kLanes) {
@@ -67,6 +72,7 @@ absMaxRange(const float *src, std::size_t n)
         for (std::size_t l = 0; l < simd::kLanes; ++l)
             m = std::max(m, std::max(-lanes_lo[l], lanes_hi[l]));
     }
+#endif
     for (; i < n; ++i)
         m = std::max(m, std::abs(src[i]));
     return m;
@@ -86,24 +92,28 @@ absMaxRange(const float *src, std::size_t n)
  */
 void
 quantizeRange(const float *src, std::uint8_t *dst, std::size_t n,
-              float inv)
+              float inv, [[maybe_unused]] bool vec128)
 {
-    const VecF32 vinv = VecF32::broadcast(inv);
-    const VecF32 lo = VecF32::broadcast(-128.0f);
-    const VecF32 hi = VecF32::broadcast(127.0f);
-    const auto quant = [&](const float *p) {
-        const VecF32 v =
-            simd::vmin(simd::vmax(VecF32::load(p) * vinv, lo), hi);
-        return simd::toI32Rtne(v);
-    };
     std::size_t i = 0;
-    for (; i + 4 * simd::kLanes <= n; i += 4 * simd::kLanes) {
-        const VecI32 a = quant(src + i);
-        const VecI32 b = quant(src + i + simd::kLanes);
-        const VecI32 c = quant(src + i + 2 * simd::kLanes);
-        const VecI32 d = quant(src + i + 3 * simd::kLanes);
-        simd::storeI8Saturate(a, b, c, d, dst + i);
+#if defined(MTIA_SIMD_VEC128)
+    if (vec128) {
+        const VecF32 vinv = VecF32::broadcast(inv);
+        const VecF32 lo = VecF32::broadcast(-128.0f);
+        const VecF32 hi = VecF32::broadcast(127.0f);
+        const auto quant = [&](const float *p) {
+            const VecF32 v =
+                simd::vmin(simd::vmax(VecF32::load(p) * vinv, lo), hi);
+            return simd::toI32Rtne(v);
+        };
+        for (; i + 4 * simd::kLanes <= n; i += 4 * simd::kLanes) {
+            const VecI32 a = quant(src + i);
+            const VecI32 b = quant(src + i + simd::kLanes);
+            const VecI32 c = quant(src + i + 2 * simd::kLanes);
+            const VecI32 d = quant(src + i + 3 * simd::kLanes);
+            simd::storeI8Saturate(a, b, c, d, dst + i);
+        }
     }
+#endif
     for (; i < n; ++i) {
         const float q =
             std::clamp(std::nearbyint(src[i] * inv), -128.0f, 127.0f);
@@ -114,14 +124,18 @@ quantizeRange(const float *src, std::uint8_t *dst, std::size_t n,
 /** Contiguous INT8 -> float with one scale: dst = int8 * s. */
 void
 dequantRange(const std::uint8_t *src, float *dst, std::size_t n,
-             float s)
+             float s, [[maybe_unused]] bool vec128)
 {
-    const VecF32 vs = VecF32::broadcast(s);
     std::size_t i = 0;
-    for (; i + simd::kLanes <= n; i += simd::kLanes) {
-        const VecF32 v = simd::toF32(simd::loadI8AsI32(src + i));
-        (v * vs).store(dst + i);
+#if defined(MTIA_SIMD_VEC128)
+    if (vec128) {
+        const VecF32 vs = VecF32::broadcast(s);
+        for (; i + simd::kLanes <= n; i += simd::kLanes) {
+            const VecF32 v = simd::toF32(simd::loadI8AsI32(src + i));
+            (v * vs).store(dst + i);
+        }
     }
+#endif
     for (; i < n; ++i) {
         dst[i] =
             static_cast<float>(static_cast<std::int8_t>(src[i])) * s;
@@ -188,6 +202,7 @@ quantizeDynamic(const Tensor &src, QuantGranularity granularity,
     // Rows are contiguous in row-major storage, so each scale group
     // is one contiguous range: a single fused min/max pass for the
     // scale, one fused scale+round+clamp pass for the payload.
+    const bool vec128 = simd::activeIsa() != simd::SimdIsa::Scalar;
     std::vector<float> scratch;
     const float *f = floatView(src, scratch);
     std::uint8_t *q = out.values.raw().data();
@@ -195,11 +210,11 @@ quantizeDynamic(const Tensor &src, QuantGranularity granularity,
         const std::int64_t r1 = std::min(m, r0 + group);
         const auto off = static_cast<std::size_t>(r0 * k);
         const auto len = static_cast<std::size_t>((r1 - r0) * k);
-        const float amax = absMaxRange(f + off, len);
+        const float amax = absMaxRange(f + off, len, vec128);
         const float scale = amax / 127.0f;
         out.scales.push_back(scale);
         const float inv = scale > 0.0f ? 1.0f / scale : 0.0f;
-        quantizeRange(f + off, q + off, len, inv);
+        quantizeRange(f + off, q + off, len, inv, vec128);
     }
     return out;
 }
@@ -213,12 +228,13 @@ quantizeStatic(const Tensor &weights, double saturate_percentile)
     const std::int64_t k = weights.shape().dim(1);
     const auto n = static_cast<std::size_t>(m * k);
 
+    const bool vec128 = simd::activeIsa() != simd::SimdIsa::Scalar;
     std::vector<float> scratch;
     const float *f = floatView(weights, scratch);
 
     float amax = 0.0f;
     if (saturate_percentile >= 100.0) {
-        amax = absMaxRange(f, n);
+        amax = absMaxRange(f, n, vec128);
     } else {
         std::vector<float> mags(f, f + n);
         for (float &v : mags)
@@ -236,7 +252,7 @@ quantizeStatic(const Tensor &weights, double saturate_percentile)
     out.scales.push_back(amax / 127.0f);
     const float scale = out.scales[0];
     const float inv = scale > 0.0f ? 1.0f / scale : 0.0f;
-    quantizeRange(f, out.values.raw().data(), n, inv);
+    quantizeRange(f, out.values.raw().data(), n, inv, vec128);
     return out;
 }
 
@@ -246,13 +262,14 @@ dequantize(const QuantizedTensor &q)
     Tensor out(q.values.shape(), DType::FP32);
     const std::int64_t m = q.values.shape().dim(0);
     const std::int64_t k = q.values.shape().dim(1);
+    const bool vec128 = simd::activeIsa() != simd::SimdIsa::Scalar;
     const std::uint8_t *src = q.values.raw().data();
     auto *dst = reinterpret_cast<float *>(out.raw().data());
     for (std::int64_t r0 = 0; r0 < m; r0 += q.group_rows) {
         const std::int64_t r1 = std::min(m, r0 + q.group_rows);
         const auto off = static_cast<std::size_t>(r0 * k);
         const auto len = static_cast<std::size_t>((r1 - r0) * k);
-        dequantRange(src + off, dst + off, len, q.scaleFor(r0));
+        dequantRange(src + off, dst + off, len, q.scaleFor(r0), vec128);
     }
     return out;
 }

@@ -85,10 +85,12 @@ namespace scalar {
 
 /**
  * Element-at-a-time reference implementations (the seed code paths)
- * of dynamic quantization and dequantization. The vectorized
- * quantizeDynamic / dequantize above are bit-identical to these —
- * same payload bytes, same scales — which the equivalence tests and
- * bench/numerics.cc verify.
+ * of dynamic quantization and dequantization. quantizeDynamic,
+ * quantizeStatic and dequantize above run fused range kernels: 128-bit
+ * on every vector tier of simd::activeIsa(), element-at-a-time on the
+ * scalar tier. Both are bit-identical to these — same payload bytes,
+ * same scales — which the equivalence tests and bench/numerics.cc
+ * verify.
  */
 QuantizedTensor quantizeDynamic(const Tensor &src,
                                 QuantGranularity granularity,

@@ -2,8 +2,9 @@
  * Vectorized numerics kernel layer: the SIMD batch paths
  * (tensor/dtype convertBuffer, tensor/quantize, host/compression rANS
  * v2 + hash-chain LZ, ops/sparse_ops gather) must be bit-identical to
- * their element-at-a-time scalar references on every backend,
- * including the forced-scalar MTIA_NO_SIMD build.
+ * their element-at-a-time scalar references on every runtime SimdIsa
+ * tier this machine supports, scalar included, and must bump the
+ * numerics counters by the same amount on each.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <limits>
 #include <vector>
 
+#include "core/check.h"
 #include "core/numerics_stats.h"
 #include "core/simd.h"
 #include "host/compression.h"
@@ -26,6 +28,35 @@
 
 namespace mtia {
 namespace {
+
+/**
+ * Runs @p body under each supported tier, scalar first, and expects
+ * every tier to move the bytes_converted and gather_rows counters as
+ * far as the scalar tier does.
+ */
+template <typename Fn>
+void
+forEachTier(Fn &&body)
+{
+    std::uint64_t ref_converted = 0, ref_gathered = 0;
+    for (const simd::SimdIsa isa :
+         {simd::SimdIsa::Scalar, simd::SimdIsa::Sse2, simd::SimdIsa::Neon,
+          simd::SimdIsa::Avx2, simd::SimdIsa::Avx512}) {
+        if (!simd::isaSupported(isa))
+            continue;
+        SCOPED_TRACE(simd::isaName(isa));
+        simd::ScopedIsa scope(isa);
+        const std::uint64_t converted = numerics::bytesConverted();
+        const std::uint64_t gathered = numerics::gatherRows();
+        body();
+        if (isa == simd::SimdIsa::Scalar) {
+            ref_converted = numerics::bytesConverted() - converted;
+            ref_gathered = numerics::gatherRows() - gathered;
+        }
+        EXPECT_EQ(numerics::bytesConverted() - converted, ref_converted);
+        EXPECT_EQ(numerics::gatherRows() - gathered, ref_gathered);
+    }
+}
 
 std::uint32_t
 floatBits(float f)
@@ -83,170 +114,193 @@ specialFloats()
 
 TEST(NumericsDtype, Fp16SpecialsMatchScalarAndPerElement)
 {
-    const std::vector<float> src = specialFloats();
-    const auto vec = narrowSimd(src, DType::FP16);
-    const auto ref = narrowScalar(src, DType::FP16);
-    ASSERT_EQ(vec.size(), ref.size());
-    for (std::size_t i = 0; i < src.size(); ++i) {
-        EXPECT_EQ(vec[i], ref[i]) << "input " << src[i];
-        EXPECT_EQ(vec[i], fp32ToFp16Bits(src[i])) << "input " << src[i];
-    }
-    // Absolute anchors for the interesting classes.
-    EXPECT_EQ(fp32ToFp16Bits(0.0f), 0x0000);
-    EXPECT_EQ(fp32ToFp16Bits(-0.0f), 0x8000);
-    EXPECT_EQ(fp32ToFp16Bits(65504.0f), 0x7bff);
-    EXPECT_EQ(fp32ToFp16Bits(65520.0f), 0x7c00); // rounds to inf
-    EXPECT_EQ(fp32ToFp16Bits(2.9802322e-8f), 0x0000); // 2^-25 tie
-    EXPECT_EQ(fp32ToFp16Bits(2.9802326e-8f), 0x0001); // rounds up
-    EXPECT_EQ(fp32ToFp16Bits(1e-40f), 0x0000); // denormal flush
-    const std::uint16_t nan16 =
-        fp32ToFp16Bits(std::numeric_limits<float>::quiet_NaN());
-    EXPECT_EQ(nan16 & 0x7c00, 0x7c00);
-    EXPECT_NE(nan16 & 0x03ff, 0); // NaN payload survives
+    forEachTier([&] {
+        const std::vector<float> src = specialFloats();
+        const auto vec = narrowSimd(src, DType::FP16);
+        const auto ref = narrowScalar(src, DType::FP16);
+        ASSERT_EQ(vec.size(), ref.size());
+        for (std::size_t i = 0; i < src.size(); ++i) {
+            EXPECT_EQ(vec[i], ref[i]) << "input " << src[i];
+            EXPECT_EQ(vec[i], fp32ToFp16Bits(src[i])) << "input " << src[i];
+        }
+        // Absolute anchors for the interesting classes.
+        EXPECT_EQ(fp32ToFp16Bits(0.0f), 0x0000);
+        EXPECT_EQ(fp32ToFp16Bits(-0.0f), 0x8000);
+        EXPECT_EQ(fp32ToFp16Bits(65504.0f), 0x7bff);
+        EXPECT_EQ(fp32ToFp16Bits(65520.0f), 0x7c00); // rounds to inf
+        EXPECT_EQ(fp32ToFp16Bits(2.9802322e-8f), 0x0000); // 2^-25 tie
+        EXPECT_EQ(fp32ToFp16Bits(2.9802326e-8f), 0x0001); // rounds up
+        EXPECT_EQ(fp32ToFp16Bits(1e-40f), 0x0000); // denormal flush
+        const std::uint16_t nan16 =
+            fp32ToFp16Bits(std::numeric_limits<float>::quiet_NaN());
+        EXPECT_EQ(nan16 & 0x7c00, 0x7c00);
+        EXPECT_NE(nan16 & 0x03ff, 0); // NaN payload survives
+    });
 }
 
 TEST(NumericsDtype, Bf16SpecialsAndTiesMatchScalar)
 {
-    std::vector<float> src = specialFloats();
-    // Exact RTNE tie patterns: low half == 0x8000 rounds to even.
-    float even_tie, odd_tie, nan_payload;
-    std::uint32_t b = 0x3f808000; // tie, upper 0x3f80 even -> stays
-    std::memcpy(&even_tie, &b, 4);
-    b = 0x3f818000; // tie, upper 0x3f81 odd -> rounds up to 0x3f82
-    std::memcpy(&odd_tie, &b, 4);
-    b = 0x7fa00001; // NaN with payload
-    std::memcpy(&nan_payload, &b, 4);
-    src.push_back(even_tie);
-    src.push_back(odd_tie);
-    src.push_back(nan_payload);
+    forEachTier([&] {
+        std::vector<float> src = specialFloats();
+        // Exact RTNE tie patterns: low half == 0x8000 rounds to even.
+        float even_tie, odd_tie, nan_payload;
+        std::uint32_t b = 0x3f808000; // tie, upper 0x3f80 even -> stays
+        std::memcpy(&even_tie, &b, 4);
+        b = 0x3f818000; // tie, upper 0x3f81 odd -> rounds up to 0x3f82
+        std::memcpy(&odd_tie, &b, 4);
+        b = 0x7fa00001; // NaN with payload
+        std::memcpy(&nan_payload, &b, 4);
+        src.push_back(even_tie);
+        src.push_back(odd_tie);
+        src.push_back(nan_payload);
 
-    const auto vec = narrowSimd(src, DType::BF16);
-    const auto ref = narrowScalar(src, DType::BF16);
-    for (std::size_t i = 0; i < src.size(); ++i) {
-        EXPECT_EQ(vec[i], ref[i]) << "input " << src[i];
-        EXPECT_EQ(vec[i], fp32ToBf16Bits(src[i])) << "input " << src[i];
-    }
-    EXPECT_EQ(fp32ToBf16Bits(even_tie), 0x3f80);
-    EXPECT_EQ(fp32ToBf16Bits(odd_tie), 0x3f82);
-    const std::uint16_t n = fp32ToBf16Bits(nan_payload);
-    EXPECT_EQ(n & 0x7f80, 0x7f80);
-    EXPECT_NE(n & 0x007f, 0);
+        const auto vec = narrowSimd(src, DType::BF16);
+        const auto ref = narrowScalar(src, DType::BF16);
+        for (std::size_t i = 0; i < src.size(); ++i) {
+            EXPECT_EQ(vec[i], ref[i]) << "input " << src[i];
+            EXPECT_EQ(vec[i], fp32ToBf16Bits(src[i])) << "input " << src[i];
+        }
+        EXPECT_EQ(fp32ToBf16Bits(even_tie), 0x3f80);
+        EXPECT_EQ(fp32ToBf16Bits(odd_tie), 0x3f82);
+        const std::uint16_t n = fp32ToBf16Bits(nan_payload);
+        EXPECT_EQ(n & 0x7f80, 0x7f80);
+        EXPECT_NE(n & 0x007f, 0);
+    });
 }
 
 TEST(NumericsDtype, Fp16WidenExhaustiveAllBitPatterns)
 {
-    std::vector<std::uint16_t> bits(1 << 16);
-    for (std::size_t i = 0; i < bits.size(); ++i)
-        bits[i] = static_cast<std::uint16_t>(i);
-    std::vector<float> vec(bits.size()), ref(bits.size());
-    convertBuffer(bits.data(), vec.data(), bits.size(), DType::FP16);
-    scalar::convertBuffer(bits.data(), ref.data(), bits.size(),
-                          DType::FP16);
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-        EXPECT_EQ(floatBits(vec[i]), floatBits(ref[i])) << "bits " << i;
-        EXPECT_EQ(floatBits(vec[i]), floatBits(fp16BitsToFp32(bits[i])))
-            << "bits " << i;
-    }
-    // Anchors: inf, -0, smallest denormal.
-    EXPECT_EQ(fp16BitsToFp32(0x7c00),
-              std::numeric_limits<float>::infinity());
-    EXPECT_EQ(floatBits(fp16BitsToFp32(0x8000)), 0x80000000u);
-    EXPECT_EQ(fp16BitsToFp32(0x0001), std::ldexp(1.0f, -24));
+    forEachTier([&] {
+        std::vector<std::uint16_t> bits(1 << 16);
+        for (std::size_t i = 0; i < bits.size(); ++i)
+            bits[i] = static_cast<std::uint16_t>(i);
+        std::vector<float> vec(bits.size()), ref(bits.size());
+        convertBuffer(bits.data(), vec.data(), bits.size(), DType::FP16);
+        scalar::convertBuffer(bits.data(), ref.data(), bits.size(),
+                              DType::FP16);
+        for (std::size_t i = 0; i < bits.size(); ++i) {
+            EXPECT_EQ(floatBits(vec[i]), floatBits(ref[i])) << "bits " << i;
+            EXPECT_EQ(floatBits(vec[i]), floatBits(fp16BitsToFp32(bits[i])))
+                << "bits " << i;
+        }
+        // Anchors: inf, -0, smallest denormal.
+        EXPECT_EQ(fp16BitsToFp32(0x7c00),
+                  std::numeric_limits<float>::infinity());
+        EXPECT_EQ(floatBits(fp16BitsToFp32(0x8000)), 0x80000000u);
+        EXPECT_EQ(fp16BitsToFp32(0x0001), std::ldexp(1.0f, -24));
+    });
 }
 
 TEST(NumericsDtype, Bf16WidenExhaustiveAllBitPatterns)
 {
-    std::vector<std::uint16_t> bits(1 << 16);
-    for (std::size_t i = 0; i < bits.size(); ++i)
-        bits[i] = static_cast<std::uint16_t>(i);
-    std::vector<float> vec(bits.size()), ref(bits.size());
-    convertBuffer(bits.data(), vec.data(), bits.size(), DType::BF16);
-    scalar::convertBuffer(bits.data(), ref.data(), bits.size(),
-                          DType::BF16);
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-        EXPECT_EQ(floatBits(vec[i]), floatBits(ref[i])) << "bits " << i;
-        EXPECT_EQ(floatBits(vec[i]), floatBits(bf16BitsToFp32(bits[i])))
-            << "bits " << i;
-    }
+    forEachTier([&] {
+        std::vector<std::uint16_t> bits(1 << 16);
+        for (std::size_t i = 0; i < bits.size(); ++i)
+            bits[i] = static_cast<std::uint16_t>(i);
+        std::vector<float> vec(bits.size()), ref(bits.size());
+        convertBuffer(bits.data(), vec.data(), bits.size(), DType::BF16);
+        scalar::convertBuffer(bits.data(), ref.data(), bits.size(),
+                              DType::BF16);
+        for (std::size_t i = 0; i < bits.size(); ++i) {
+            EXPECT_EQ(floatBits(vec[i]), floatBits(ref[i])) << "bits " << i;
+            EXPECT_EQ(floatBits(vec[i]), floatBits(bf16BitsToFp32(bits[i])))
+                << "bits " << i;
+        }
+    });
 }
 
 TEST(NumericsDtype, RandomizedMillionElementEquivalence)
 {
-    constexpr std::size_t kN = std::size_t{1} << 20;
-    Rng rng(77);
-    std::vector<float> src(kN);
-    for (std::size_t i = 0; i < kN; ++i) {
-        // Span the whole exponent range, specials included.
-        const double mag = rng.uniform(-44.0, 44.0);
-        src[i] = static_cast<float>(
-            rng.gaussian(0.0, 1.0) * std::pow(10.0, mag));
-        if (i % 997 == 0)
-            src[i] = std::numeric_limits<float>::quiet_NaN();
-        if (i % 991 == 0)
-            src[i] = std::numeric_limits<float>::infinity();
-    }
-    EXPECT_EQ(narrowSimd(src, DType::FP16), narrowScalar(src, DType::FP16));
-    EXPECT_EQ(narrowSimd(src, DType::BF16), narrowScalar(src, DType::BF16));
+    forEachTier([&] {
+        constexpr std::size_t kN = std::size_t{1} << 20;
+        Rng rng(77);
+        std::vector<float> src(kN);
+        for (std::size_t i = 0; i < kN; ++i) {
+            // Span the whole exponent range, specials included.
+            const double mag = rng.uniform(-44.0, 44.0);
+            src[i] = static_cast<float>(
+                rng.gaussian(0.0, 1.0) * std::pow(10.0, mag));
+            if (i % 997 == 0)
+                src[i] = std::numeric_limits<float>::quiet_NaN();
+            if (i % 991 == 0)
+                src[i] = std::numeric_limits<float>::infinity();
+        }
+        EXPECT_EQ(narrowSimd(src, DType::FP16),
+                  narrowScalar(src, DType::FP16));
+        EXPECT_EQ(narrowSimd(src, DType::BF16),
+                  narrowScalar(src, DType::BF16));
 
-    const auto h = narrowSimd(src, DType::FP16);
-    std::vector<float> wide_vec(kN), wide_ref(kN);
-    convertBuffer(h.data(), wide_vec.data(), kN, DType::FP16);
-    scalar::convertBuffer(h.data(), wide_ref.data(), kN, DType::FP16);
-    EXPECT_EQ(std::memcmp(wide_vec.data(), wide_ref.data(), kN * 4), 0);
+        const auto h = narrowSimd(src, DType::FP16);
+        std::vector<float> wide_vec(kN), wide_ref(kN);
+        convertBuffer(h.data(), wide_vec.data(), kN, DType::FP16);
+        scalar::convertBuffer(h.data(), wide_ref.data(), kN, DType::FP16);
+        EXPECT_EQ(std::memcmp(wide_vec.data(), wide_ref.data(), kN * 4), 0);
+    });
 }
 
 TEST(NumericsDtype, OddLengthsExerciseVectorTails)
 {
-    Rng rng(5);
-    for (const std::size_t n : {0u, 1u, 3u, 4u, 7u, 8u, 9u, 15u, 33u}) {
-        std::vector<float> src(n);
-        for (float &v : src)
-            v = static_cast<float>(rng.gaussian(0.0, 100.0));
-        EXPECT_EQ(narrowSimd(src, DType::FP16),
-                  narrowScalar(src, DType::FP16))
-            << "n=" << n;
-        EXPECT_EQ(narrowSimd(src, DType::BF16),
-                  narrowScalar(src, DType::BF16))
-            << "n=" << n;
-    }
+    forEachTier([&] {
+        Rng rng(5);
+        for (const std::size_t n : {0u, 1u, 3u, 4u, 7u, 8u, 9u, 15u, 33u}) {
+            std::vector<float> src(n);
+            for (float &v : src)
+                v = static_cast<float>(rng.gaussian(0.0, 100.0));
+            EXPECT_EQ(narrowSimd(src, DType::FP16),
+                      narrowScalar(src, DType::FP16))
+                << "n=" << n;
+            EXPECT_EQ(narrowSimd(src, DType::BF16),
+                      narrowScalar(src, DType::BF16))
+                << "n=" << n;
+        }
+    });
 }
 
 // ----------------------------------------------------------- quantize
 
 TEST(NumericsQuantize, DynamicMatchesScalarAcrossGranularities)
 {
-    Rng rng(11);
-    // Odd shape so every kernel tail path runs; a zero row and an
-    // outlier row stress the scale guard and the clamp.
-    Tensor act(Shape{37, 129}, DType::FP32);
-    act.fillGaussian(rng, 0.0f, 3.0f);
-    for (std::int64_t k = 0; k < 129; ++k)
-        act.set(5 * 129 + k, 0.0f);
-    act.set(7 * 129 + 3, 1e6f);
+    forEachTier([&] {
+        Rng rng(11);
+        // Odd shape so every kernel tail path runs; a zero row and an
+        // outlier row stress the scale guard and the clamp.
+        Tensor act(Shape{37, 129}, DType::FP32);
+        act.fillGaussian(rng, 0.0f, 3.0f);
+        for (std::int64_t k = 0; k < 129; ++k)
+            act.set(5 * 129 + k, 0.0f);
+        act.set(7 * 129 + 3, 1e6f);
+        // An FP16 source also runs the widening convertBuffer. Its
+        // outlier stays finite (1e6 is inf in fp16): non-finite inputs
+        // are outside the quantizers' contract.
+        Tensor act16 = act.cast(DType::FP16);
+        act16.set(7 * 129 + 3, 6e4f);
 
-    struct Case
-    {
-        QuantGranularity g;
-        std::int64_t group_rows;
-    };
-    for (const Case c : {Case{QuantGranularity::PerTensor, 1},
-                         Case{QuantGranularity::PerRow, 1},
-                         Case{QuantGranularity::PerRowGroup, 4},
-                         Case{QuantGranularity::PerRowGroup, 16}}) {
-        const QuantizedTensor a =
-            quantizeDynamic(act, c.g, c.group_rows);
-        const QuantizedTensor b =
-            scalar::quantizeDynamic(act, c.g, c.group_rows);
-        EXPECT_EQ(a.values.raw(), b.values.raw());
-        EXPECT_EQ(a.group_rows, b.group_rows);
-        ASSERT_EQ(a.scales.size(), b.scales.size());
-        EXPECT_EQ(std::memcmp(a.scales.data(), b.scales.data(),
-                              a.scales.size() * 4),
-                  0);
-        const Tensor da = dequantize(a);
-        const Tensor db = scalar::dequantize(b);
-        EXPECT_EQ(da.raw(), db.raw());
-    }
+        struct Case
+        {
+            QuantGranularity g;
+            std::int64_t group_rows;
+        };
+        for (const Tensor *src : {&act, &act16}) {
+            for (const Case c : {Case{QuantGranularity::PerTensor, 1},
+                                 Case{QuantGranularity::PerRow, 1},
+                                 Case{QuantGranularity::PerRowGroup, 4},
+                                 Case{QuantGranularity::PerRowGroup, 16}}) {
+                const QuantizedTensor a =
+                    quantizeDynamic(*src, c.g, c.group_rows);
+                const QuantizedTensor b =
+                    scalar::quantizeDynamic(*src, c.g, c.group_rows);
+                EXPECT_EQ(a.values.raw(), b.values.raw());
+                EXPECT_EQ(a.group_rows, b.group_rows);
+                ASSERT_EQ(a.scales.size(), b.scales.size());
+                EXPECT_EQ(std::memcmp(a.scales.data(), b.scales.data(),
+                                      a.scales.size() * 4),
+                          0);
+                const Tensor da = dequantize(a);
+                const Tensor db = scalar::dequantize(b);
+                EXPECT_EQ(da.raw(), db.raw());
+            }
+        }
+    });
 }
 
 TEST(NumericsQuantize, StaticPercentileClippedOutliersStaySaturated)
@@ -255,12 +309,27 @@ TEST(NumericsQuantize, StaticPercentileClippedOutliersStaySaturated)
     Tensor w(Shape{64, 64}, DType::FP32);
     w.fillGaussian(rng);
     w.set(0, 1e8f); // outlier far beyond the percentile clip
-    const QuantizedTensor q = quantizeStatic(w, 99.0);
-    // The clipped outlier must pin to +127, not wrap (the int32
-    // overflow case the float-domain pre-clamp guards against).
-    EXPECT_EQ(static_cast<std::int8_t>(q.values.raw()[0]), 127);
-    const Tensor deq = dequantize(q);
-    EXPECT_GT(sqnrDb(w, deq), 0.0);
+    Tensor w16 = w.cast(DType::FP16);
+    w16.set(0, 6e4f); // finite in fp16, like every quantizer input
+    // quantizeStatic has no scalar:: twin: the scalar tier, which
+    // forEachTier runs first, is the byte-for-byte reference.
+    std::vector<std::vector<std::uint8_t>> ref;
+    forEachTier([&] {
+        const QuantizedTensor q = quantizeStatic(w, 99.0);
+        // The clipped outlier must pin to +127, not wrap (the int32
+        // overflow case the float-domain pre-clamp guards against).
+        EXPECT_EQ(static_cast<std::int8_t>(q.values.raw()[0]), 127);
+        const Tensor deq = dequantize(q);
+        EXPECT_GT(sqnrDb(w, deq), 0.0);
+
+        const QuantizedTensor full = quantizeStatic(w16);
+        const std::vector<std::vector<std::uint8_t>> got = {
+            q.values.raw(), deq.raw(), full.values.raw(),
+            dequantize(full).raw()};
+        if (ref.empty())
+            ref = got;
+        EXPECT_EQ(got, ref);
+    });
 }
 
 // -------------------------------------------------------------- codec
@@ -317,6 +386,31 @@ TEST(NumericsCodec, LegacyV1StreamsStillDecode)
     EXPECT_EQ(RansCodec::decompress(v2), data);
 }
 
+TEST(NumericsCodec, CorruptedFrequencyTableIsRejected)
+{
+    // A block header holds 256 little-endian u16 frequencies that must
+    // sum to the probability scale. The first table starts at byte 8
+    // in v1 (payload and block lengths) and at byte 13 in v2 (sentinel
+    // and version byte first). One bumped frequency must be rejected,
+    // not overflow the decoder's slot table.
+    Rng rng(37);
+    ByteBuffer data(4096);
+    for (auto &b : data)
+        b = static_cast<std::uint8_t>(rng.below(16));
+    for (const RansFormat format :
+         {RansFormat::V1Scalar, RansFormat::V2Interleaved}) {
+        ByteBuffer stream = RansCodec::compress(data, format);
+        ASSERT_EQ(RansCodec::decompress(stream), data);
+        const std::size_t table = format == RansFormat::V1Scalar ? 8 : 13;
+        const std::size_t at = table + 2 * std::size_t{data[0]};
+        ASSERT_LT(stream[at], 0xff); // bump the low byte without carry
+        ++stream[at];
+        ScopedCheckThrow guard;
+        EXPECT_THROW((void)RansCodec::decompress(stream), CheckFailedError)
+            << "table at byte " << table;
+    }
+}
+
 TEST(NumericsCodec, LzHashChainMatchesGreedySemantics)
 {
     Rng rng(23);
@@ -352,44 +446,59 @@ TEST(NumericsCodec, LzHashChainMatchesGreedySemantics)
 
 TEST(NumericsGather, AccumulateMatchesScalarAcrossDims)
 {
-    Rng rng(29);
-    for (const std::int64_t dim : {1, 3, 4, 8, 11, 64, 103}) {
-        constexpr std::size_t kPool = 64;
-        std::vector<float> pool(kPool * static_cast<std::size_t>(dim));
-        for (float &v : pool)
-            v = static_cast<float>(rng.gaussian(0.0, 0.3));
-        for (const std::size_t count : {std::size_t{0}, std::size_t{1},
-                                        std::size_t{7},
-                                        std::size_t{256}}) {
-            std::vector<const float *> rows(count);
-            std::vector<float> weights(count);
-            for (std::size_t p = 0; p < count; ++p) {
-                rows[p] = pool.data() +
-                    rng.below(kPool) * static_cast<std::size_t>(dim);
-                weights[p] = static_cast<float>(rng.uniform(0.5, 1.5));
+    std::vector<std::uint8_t> tbe_ref;
+    forEachTier([&] {
+        Rng rng(29);
+        for (const std::int64_t dim : {1, 3, 4, 8, 11, 64, 103}) {
+            constexpr std::size_t kPool = 64;
+            std::vector<float> pool(kPool * static_cast<std::size_t>(dim));
+            for (float &v : pool)
+                v = static_cast<float>(rng.gaussian(0.0, 0.3));
+            for (const std::size_t count : {std::size_t{0}, std::size_t{1},
+                                            std::size_t{7},
+                                            std::size_t{256}}) {
+                std::vector<const float *> rows(count);
+                std::vector<float> weights(count);
+                for (std::size_t p = 0; p < count; ++p) {
+                    rows[p] = pool.data() +
+                        rng.below(kPool) * static_cast<std::size_t>(dim);
+                    weights[p] = static_cast<float>(rng.uniform(0.5, 1.5));
+                }
+                std::vector<float> a(static_cast<std::size_t>(dim), 0.0f);
+                std::vector<float> b(static_cast<std::size_t>(dim), 0.0f);
+                tbe_kernels::gatherAccumulate(rows.data(), weights.data(),
+                                              count, dim, a.data());
+                tbe_kernels::gatherAccumulateScalar(
+                    rows.data(), weights.data(), count, dim, b.data());
+                EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * 4), 0)
+                    << "dim=" << dim << " count=" << count;
             }
-            std::vector<float> a(static_cast<std::size_t>(dim), 0.0f);
-            std::vector<float> b(static_cast<std::size_t>(dim), 0.0f);
-            tbe_kernels::gatherAccumulate(rows.data(), weights.data(),
-                                          count, dim, a.data());
-            tbe_kernels::gatherAccumulateScalar(
-                rows.data(), weights.data(), count, dim, b.data());
-            EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * 4), 0)
-                << "dim=" << dim << " count=" << count;
         }
-    }
+
+        // TbeOp::run resolves the tier once for all of its bags; the
+        // scalar tier's output is the reference.
+        const TbeOp tbe(
+            TbeTableSpec{.tables = 2, .rows_per_table = 1000, .dim = 11},
+            3, 5, true);
+        Rng op_rng(31);
+        OpContext ctx{.rng = &op_rng};
+        const Tensor out = tbe.run({}, ctx);
+        if (tbe_ref.empty())
+            tbe_ref = out.raw();
+        EXPECT_EQ(out.raw(), tbe_ref);
+    });
 }
 
 // ------------------------------------------------------ simd + stats
 
 TEST(NumericsSimd, AlignedBufferAndRtneBasics)
 {
-    EXPECT_NE(simd::backendName(), nullptr);
     simd::AlignedBuffer<float> buf(37);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) %
                   simd::kAlignment,
               0u);
 
+#if defined(MTIA_SIMD_VEC128)
     // RTNE through the lane-wide converter: ties go to even.
     alignas(64) float in[4] = {0.5f, 1.5f, 2.5f, -0.5f};
     alignas(64) std::int32_t out[4];
@@ -399,6 +508,7 @@ TEST(NumericsSimd, AlignedBufferAndRtneBasics)
     EXPECT_EQ(out[1], 2);
     EXPECT_EQ(out[2], 2);
     EXPECT_EQ(out[3], 0);
+#endif
 }
 
 TEST(NumericsStats, CountersAccumulateAndPublish)
