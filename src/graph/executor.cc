@@ -7,14 +7,32 @@
 
 namespace mtia {
 
+namespace {
+
+/**
+ * A node's output while it is live: owned by the executor, or (for a
+ * bound input) borrowed from the caller.
+ */
+struct LiveTensor
+{
+    Tensor owned;
+    const Tensor *bound = nullptr;
+    /** Size at production; the accounting survives a move out. */
+    Bytes bytes = 0;
+
+    const Tensor &get() const { return bound != nullptr ? *bound : owned; }
+};
+
+} // namespace
+
 ExecutionResult
 Executor::run(const Graph &g, const std::map<int, Tensor> &bound_inputs)
 {
     g.validate();
     const std::vector<int> order = g.topoOrder();
-    const std::vector<int> outputs = g.outputs();
 
-    // Remaining-use counts for activation freeing.
+    // Remaining consumers per node; a node consuming the same input
+    // twice counts once (Graph::consumers lists it once).
     std::map<int, std::size_t> uses;
     for (int id : order)
         uses[id] = g.consumers(id).size();
@@ -24,35 +42,51 @@ Executor::run(const Graph &g, const std::map<int, Tensor> &bound_inputs)
     ctx.use_lut_simd = use_lut_;
 
     ExecutionResult result;
-    std::map<int, Tensor> live;
+    std::map<int, LiveTensor> live;
     Bytes live_bytes = 0;
 
     for (int id : order) {
         const Node &nd = g.node(id);
-        std::vector<Tensor> ins;
-        ins.reserve(nd.inputs.size());
+        std::vector<int> distinct;
         for (int in : nd.inputs) {
-            auto it = live.find(in);
-            MTIA_CHECK(it != live.end())
+            MTIA_CHECK(live.count(in) != 0)
                 << ": Executor input " << in << " of node " << id
                 << " is not live (bad schedule?)";
-            ins.push_back(it->second);
+            if (std::find(distinct.begin(), distinct.end(), in) ==
+                distinct.end())
+                distinct.push_back(in);
         }
 
-        Tensor out;
+        LiveTensor out;
         auto bound = bound_inputs.find(id);
         if (bound != bound_inputs.end()) {
-            out = bound->second;
+            out.bound = &bound->second;
         } else {
-            out = nd.op->run(ins, ctx);
+            // The last consumer of an input takes it by move, unless
+            // it lists the input twice or the caller owns it (a bound
+            // input). Graph outputs have no consumers, so are never
+            // moved.
+            std::vector<Tensor> ins;
+            ins.reserve(nd.inputs.size());
+            for (int in : nd.inputs) {
+                LiveTensor &v = live.at(in);
+                const bool last = uses.at(in) == 1 && v.bound == nullptr &&
+                    std::count(nd.inputs.begin(), nd.inputs.end(), in) == 1;
+                if (last)
+                    ins.push_back(std::move(v.owned));
+                else
+                    ins.push_back(v.get());
+            }
+            out.owned = nd.op->run(ins, ctx);
         }
+        out.bytes = out.get().sizeBytes();
 
         if (telemetry_ != nullptr) {
             auto &m = telemetry_->metrics;
             m.counter("executor.nodes", {{"op", nd.op->kind()}}).inc();
             m.counter("executor.output_bytes",
                       {{"op", nd.op->kind()}})
-                .inc(out.sizeBytes());
+                .inc(out.bytes);
             // Fused regions (fusion.cc rewrites) dispatch to real
             // fused kernels; make that visible in every snapshot.
             if (nd.op->fusedKernel())
@@ -61,25 +95,25 @@ Executor::run(const Graph &g, const std::map<int, Tensor> &bound_inputs)
                     .inc();
         }
 
-        live_bytes += out.sizeBytes();
+        live_bytes += out.bytes;
         result.peak_bytes = std::max(result.peak_bytes, live_bytes);
         live.emplace(id, std::move(out));
 
         // Release inputs whose last consumer just ran.
-        for (int in : nd.inputs) {
-            if (--uses[in] == 0 &&
-                std::find(outputs.begin(), outputs.end(), in) ==
-                    outputs.end()) {
-                live_bytes -= live[in].sizeBytes();
+        for (int in : distinct) {
+            if (--uses.at(in) == 0) {
+                live_bytes -= live.at(in).bytes;
                 live.erase(in);
             }
         }
     }
 
-    for (int id : outputs) {
-        auto it = live.find(id);
-        if (it != live.end())
-            result.outputs.emplace(id, std::move(it->second));
+    for (int id : g.outputs()) {
+        LiveTensor &v = live.at(id);
+        if (v.bound != nullptr)
+            result.outputs.emplace(id, *v.bound);
+        else
+            result.outputs.emplace(id, std::move(v.owned));
     }
 
     if (telemetry_ != nullptr) {

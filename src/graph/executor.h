@@ -5,9 +5,10 @@
  * @file
  * Functional graph executor: runs every node's real arithmetic in
  * topological order, freeing tensors after their last use (the same
- * activation-buffer-reuse discipline the chip applies). Used by the
- * numerics experiments (quantization quality, error injection, A/B
- * parity) and by the model tests.
+ * activation-buffer-reuse discipline the chip applies). A tensor's
+ * last consumer receives it by move rather than as a copy. Used by
+ * the numerics experiments (quantization quality, error injection,
+ * A/B parity) and by the model tests.
  */
 
 #include <map>
@@ -44,6 +45,8 @@ class Executor
     /**
      * Run the graph. @p bound_inputs overrides InputOp nodes by id;
      * unbound inputs are filled with Gaussian noise from the rng.
+     * Bound tensors are read in place and never moved from; their
+     * consumers get copies.
      */
     ExecutionResult run(const Graph &g,
                         const std::map<int, Tensor> &bound_inputs = {});

@@ -141,51 +141,64 @@ ActivationOp::cost(const KernelCostModel &km, const CostContext &ctx) const
                      ctx.activations);
 }
 
+void
+LayerNormOp::checkInputs(const std::vector<Shape> &inputs) const
+{
+    MTIA_CHECK_EQ(inputs.size(), arity())
+        << ": layernorm takes " << arity() << " input(s)";
+    for (const Shape &s : inputs) {
+        MTIA_CHECK_EQ(s.rank(), 2u) << ": layernorm input rank";
+        // The batched variant writes each input into its own column
+        // band of a [rows, cols * instances] output.
+        if (instances_ > 1)
+            MTIA_CHECK(s == (Shape{rows_, cols_}))
+                << ": batched layernorm input " << s.toString()
+                << " must be [" << rows_ << "x" << cols_ << "]";
+    }
+}
+
 Shape
 LayerNormOp::outputShape(const std::vector<Shape> &inputs) const
 {
+    checkInputs(inputs);
     if (instances_ == 1)
-        return inputs.at(0);
+        return inputs[0];
     return Shape{rows_, cols_ * instances_};
 }
 
 Tensor
 LayerNormOp::run(const std::vector<Tensor> &inputs, OpContext &) const
 {
-    auto normalize = [&](const Tensor &x, Tensor &out,
-                         std::int64_t col_off) {
-        const std::int64_t rows = x.shape().dim(0);
-        const std::int64_t cols = x.shape().dim(1);
+    std::vector<Shape> shapes;
+    for (const Tensor &t : inputs)
+        shapes.push_back(t.shape());
+    Tensor out(outputShape(shapes), DType::FP32);
+    float *dst = out.f32Data();
+    const std::int64_t out_cols = out.shape().dim(1);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        const FloatView x(inputs[i]);
+        const std::int64_t rows = shapes[i].dim(0);
+        const std::int64_t cols = shapes[i].dim(1);
         for (std::int64_t r = 0; r < rows; ++r) {
+            const float *xr = x.data() + r * cols;
+            float *o =
+                dst + r * out_cols + static_cast<std::int64_t>(i) * cols;
             double mean = 0.0;
             for (std::int64_t c = 0; c < cols; ++c)
-                mean += static_cast<double>(x.at2(r, c));
+                mean += static_cast<double>(xr[c]);
             mean /= static_cast<double>(cols);
             double var = 0.0;
             for (std::int64_t c = 0; c < cols; ++c) {
-                const double d =
-                    static_cast<double>(x.at2(r, c)) - mean;
+                const double d = static_cast<double>(xr[c]) - mean;
                 var += d * d;
             }
             var /= static_cast<double>(cols);
             const double inv = 1.0 / std::sqrt(var + 1e-5);
-            for (std::int64_t c = 0; c < cols; ++c) {
-                out.set2(r, col_off + c,
-                         static_cast<float>(
-                             (static_cast<double>(x.at2(r, c)) - mean) *
-                             inv));
-            }
+            for (std::int64_t c = 0; c < cols; ++c)
+                o[c] = static_cast<float>(
+                    (static_cast<double>(xr[c]) - mean) * inv);
         }
-    };
-
-    if (instances_ == 1) {
-        Tensor out(inputs[0].shape(), DType::FP32);
-        normalize(inputs[0], out, 0);
-        return out;
     }
-    Tensor out(Shape{rows_, cols_ * instances_}, DType::FP32);
-    for (std::int64_t i = 0; i < instances_; ++i)
-        normalize(inputs[static_cast<std::size_t>(i)], out, i * cols_);
     return out;
 }
 
@@ -231,16 +244,34 @@ SoftmaxOp::cost(const KernelCostModel &km, const CostContext &ctx) const
     return km.softmax(rows_, cols_, !ctx.fused, ctx.activations);
 }
 
+Shape
+ElementwiseOp::outputShape(const std::vector<Shape> &inputs) const
+{
+    MTIA_CHECK_EQ(inputs.size(), 2u) << ": elementwise takes two inputs";
+    for (const Shape &s : inputs)
+        MTIA_CHECK(s == shape_)
+            << ": elementwise input " << s.toString() << " must be "
+            << shape_.toString();
+    return shape_;
+}
+
 Tensor
 ElementwiseOp::run(const std::vector<Tensor> &inputs, OpContext &) const
 {
-    const Tensor &a = inputs[0];
-    const Tensor &b = inputs[1];
-    Tensor out(a.shape(), DType::FP32);
-    const std::int64_t n = a.numel();
-    for (std::int64_t i = 0; i < n; ++i) {
-        out.set(i, op_ == Kind::Add ? a.at(i) + b.at(i)
-                                    : a.at(i) * b.at(i));
+    Tensor out(outputShape({inputs.at(0).shape(), inputs.at(1).shape()}),
+               DType::FP32);
+    const FloatView a(inputs[0]);
+    const FloatView b(inputs[1]);
+    const float *pa = a.data();
+    const float *pb = b.data();
+    float *o = out.f32Data();
+    const std::int64_t n = out.numel();
+    if (op_ == Kind::Add) {
+        for (std::int64_t i = 0; i < n; ++i)
+            o[i] = pa[i] + pb[i];
+    } else {
+        for (std::int64_t i = 0; i < n; ++i)
+            o[i] = pa[i] * pb[i];
     }
     return out;
 }
@@ -301,13 +332,13 @@ Tensor
 BroadcastOp::run(const std::vector<Tensor> &inputs, OpContext &) const
 {
     const Tensor &x = inputs[0];
-    const std::int64_t rows = x.shape().dim(0);
-    const std::int64_t cols = x.shape().dim(1);
-    Tensor out(Shape{rows * factor_, cols}, x.dtype());
+    MTIA_CHECK_EQ(x.shape().rank(), 2u) << ": broadcast input rank";
+    Tensor out(Shape{x.shape().dim(0) * factor_, x.shape().dim(1)},
+               x.dtype());
+    const std::size_t bytes = x.raw().size();
     for (std::int64_t f = 0; f < factor_; ++f)
-        for (std::int64_t r = 0; r < rows; ++r)
-            for (std::int64_t c = 0; c < cols; ++c)
-                out.set2(f * rows + r, c, x.at2(r, c));
+        std::copy_n(x.raw().data(), bytes,
+                    out.raw().data() + static_cast<std::size_t>(f) * bytes);
     return out;
 }
 

@@ -164,6 +164,8 @@ class LayerNormOp : public Op
     std::int64_t cols() const { return cols_; }
 
   private:
+    void checkInputs(const std::vector<Shape> &inputs) const;
+
     std::int64_t rows_;
     std::int64_t cols_;
     std::int64_t instances_;
@@ -197,7 +199,7 @@ class SoftmaxOp : public Op
     std::int64_t cols_;
 };
 
-/** Elementwise binary op (same-shape add/mul). */
+/** Elementwise binary op (add/mul of two inputs of the op's shape). */
 class ElementwiseOp : public Op
 {
   public:
@@ -208,10 +210,7 @@ class ElementwiseOp : public Op
 
     std::string kind() const override { return "elementwise"; }
     std::size_t arity() const override { return 2; }
-    Shape outputShape(const std::vector<Shape> &) const override
-    {
-        return shape_;
-    }
+    Shape outputShape(const std::vector<Shape> &inputs) const override;
     Tensor run(const std::vector<Tensor> &inputs,
                OpContext &ctx) const override;
     KernelTime cost(const KernelCostModel &km,

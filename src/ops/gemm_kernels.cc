@@ -1,5 +1,6 @@
 #include "ops/gemm_kernels.h"
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -10,30 +11,6 @@ namespace mtia::gemm_kernels
 {
 namespace
 {
-
-/**
- * Round-tripped fp32 copy of a tensor: the reference gemm's
- * `roundTrip(at2(i,x), compute_dtype)` hoisted out of the k loop.
- * Elementwise, so hoisting is value-identical; halves go through the
- * vectorized convertBuffer pair (itself bit-identical to the scalar
- * conversions).
- */
-std::vector<float>
-roundTrippedFloats(const Tensor &t, DType dt)
-{
-    std::vector<float> out = t.toFloats();
-    if (dt == DType::FP32 || out.empty())
-        return out;
-    if (dt == DType::FP16 || dt == DType::BF16) {
-        std::vector<std::uint16_t> bits(out.size());
-        convertBuffer(out.data(), bits.data(), out.size(), dt);
-        convertBuffer(bits.data(), out.data(), out.size(), dt);
-        return out;
-    }
-    for (float &x : out)
-        x = roundTrip(x, dt);
-    return out;
-}
 
 struct ActEpilogue
 {
@@ -106,6 +83,42 @@ checkGemmShapes(const Tensor &a, const Tensor &b)
 
 } // namespace
 
+std::vector<float>
+operandFloats(const Tensor &t, DType compute_dtype)
+{
+    const DType dt = compute_dtype;
+    const bool half = dt == DType::FP16 || dt == DType::BF16;
+    if (half && t.dtype() == dt) {
+        // Already stored in the compute dtype: one widening pass. The
+        // narrow step of a round trip is the identity on a widened
+        // half except that it quiets NaNs, so set the quiet bit (FP32
+        // bit 22, where FP16 bit 9 and BF16 bit 6 both widen to).
+        std::vector<float> out(static_cast<std::size_t>(t.numel()));
+        convertBuffer(
+            reinterpret_cast<const std::uint16_t *>(t.raw().data()),
+            out.data(), out.size(), dt);
+        for (float &x : out) {
+            const std::uint32_t u = std::bit_cast<std::uint32_t>(x);
+            const std::uint32_t quiet =
+                (u & 0x7fffffffu) > 0x7f800000u ? 0x00400000u : 0u;
+            x = std::bit_cast<float>(u | quiet);
+        }
+        return out;
+    }
+    std::vector<float> out = t.toFloats();
+    if (dt == DType::FP32 || out.empty())
+        return out;
+    if (half) {
+        std::vector<std::uint16_t> bits(out.size());
+        convertBuffer(out.data(), bits.data(), out.size(), dt);
+        convertBuffer(bits.data(), out.data(), out.size(), dt);
+        return out;
+    }
+    for (float &x : out)
+        x = roundTrip(x, dt);
+    return out;
+}
+
 const SimdEngine &
 sharedSimdEngine()
 {
@@ -128,11 +141,11 @@ gemm(const Tensor &a, const Tensor &b, DType compute_dtype,
     const std::int64_t m = a.shape().dim(0);
     const std::int64_t k = a.shape().dim(1);
     const std::int64_t n = b.shape().dim(1);
-    const std::vector<float> av = roundTrippedFloats(a, compute_dtype);
-    const std::vector<float> bv = roundTrippedFloats(b, compute_dtype);
-    std::vector<float> c(static_cast<std::size_t>(m * n));
-    simd::gemmF32(av.data(), bv.data(), c.data(), m, n, k, isa, blk);
-    return Tensor::fromFloats(c, Shape{m, n}, DType::FP32);
+    const std::vector<float> av = operandFloats(a, compute_dtype);
+    const std::vector<float> bv = operandFloats(b, compute_dtype);
+    Tensor c(Shape{m, n}, DType::FP32);
+    simd::gemmF32(av.data(), bv.data(), c.f32Data(), m, n, k, isa, blk);
+    return c;
 }
 
 Tensor
@@ -152,13 +165,13 @@ fusedGemmActivation(const Tensor &a, const Tensor &b, DType compute_dtype,
     const std::int64_t m = a.shape().dim(0);
     const std::int64_t k = a.shape().dim(1);
     const std::int64_t n = b.shape().dim(1);
-    const std::vector<float> av = roundTrippedFloats(a, compute_dtype);
-    const std::vector<float> bv = roundTrippedFloats(b, compute_dtype);
-    std::vector<float> c(static_cast<std::size_t>(m * n));
-    ActEpilogue ep{c.data(), n, f, use_lut};
-    simd::gemmF32(av.data(), bv.data(), c.data(), m, n, k, isa, blk,
+    const std::vector<float> av = operandFloats(a, compute_dtype);
+    const std::vector<float> bv = operandFloats(b, compute_dtype);
+    Tensor c(Shape{m, n}, DType::FP32);
+    ActEpilogue ep{c.f32Data(), n, f, use_lut};
+    simd::gemmF32(av.data(), bv.data(), ep.c, m, n, k, isa, blk,
                   &applyActivationRows, &ep);
-    return Tensor::fromFloats(c, Shape{m, n}, DType::FP32);
+    return c;
 }
 
 Tensor
@@ -187,12 +200,12 @@ fusedQuantizedGemm(const Tensor &a, const QuantizedTensor &w,
     const auto *wi =
         reinterpret_cast<const std::int8_t *>(w.values.raw().data());
     std::vector<std::int32_t> acc(static_cast<std::size_t>(m * n));
-    std::vector<float> out(static_cast<std::size_t>(m * n));
-    DequantEpilogue ep{acc.data(), out.data(), &qa,       w.scales[0],
+    Tensor out(Shape{m, n}, DType::FP32);
+    DequantEpilogue ep{acc.data(), out.f32Data(), &qa,   w.scales[0],
                        n,          has_activation, f,     use_lut};
     simd::gemmI8(ai, wi, acc.data(), m, n, k, isa, blk, &dequantRows,
                  &ep);
-    return Tensor::fromFloats(out, Shape{m, n}, DType::FP32);
+    return out;
 }
 
 } // namespace mtia::gemm_kernels

@@ -24,6 +24,8 @@
  * MTIA_SIMD_ISA env → cpuid) and is resolved on the calling thread.
  */
 
+#include <vector>
+
 #include "core/simd_gemm.h"
 #include "pe/simd_engine.h"
 #include "tensor/quantize.h"
@@ -35,6 +37,15 @@ namespace mtia::gemm_kernels
 /** Process-wide SimdEngine (default config) shared by the dense ops
  *  and the fused epilogues, so LUT tables are built once. */
 const SimdEngine &sharedSimdEngine();
+
+/**
+ * GEMM operand @p t as floats rounded through @p compute_dtype: the
+ * reference gemm's `roundTrip(at2(i, x), compute_dtype)` hoisted out
+ * of the k loop. A half operand already stored in the compute dtype
+ * is widened in one pass; any other is converted to floats and, for a
+ * half compute dtype, narrowed and widened again.
+ */
+std::vector<float> operandFloats(const Tensor &t, DType compute_dtype);
 
 /** C = A·B with inputs rounded through @p compute_dtype, bit-identical
  *  to DotProductEngine::gemm. */

@@ -1,6 +1,6 @@
 #include "pe/mlu.h"
 
-#include <cstring>
+#include <algorithm>
 
 #include "core/check.h"
 
@@ -54,34 +54,46 @@ MemoryLayoutUnit::concat(const std::vector<Tensor> &parts, int axis)
     MTIA_CHECK(axis == 0 || axis == 1)
         << ": MLU::concat axis " << axis << " not supported";
     const DType dt = parts[0].dtype();
-    std::int64_t rows = parts[0].shape().dim(0);
-    std::int64_t cols = parts[0].shape().dim(1);
-    for (std::size_t p = 1; p < parts.size(); ++p) {
-        if (axis == 0) {
-            MTIA_CHECK_EQ(parts[p].shape().dim(1), cols)
+    std::int64_t rows = 0;
+    std::int64_t cols = 0;
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+        const Shape &s = parts[p].shape();
+        MTIA_CHECK_EQ(s.rank(), 2u)
+            << ": MLU::concat part " << p << " must be rank 2";
+        MTIA_CHECK(parts[p].dtype() == dt)
+            << ": MLU::concat part " << p << " is "
+            << dtypeName(parts[p].dtype()) << ", part 0 is "
+            << dtypeName(dt);
+        if (p == 0) {
+            rows = s.dim(0);
+            cols = s.dim(1);
+        } else if (axis == 0) {
+            MTIA_CHECK_EQ(s.dim(1), cols)
                 << ": MLU::concat part " << p << " column mismatch";
-            rows += parts[p].shape().dim(0);
+            rows += s.dim(0);
         } else {
-            MTIA_CHECK_EQ(parts[p].shape().dim(0), rows)
+            MTIA_CHECK_EQ(s.dim(0), rows)
                 << ": MLU::concat part " << p << " row mismatch";
-            cols += parts[p].shape().dim(1);
+            cols += s.dim(1);
         }
     }
+    // Same dtype throughout, so rows move as raw bytes.
     Tensor out(Shape{rows, cols}, dt);
-    std::int64_t off = 0;
-    for (const Tensor &p : parts) {
-        const std::int64_t pr = p.shape().dim(0);
-        const std::int64_t pc = p.shape().dim(1);
-        for (std::int64_t i = 0; i < pr; ++i) {
-            for (std::int64_t j = 0; j < pc; ++j) {
-                if (axis == 0) {
-                    out.set2(off + i, j, p.at2(i, j));
-                } else {
-                    out.set2(i, off + j, p.at2(i, j));
-                }
-            }
+    std::uint8_t *dst = out.raw().data();
+    if (axis == 0) {
+        for (const Tensor &p : parts)
+            dst = std::copy_n(p.raw().data(), p.raw().size(), dst);
+        return out;
+    }
+    const std::size_t elem = dtypeSize(dt);
+    for (std::int64_t i = 0; i < rows; ++i) {
+        for (const Tensor &p : parts) {
+            const std::size_t row =
+                static_cast<std::size_t>(p.shape().dim(1)) * elem;
+            dst = std::copy_n(
+                p.raw().data() + static_cast<std::size_t>(i) * row, row,
+                dst);
         }
-        off += axis == 0 ? pr : pc;
     }
     return out;
 }
@@ -95,11 +107,11 @@ MemoryLayoutUnit::sliceRows(const Tensor &t, std::int64_t begin,
     MTIA_CHECK_GE(begin, 0) << ": MLU::sliceRows range start";
     MTIA_CHECK_LE(end, t.shape().dim(0)) << ": MLU::sliceRows range end";
     MTIA_CHECK_LE(begin, end) << ": MLU::sliceRows reversed range";
-    const std::int64_t cols = t.shape().dim(1);
-    Tensor out(Shape{end - begin, cols}, t.dtype());
-    for (std::int64_t i = begin; i < end; ++i)
-        for (std::int64_t j = 0; j < cols; ++j)
-            out.set2(i - begin, j, t.at2(i, j));
+    Tensor out(Shape{end - begin, t.shape().dim(1)}, t.dtype());
+    const std::size_t row = static_cast<std::size_t>(t.shape().dim(1)) *
+        dtypeSize(t.dtype());
+    std::copy_n(t.raw().data() + static_cast<std::size_t>(begin) * row,
+                out.raw().size(), out.raw().data());
     return out;
 }
 

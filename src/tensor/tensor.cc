@@ -10,13 +10,6 @@
 namespace mtia {
 
 std::int64_t
-Shape::dim(std::size_t i) const
-{
-    MTIA_CHECK_LT(i, dims_.size()) << ": Shape::dim axis out of rank";
-    return dims_[i];
-}
-
-std::int64_t
 Shape::numel() const
 {
     std::int64_t n = 1;
@@ -126,6 +119,22 @@ Tensor::set2(std::int64_t row, std::int64_t col, float v)
 {
     MTIA_DCHECK_EQ(shape_.rank(), 2u) << ": Tensor::set2 needs rank 2";
     set(row * shape_.dim(1) + col, v);
+}
+
+float *
+Tensor::f32Data()
+{
+    MTIA_CHECK(dtype_ == DType::FP32)
+        << ": Tensor::f32Data on a " << dtypeName(dtype_) << " tensor";
+    return reinterpret_cast<float *>(data_.data());
+}
+
+const float *
+Tensor::f32Data() const
+{
+    MTIA_CHECK(dtype_ == DType::FP32)
+        << ": Tensor::f32Data on a " << dtypeName(dtype_) << " tensor";
+    return reinterpret_cast<const float *>(data_.data());
 }
 
 void
@@ -283,6 +292,16 @@ Tensor::rmse(const Tensor &a, const Tensor &b)
         acc += d * d;
     }
     return std::sqrt(acc / static_cast<double>(n));
+}
+
+FloatView::FloatView(const Tensor &t)
+{
+    if (t.dtype() == DType::FP32) {
+        data_ = t.f32Data();
+    } else {
+        converted_ = t.toFloats();
+        data_ = converted_.data();
+    }
 }
 
 } // namespace mtia

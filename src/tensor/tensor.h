@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/check.h"
 #include "sim/random.h"
 #include "sim/types.h"
 #include "tensor/dtype.h"
@@ -30,7 +31,12 @@ class Shape
         : dims_(std::move(dims)) {}
 
     std::size_t rank() const { return dims_.size(); }
-    std::int64_t dim(std::size_t i) const;
+    std::int64_t dim(std::size_t i) const
+    {
+        MTIA_CHECK(i < dims_.size())
+            << ": Shape::dim axis " << i << " out of rank " << dims_.size();
+        return dims_[i];
+    }
     std::int64_t numel() const;
 
     const std::vector<std::int64_t> &dims() const { return dims_; }
@@ -66,6 +72,11 @@ class Tensor
 
     /** Write element at (row, col) of a rank-2 tensor. */
     void set2(std::int64_t row, std::int64_t col, float v);
+
+    /** Element storage of an FP32 tensor (a contract violation for
+     *  any other dtype). */
+    float *f32Data();
+    const float *f32Data() const;
 
     /** Raw byte storage (for injection / compression). */
     std::vector<std::uint8_t> &raw() { return data_; }
@@ -106,6 +117,25 @@ class Tensor
     Shape shape_;
     DType dtype_ = DType::FP32;
     std::vector<std::uint8_t> data_;
+};
+
+/**
+ * Contiguous FP32 view of a tensor's elements for row loops: borrows
+ * an FP32 tensor's storage, and holds a converted copy (toFloats) of
+ * any other dtype. Valid while the viewed tensor is unchanged.
+ */
+class FloatView
+{
+  public:
+    explicit FloatView(const Tensor &t);
+    FloatView(const FloatView &) = delete;
+    FloatView &operator=(const FloatView &) = delete;
+
+    const float *data() const { return data_; }
+
+  private:
+    std::vector<float> converted_;
+    const float *data_;
 };
 
 } // namespace mtia

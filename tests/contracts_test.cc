@@ -16,7 +16,9 @@
 #include "host/compression.h"
 #include "mem/ecc.h"
 #include "noc/noc.h"
+#include "ops/dense_ops.h"
 #include "pe/command_processor.h"
+#include "pe/mlu.h"
 #include "pe/simd_engine.h"
 #include "serving/coalescer.h"
 #include "sim/event_queue.h"
@@ -185,6 +187,52 @@ TEST(ContractsPe, LookupTableRejectsEmptyRange)
     EXPECT_THROW(
         LookupTable([](float x) { return x; }, 1.0f, 1.0f, 16),
         CheckFailedError);
+}
+
+TEST(ContractsPe, MluConcatRejectsMixedDtypes)
+{
+    ScopedCheckThrow guard;
+    const Tensor a(Shape{2, 3}, DType::FP32);
+    const Tensor b(Shape{2, 3}, DType::FP16);
+    EXPECT_THROW(MemoryLayoutUnit::concat({a, b}, 1), CheckFailedError);
+    EXPECT_THROW(MemoryLayoutUnit::concat({a, b}, 0), CheckFailedError);
+}
+
+// ---------------------------------------------------------------- ops
+
+TEST(ContractsOps, ElementwiseRejectsInputsOffItsShape)
+{
+    ScopedCheckThrow guard;
+    const ElementwiseOp add(Shape{4, 8}, ElementwiseOp::Kind::Add);
+    // A smaller second input would be read past its end.
+    EXPECT_THROW(add.outputShape({Shape{4, 8}, Shape{2, 8}}),
+                 CheckFailedError);
+    EXPECT_THROW(add.outputShape({Shape{4, 8}}), CheckFailedError);
+    OpContext ctx;
+    const Tensor a(Shape{4, 8}, DType::FP32);
+    const Tensor small(Shape{2, 8}, DType::FP32);
+    EXPECT_THROW(add.run({a, small}, ctx), CheckFailedError);
+    EXPECT_THROW(add.run({small, a}, ctx), CheckFailedError);
+    EXPECT_EQ(add.run({a, a}, ctx).shape(), (Shape{4, 8}));
+}
+
+TEST(ContractsOps, BatchedLayerNormRejectsInputsOffItsShape)
+{
+    ScopedCheckThrow guard;
+    const LayerNormOp ln(4, 8, 2);
+    // A wider or taller input would be written past the output.
+    EXPECT_THROW(ln.outputShape({Shape{4, 8}, Shape{4, 9}}),
+                 CheckFailedError);
+    EXPECT_THROW(ln.outputShape({Shape{5, 8}, Shape{4, 8}}),
+                 CheckFailedError);
+    EXPECT_THROW(ln.outputShape({Shape{4, 8}}), CheckFailedError);
+    OpContext ctx;
+    const Tensor ok(Shape{4, 8}, DType::FP32);
+    const Tensor wide(Shape{4, 16}, DType::FP32);
+    const Tensor tall(Shape{8, 8}, DType::FP32);
+    EXPECT_THROW(ln.run({ok, wide}, ctx), CheckFailedError);
+    EXPECT_THROW(ln.run({tall, ok}, ctx), CheckFailedError);
+    EXPECT_EQ(ln.run({ok, ok}, ctx).shape(), (Shape{4, 16}));
 }
 
 // ------------------------------------------------------------ serving

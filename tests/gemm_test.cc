@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -261,6 +262,41 @@ TEST(GemmKernelsTest, RawPointerGemmHandlesDegenerateShapes)
                   simd::SimdIsa::Scalar, simd::GemmBlocking{});
     for (const float v : c)
         EXPECT_EQ(v, 0.0f);
+}
+
+TEST(GemmKernelsTest, OperandConversionMatchesThreePassRoundTripOnAllHalfPatterns)
+{
+    // A half operand stored in the compute dtype is widened in one
+    // pass. It must equal the three-pass round trip (widen, narrow,
+    // widen) on every bit pattern, signalling NaNs included.
+    for (const DType dt : {DType::FP16, DType::BF16}) {
+        Tensor t(Shape{256, 256}, dt);
+        auto *bits = reinterpret_cast<std::uint16_t *>(t.raw().data());
+        for (std::uint32_t i = 0; i < (1u << 16); ++i)
+            bits[i] = static_cast<std::uint16_t>(i);
+        for (const simd::SimdIsa isa : supportedTiers()) {
+            SCOPED_TRACE(simd::isaName(isa));
+            const simd::ScopedIsa scope(isa);
+            std::vector<float> ref = t.toFloats();
+            std::vector<std::uint16_t> narrow(ref.size());
+            convertBuffer(ref.data(), narrow.data(), ref.size(), dt);
+            convertBuffer(narrow.data(), ref.data(), ref.size(), dt);
+
+            const std::vector<float> got =
+                gemm_kernels::operandFloats(t, dt);
+            ASSERT_EQ(got.size(), ref.size());
+            std::size_t mismatches = 0;
+            for (std::size_t i = 0; i < ref.size(); ++i) {
+                const auto g = std::bit_cast<std::uint32_t>(got[i]);
+                const auto r = std::bit_cast<std::uint32_t>(ref[i]);
+                if (g != r && mismatches++ == 0)
+                    ADD_FAILURE() << dtypeName(dt) << " pattern 0x"
+                                  << std::hex << i << ": got 0x" << g
+                                  << ", three-pass 0x" << r;
+            }
+            EXPECT_EQ(mismatches, 0u) << dtypeName(dt);
+        }
+    }
 }
 
 } // namespace

@@ -9,12 +9,14 @@
 
 #include <memory>
 
+#include "copy_executor.h"
 #include "graph/executor.h"
 #include "graph/fusion.h"
 #include "graph/graph.h"
 #include "graph/graph_cost.h"
 #include "graph/liveness.h"
 #include "ops/attention_ops.h"
+#include "models/model_zoo.h"
 #include "ops/dense_ops.h"
 
 namespace mtia {
@@ -209,6 +211,127 @@ TEST(FusionTest, OptimizeGraphReachesFixpoint)
     const int first = optimizeGraph(g);
     EXPECT_GT(first, 0);
     EXPECT_EQ(optimizeGraph(g), 0);
+}
+
+// ------------------------------------------------- executor ownership
+
+/** [4, 8] input, ReLU'd so the executor owns the tensor downstream. */
+struct OwnedInput
+{
+    Graph g;
+    int in = -1;
+    int relu = -1;
+    Tensor x{Shape{4, 8}, DType::FP32};
+
+    OwnedInput()
+    {
+        in = g.add(std::make_shared<InputOp>("x", Shape{4, 8}));
+        relu = g.add(std::make_shared<ActivationOp>(Shape{4, 8},
+                                                    Nonlinearity::Relu),
+                     {in});
+        Rng rng(21);
+        x.fillGaussian(rng);
+    }
+
+    int
+    add(ElementwiseOp::Kind kind, int a, int b)
+    {
+        return g.add(std::make_shared<ElementwiseOp>(Shape{4, 8}, kind),
+                     {a, b});
+    }
+
+    float relued(std::int64_t i) const { return std::max(0.0f, x.at(i)); }
+};
+
+TEST(ExecutorOwnership, NodeListingAnInputTwiceGetsCopies)
+{
+    // relu -> (relu + relu) -> (sum * relu): the add lists relu twice
+    // and is not its last consumer; the mul is, and takes it by move.
+    OwnedInput t;
+    const int sum = t.add(ElementwiseOp::Kind::Add, t.relu, t.relu);
+    const int prod = t.add(ElementwiseOp::Kind::Mul, sum, t.relu);
+    const ExecutionResult r = Executor(3).run(t.g, {{t.in, t.x}});
+    ASSERT_EQ(r.outputs.size(), 1u);
+    const Tensor &y = r.outputs.at(prod);
+    for (std::int64_t i = 0; i < y.numel(); ++i)
+        EXPECT_EQ(y.at(i), (t.relued(i) + t.relued(i)) * t.relued(i));
+
+    // The add is relu's only and last consumer, but lists it twice.
+    OwnedInput u;
+    const int twice = u.add(ElementwiseOp::Kind::Add, u.relu, u.relu);
+    const Tensor z = Executor(3).run(u.g, {{u.in, u.x}}).outputs.at(twice);
+    for (std::int64_t i = 0; i < z.numel(); ++i)
+        EXPECT_EQ(z.at(i), u.relued(i) + u.relued(i));
+}
+
+TEST(ExecutorOwnership, ValueFeedingAnOutputAndALaterNodeIsCopiedThenMoved)
+{
+    // relu feeds an output node first (copy), then a later node that
+    // is its last consumer (move). Both outputs must see relu intact.
+    OwnedInput t;
+    const int out1 = t.add(ElementwiseOp::Kind::Mul, t.relu, t.in);
+    const int later = t.g.add(
+        std::make_shared<ActivationOp>(Shape{4, 8}, Nonlinearity::Relu),
+        {t.relu});
+    const int out2 = t.add(ElementwiseOp::Kind::Add, later, t.in);
+    const ExecutionResult r = Executor(3).run(t.g, {{t.in, t.x}});
+    ASSERT_EQ(r.outputs.size(), 2u);
+    for (std::int64_t i = 0; i < t.x.numel(); ++i) {
+        EXPECT_EQ(r.outputs.at(out1).at(i), t.relued(i) * t.x.at(i));
+        EXPECT_EQ(r.outputs.at(out2).at(i), t.relued(i) + t.x.at(i));
+    }
+}
+
+TEST(ExecutorOwnership, BoundInputsAreNeverMovedFrom)
+{
+    // The bound input's only consumer is its last; the caller's tensor
+    // must still hold its bytes afterwards. An unconsumed bound input
+    // is itself an output and comes back as a copy.
+    OwnedInput t;
+    const int lone = t.g.add(std::make_shared<InputOp>("y", Shape{2, 2}));
+    Tensor y(Shape{2, 2}, DType::FP32);
+    y.fill(1.5f);
+    const std::map<int, Tensor> bound{{t.in, t.x}, {lone, y}};
+    const ExecutionResult r = Executor(3).run(t.g, bound);
+    EXPECT_EQ(bound.at(t.in).raw(), t.x.raw());
+    EXPECT_EQ(bound.at(lone).raw(), y.raw());
+    ASSERT_EQ(r.outputs.size(), 2u);
+    EXPECT_EQ(r.outputs.at(lone).raw(), y.raw());
+    for (std::int64_t i = 0; i < t.x.numel(); ++i)
+        EXPECT_EQ(r.outputs.at(t.relu).at(i), t.relued(i));
+}
+
+TEST(ExecutorOwnership, ZooModelMatchesCopySemantics)
+{
+    RankingModelParams p;
+    p.batch = 16;
+    p.dense_features = 32;
+    p.bottom_mlp = {32, 16};
+    p.tbe.tables = 2;
+    p.tbe.rows_per_table = 1024;
+    p.tbe.dim = 16;
+    p.tbe_pooling = 4;
+    p.top_mlp = {32, 1};
+    p.dhen_layers = 2;
+    p.dhen_width = 64;
+    p.mha_blocks = 1;
+    p.mha_seq = 4;
+    p.mha_dim = 16;
+    ModelInfo as_built = buildRankingModel(p);
+    ModelInfo optimized = buildRankingModel(p);
+    EXPECT_GT(optimizeGraph(optimized.graph), 0);
+
+    for (const Graph *g : {&as_built.graph, &optimized.graph}) {
+        const CopySemanticsRun ref = runWithInputCopies(*g, 42);
+        const ExecutionResult r = Executor(42).run(*g);
+        EXPECT_GT(ref.movable_input_bytes, 0u);
+        EXPECT_EQ(r.peak_bytes, ref.result.peak_bytes);
+        ASSERT_EQ(r.outputs.size(), ref.result.outputs.size());
+        for (const auto &[id, t] : ref.result.outputs) {
+            EXPECT_EQ(r.outputs.at(id).shape(), t.shape());
+            EXPECT_EQ(r.outputs.at(id).raw(), t.raw()) << "output " << id;
+        }
+    }
 }
 
 TEST(LivenessTest, ChainFreesAsItGoes)
