@@ -177,17 +177,14 @@ main()
     double worst_rho = 1.0;
     double grid_ratio = 0.0;
     double eval_reduction = 0.0;
+    // A verify budget as large as the grid is the exhaustive reference.
+    const std::size_t kernel_grid =
+        KernelTuner::extendedVariantSpace().size();
     for (const FcShape &q : ref_queries) {
-        KernelSurrogateResult ex;
-        {
-            ScopedSurrogate off(false);
-            ex = tuner.tuneSurrogate(q);
-        }
-        KernelSurrogateResult sg;
-        {
-            ScopedSurrogate on(true);
-            sg = tuner.tuneSurrogate(q, &db, ref_opts);
-        }
+        const KernelSurrogateResult ex =
+            tuner.tuneSurrogate(q, nullptr, {.top_k = kernel_grid});
+        const KernelSurrogateResult sg =
+            tuner.tuneSurrogate(q, &db, ref_opts);
         const bool same =
             sg.loop.best_index == ex.loop.best_index &&
             sg.result.kernel_time == ex.result.kernel_time;
@@ -196,10 +193,8 @@ main()
             (sg.loop.best_cost - ex.loop.best_cost) /
             ex.loop.best_cost * 100.0;
         worst_regret_pct = std::max(worst_regret_pct, regret_pct);
-        // Accuracy over the feasible slice of the fully-priced grid.
-        // Under MTIA_SURROGATE=0 the "surrogate" run is exhaustive
-        // too (no predictions); the gates then degenerate to
-        // bit-equality of two identical sweeps.
+        // Accuracy over the feasible slice of the fully-priced grid
+        // (scored only when the model ran, so predictions exist).
         double mae_pct = 0.0;
         double rho = 1.0;
         if (sg.loop.used_surrogate) {
@@ -285,21 +280,14 @@ main()
     std::vector<std::int64_t> dense_batches;
     for (std::int64_t b = 64; b <= 4096; b += 32)
         dense_batches.push_back(b);
-    BatchSurrogateResult btex;
-    {
-        ScopedSurrogate off(false);
-        btex = batch_tuner.tuneSurrogate(builder, dense_batches,
-                                         fromMillis(100.0));
-    }
+    const BatchSurrogateResult btex = batch_tuner.tuneSurrogate(
+        builder, dense_batches, fromMillis(100.0),
+        {.top_k = dense_batches.size()});
     SurrogateSweepOptions batch_opts;
     batch_opts.seed_count = 16;
     batch_opts.top_k = 8;
-    BatchSurrogateResult bt;
-    {
-        ScopedSurrogate on(true);
-        bt = batch_tuner.tuneSurrogate(builder, dense_batches,
-                                       fromMillis(100.0), batch_opts);
-    }
+    const BatchSurrogateResult bt = batch_tuner.tuneSurrogate(
+        builder, dense_batches, fromMillis(100.0), batch_opts);
     bit_equal = bit_equal && bt.loop.best_index == btex.loop.best_index;
     const double batch_regret_pct =
         (bt.loop.best_cost - btex.loop.best_cost) /
@@ -342,7 +330,7 @@ main()
                           candidates.front().stats.mean_fill * 100.0));
 
     // --- End-to-end tuning wall-clock speedup: a window grid dense
-    // enough (120 windows x 3 parallel options) that exhaustive trace
+    // enough (160 windows x 3 parallel options) that exhaustive trace
     // replay dominates, timed exhaustively vs surrogate-guided on a
     // shorter trace. Both runs replay the identical deterministic
     // workload; only who pays for which cell differs.
@@ -356,22 +344,22 @@ main()
     std::vector<Tick> dense_windows;
     for (int i = 1; i <= 160; ++i)
         dense_windows.push_back(fromMillis(0.25 * i));
+    const std::vector<unsigned> speed_parallel = {1, 2, 4};
     CoalescingSurrogateResult cex;
     double exhaustive_s = 0.0;
     {
-        ScopedSurrogate off(false);
         bench::WallTimer t;
-        cex = ctuner.sweepSurrogate(speed_trace, 512, dense_windows,
-                                    {1, 2, 4});
+        cex = ctuner.sweepSurrogate(
+            speed_trace, 512, dense_windows, speed_parallel,
+            {.top_k = dense_windows.size() * speed_parallel.size()});
         exhaustive_s = t.seconds();
     }
     CoalescingSurrogateResult csg;
     double surrogate_s = 0.0;
     {
-        ScopedSurrogate on(true);
         bench::WallTimer t;
         csg = ctuner.sweepSurrogate(speed_trace, 512, dense_windows,
-                                    {1, 2, 4});
+                                    speed_parallel);
         surrogate_s = t.seconds();
     }
     const double tuning_speedup =

@@ -73,8 +73,9 @@ class BatchSizeTuner
      * evaluate() exactly — highest QPS meeting @p slo, else lowest
      * latency, earliest candidate on ties — encoded as the scalar
      * cost the surrogate trains on (-qps for SLO-meeting snapshots, a
-     * large SLO-violation penalty plus latency otherwise). With the
-     * surrogate disabled this is a bit-identical exhaustive sweep.
+     * large SLO-violation penalty plus latency otherwise). With
+     * opts.top_k set to the grid size this is a bit-identical
+     * exhaustive sweep.
      */
     BatchSurrogateResult
     tuneSurrogate(const ModelBuilder &builder,

@@ -62,7 +62,7 @@ class CoalescingTuner
      * sweep()'s affordable. Maximizes the same score sweep() sorts
      * by (the surrogate trains on its negation); the winner equals
      * sweep(...).front() on the same grid, including grid-order
-     * tie-breaking. With the surrogate disabled this is a
+     * tie-breaking. With opts.top_k set to the grid size this is a
      * bit-identical exhaustive sweep.
      */
     CoalescingSurrogateResult

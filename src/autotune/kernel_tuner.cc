@@ -16,7 +16,7 @@ namespace {
  * Cost assigned to an infeasible variant (weights that cannot be
  * LLC-resident): large enough that no feasible kernel time (picotick
  * scale, well under 1e16 for any real shape) ever loses to it, small
- * enough that stump/MLP training arithmetic stays finite.
+ * enough that surrogate training arithmetic stays finite.
  */
 constexpr double kInfeasibleCost = 1e18;
 
@@ -244,6 +244,11 @@ KernelTuner::buildDatabase(const std::vector<FcShape> &corpus) const
 }
 
 // --------------------------------------------- measured GEMM tuning
+
+GemmKernelTuner::GemmKernelTuner(int reps) : reps_(reps)
+{
+    MTIA_CHECK_GE(reps, 1) << ": GemmKernelTuner needs at least one rep";
+}
 
 std::vector<GemmVariant>
 GemmKernelTuner::variantSpace()

@@ -14,9 +14,9 @@
  * variant grid — every placement/precision/loading combination the
  * cost model can price, tens of times larger than the legacy grid —
  * really evaluating only a seed batch plus the predicted top-k, with
- * an optional KD-tree warm start from already-tuned shapes. With the
- * surrogate disabled (MTIA_SURROGATE=0 / ScopedSurrogate) the same
- * call degrades to a bit-identical exhaustive sweep of the grid.
+ * an optional KD-tree warm start from already-tuned shapes. With
+ * opts.top_k set to the grid size the same call is a bit-identical
+ * exhaustive sweep of the grid.
  */
 
 #include <vector>
@@ -142,7 +142,8 @@ struct GemmSurrogateResult
 class GemmKernelTuner
 {
   public:
-    explicit GemmKernelTuner(int reps = 3) : reps_(reps) {}
+    /** @param reps timed samples per variant (best-of); at least 1. */
+    explicit GemmKernelTuner(int reps = 3);
 
     /** Supported tiers (scalar always included) × blocking configs. */
     static std::vector<GemmVariant> variantSpace();

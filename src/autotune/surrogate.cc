@@ -2,30 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <numeric>
 #include <sstream>
 
 #include "autotune/autotune_stats.h"
 #include "core/check.h"
 #include "core/parallel.h"
-#include "sim/random.h"
 
 namespace mtia {
 
-const char *
-surrogateKindName(SurrogateKind kind)
-{
-    switch (kind) {
-    case SurrogateKind::Stumps:
-        return "stumps";
-    case SurrogateKind::Mlp:
-        return "mlp";
-    }
-    MTIA_UNREACHABLE("bad SurrogateKind");
-}
-
 namespace {
+
+constexpr int kRounds = 400;
+constexpr double kLearningRate = 0.25;
+constexpr double kMinGain = 1e-12;
 
 /** Hex-float printing: round-trip exact, so describe() dumps are
  *  byte-comparable across runs and lane counts. */
@@ -35,343 +25,117 @@ hexDouble(std::ostringstream &os, double v)
     os << std::hexfloat << v << std::defaultfloat;
 }
 
-// ------------------------------------------------------ stump boosting
-
-class GradientBoostedStumps final : public CostSurrogate
-{
-  public:
-    void
-    fit(const std::vector<FeatureVec> &x,
-        const std::vector<double> &y) override
-    {
-        MTIA_CHECK(!x.empty()) << ": surrogate fit on an empty sample set";
-        MTIA_CHECK_EQ(x.size(), y.size())
-            << ": surrogate features/costs length mismatch";
-        stumps_.clear();
-        const std::size_t n = x.size();
-        base_ = std::accumulate(y.begin(), y.end(), 0.0) /
-            static_cast<double>(n);
-
-        // Per-feature index order, sorted by (value, index): the scan
-        // below visits thresholds ascending, so the first strict
-        // improvement is the lowest (feature, threshold) pair and the
-        // fitted model is a pure function of the training set.
-        std::array<std::vector<std::size_t>, kSurrogateFeatures> order;
-        for (std::size_t f = 0; f < kSurrogateFeatures; ++f) {
-            order[f].resize(n);
-            std::iota(order[f].begin(), order[f].end(), std::size_t{0});
-            std::sort(order[f].begin(), order[f].end(),
-                      [&](std::size_t a, std::size_t b) {
-                          if (x[a][f] != x[b][f])
-                              return x[a][f] < x[b][f];
-                          return a < b;
-                      });
-        }
-
-        std::vector<double> resid(y);
-        for (double &r : resid)
-            r -= base_;
-
-        for (int round = 0; round < kRounds; ++round) {
-            const double total =
-                std::accumulate(resid.begin(), resid.end(), 0.0);
-            double best_gain = 0.0;
-            std::size_t best_f = 0;
-            double best_thr = 0.0;
-            double best_left = 0.0;
-            double best_right = 0.0;
-            bool found = false;
-            for (std::size_t f = 0; f < kSurrogateFeatures; ++f) {
-                double left_sum = 0.0;
-                for (std::size_t pos = 0; pos + 1 < n; ++pos) {
-                    const std::size_t i = order[f][pos];
-                    left_sum += resid[i];
-                    const double v = x[i][f];
-                    const double vn = x[order[f][pos + 1]][f];
-                    if (v == vn)
-                        continue; // not a split boundary
-                    const auto left_cnt = static_cast<double>(pos + 1);
-                    const auto right_cnt = static_cast<double>(n - pos - 1);
-                    const double right_sum = total - left_sum;
-                    // Squared-error reduction of splitting here
-                    // (constant terms cancel).
-                    const double gain =
-                        left_sum * left_sum / left_cnt +
-                        right_sum * right_sum / right_cnt;
-                    // Strict >: earlier (feature, threshold) wins ties.
-                    if (!found || gain > best_gain) {
-                        found = true;
-                        best_gain = gain;
-                        best_f = f;
-                        best_thr = v + (vn - v) * 0.5;
-                        best_left = left_sum / left_cnt;
-                        best_right = right_sum / right_cnt;
-                    }
-                }
-            }
-            if (!found || best_gain <= kMinGain)
-                break; // residuals are flat: converged
-            Stump s;
-            s.feature = best_f;
-            s.threshold = best_thr;
-            s.left = kLearningRate * best_left;
-            s.right = kLearningRate * best_right;
-            stumps_.push_back(s);
-            for (std::size_t i = 0; i < n; ++i)
-                resid[i] -= x[i][best_f] < best_thr ? s.left : s.right;
-        }
-    }
-
-    double
-    predict(const FeatureVec &x) const override
-    {
-        double acc = base_;
-        for (const Stump &s : stumps_)
-            acc += x[s.feature] < s.threshold ? s.left : s.right;
-        return acc;
-    }
-
-    std::string
-    describe() const override
-    {
-        std::ostringstream os;
-        os << "stumps base=";
-        hexDouble(os, base_);
-        for (const Stump &s : stumps_) {
-            os << " [f" << s.feature << "<";
-            hexDouble(os, s.threshold);
-            os << " ? ";
-            hexDouble(os, s.left);
-            os << " : ";
-            hexDouble(os, s.right);
-            os << ']';
-        }
-        return os.str();
-    }
-
-    const char *
-    name() const override
-    {
-        return "stumps";
-    }
-
-  private:
-    struct Stump
-    {
-        std::size_t feature = 0;
-        double threshold = 0.0;
-        double left = 0.0; ///< learning-rate-scaled response, x[f] < thr
-        double right = 0.0;
-    };
-
-    static constexpr int kRounds = 400;
-    static constexpr double kLearningRate = 0.25;
-    static constexpr double kMinGain = 1e-12;
-
-    double base_ = 0.0;
-    std::vector<Stump> stumps_;
-};
-
-// -------------------------------------------------------------- tiny MLP
-
-class TinyMlp final : public CostSurrogate
-{
-  public:
-    void
-    fit(const std::vector<FeatureVec> &x,
-        const std::vector<double> &y) override
-    {
-        MTIA_CHECK(!x.empty()) << ": surrogate fit on an empty sample set";
-        MTIA_CHECK_EQ(x.size(), y.size())
-            << ": surrogate features/costs length mismatch";
-        const std::size_t n = x.size();
-
-        // Standardize features and target from the training set; a
-        // constant column keeps scale 1 so the z-score stays finite.
-        for (std::size_t f = 0; f < kSurrogateFeatures; ++f) {
-            double sum = 0.0;
-            for (const FeatureVec &row : x)
-                sum += row[f];
-            mu_[f] = sum / static_cast<double>(n);
-            double var = 0.0;
-            for (const FeatureVec &row : x)
-                var += (row[f] - mu_[f]) * (row[f] - mu_[f]);
-            sd_[f] = std::sqrt(var / static_cast<double>(n));
-            if (sd_[f] == 0.0)
-                sd_[f] = 1.0;
-        }
-        y_mu_ = std::accumulate(y.begin(), y.end(), 0.0) /
-            static_cast<double>(n);
-        double yvar = 0.0;
-        for (double v : y)
-            yvar += (v - y_mu_) * (v - y_mu_);
-        y_sd_ = std::sqrt(yvar / static_cast<double>(n));
-        if (y_sd_ == 0.0)
-            y_sd_ = 1.0;
-
-        std::vector<FeatureVec> z(n);
-        std::vector<double> t(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t f = 0; f < kSurrogateFeatures; ++f)
-                z[i][f] = (x[i][f] - mu_[f]) / sd_[f];
-            t[i] = (y[i] - y_mu_) / y_sd_;
-        }
-
-        // Fixed-seed init: the model is a pure function of the
-        // training set, never of wall clock or address layout.
-        Rng rng(0x5eedf00dull);
-        const double s1 = 1.0 / std::sqrt(double{kSurrogateFeatures});
-        const double s2 = 1.0 / std::sqrt(double{kHidden});
-        for (auto &row : w1_)
-            for (double &w : row)
-                w = rng.uniform(-0.5, 0.5) * s1;
-        b1_.fill(0.0);
-        for (double &w : w2_)
-            w = rng.uniform(-0.5, 0.5) * s2;
-        b2_ = 0.0;
-
-        // Full-batch gradient descent, fixed epochs and order.
-        const double lr = kLearningRate / static_cast<double>(n);
-        std::array<double, kHidden> h{};
-        std::array<double, kHidden> gh{};
-        for (int epoch = 0; epoch < kEpochs; ++epoch) {
-            std::array<std::array<double, kSurrogateFeatures>, kHidden>
-                gw1{};
-            std::array<double, kHidden> gb1{};
-            std::array<double, kHidden> gw2{};
-            double gb2 = 0.0;
-            for (std::size_t i = 0; i < n; ++i) {
-                double out = b2_;
-                for (std::size_t j = 0; j < kHidden; ++j) {
-                    double a = b1_[j];
-                    for (std::size_t f = 0; f < kSurrogateFeatures; ++f)
-                        a += w1_[j][f] * z[i][f];
-                    h[j] = std::tanh(a);
-                    out += w2_[j] * h[j];
-                }
-                const double err = out - t[i];
-                gb2 += err;
-                for (std::size_t j = 0; j < kHidden; ++j) {
-                    gw2[j] += err * h[j];
-                    gh[j] = err * w2_[j] * (1.0 - h[j] * h[j]);
-                    gb1[j] += gh[j];
-                    for (std::size_t f = 0; f < kSurrogateFeatures; ++f)
-                        gw1[j][f] += gh[j] * z[i][f];
-                }
-            }
-            b2_ -= lr * gb2;
-            for (std::size_t j = 0; j < kHidden; ++j) {
-                w2_[j] -= lr * gw2[j];
-                b1_[j] -= lr * gb1[j];
-                for (std::size_t f = 0; f < kSurrogateFeatures; ++f)
-                    w1_[j][f] -= lr * gw1[j][f];
-            }
-        }
-    }
-
-    double
-    predict(const FeatureVec &x) const override
-    {
-        double out = b2_;
-        for (std::size_t j = 0; j < kHidden; ++j) {
-            double a = b1_[j];
-            for (std::size_t f = 0; f < kSurrogateFeatures; ++f)
-                a += w1_[j][f] * (x[f] - mu_[f]) / sd_[f];
-            out += w2_[j] * std::tanh(a);
-        }
-        return out * y_sd_ + y_mu_;
-    }
-
-    std::string
-    describe() const override
-    {
-        std::ostringstream os;
-        os << "mlp";
-        for (std::size_t j = 0; j < kHidden; ++j) {
-            os << " h" << j << "=(";
-            for (std::size_t f = 0; f < kSurrogateFeatures; ++f) {
-                if (f != 0)
-                    os << ',';
-                hexDouble(os, w1_[j][f]);
-            }
-            os << ";";
-            hexDouble(os, b1_[j]);
-            os << ";";
-            hexDouble(os, w2_[j]);
-            os << ')';
-        }
-        os << " b2=";
-        hexDouble(os, b2_);
-        return os.str();
-    }
-
-    const char *
-    name() const override
-    {
-        return "mlp";
-    }
-
-  private:
-    static constexpr std::size_t kHidden = 16;
-    static constexpr int kEpochs = 1500;
-    static constexpr double kLearningRate = 0.05;
-
-    std::array<std::array<double, kSurrogateFeatures>, kHidden> w1_{};
-    std::array<double, kHidden> b1_{};
-    std::array<double, kHidden> w2_{};
-    double b2_ = 0.0;
-    std::array<double, kSurrogateFeatures> mu_{};
-    std::array<double, kSurrogateFeatures> sd_{};
-    double y_mu_ = 0.0;
-    double y_sd_ = 1.0;
-};
-
-// ------------------------------------------------------- toggle plumbing
-
-thread_local bool tls_override_active = false;
-thread_local bool tls_override_value = true;
-
 } // namespace
 
-std::unique_ptr<CostSurrogate>
-makeSurrogate(SurrogateKind kind)
+// ------------------------------------------------------ stump boosting
+
+void
+CostSurrogate::fit(const std::vector<FeatureVec> &x,
+                   const std::vector<double> &y)
 {
-    switch (kind) {
-    case SurrogateKind::Stumps:
-        return std::make_unique<GradientBoostedStumps>();
-    case SurrogateKind::Mlp:
-        return std::make_unique<TinyMlp>();
+    MTIA_CHECK(!x.empty()) << ": surrogate fit on an empty sample set";
+    MTIA_CHECK_EQ(x.size(), y.size())
+        << ": surrogate features/costs length mismatch";
+    stumps_.clear();
+    const std::size_t n = x.size();
+    base_ = std::accumulate(y.begin(), y.end(), 0.0) /
+        static_cast<double>(n);
+
+    // Per-feature index order, sorted by (value, index): the scan
+    // below visits thresholds ascending, so the first strict
+    // improvement is the lowest (feature, threshold) pair and the
+    // fitted model is a pure function of the training set.
+    std::array<std::vector<std::size_t>, kSurrogateFeatures> order;
+    for (std::size_t f = 0; f < kSurrogateFeatures; ++f) {
+        order[f].resize(n);
+        std::iota(order[f].begin(), order[f].end(), std::size_t{0});
+        std::sort(order[f].begin(), order[f].end(),
+                  [&](std::size_t a, std::size_t b) {
+                      if (x[a][f] != x[b][f])
+                          return x[a][f] < x[b][f];
+                      return a < b;
+                  });
     }
-    MTIA_UNREACHABLE("bad SurrogateKind");
-}
 
-bool
-surrogateEnabled()
-{
-    if (tls_override_active)
-        return tls_override_value;
-    // MTIA_SURROGATE=0 pins the legacy exhaustive path; unset or any
-    // other value keeps the surrogate on (mirrors MTIA_THREADS
-    // parsing: the environment is read per query so tests can flip
-    // it).
-    if (const char *env = std::getenv("MTIA_SURROGATE")) {
-        if (env[0] == '0' && env[1] == '\0')
-            return false;
+    std::vector<double> resid(y);
+    for (double &r : resid)
+        r -= base_;
+
+    for (int round = 0; round < kRounds; ++round) {
+        const double total =
+            std::accumulate(resid.begin(), resid.end(), 0.0);
+        double best_gain = 0.0;
+        std::size_t best_f = 0;
+        double best_thr = 0.0;
+        double best_left = 0.0;
+        double best_right = 0.0;
+        bool found = false;
+        for (std::size_t f = 0; f < kSurrogateFeatures; ++f) {
+            double left_sum = 0.0;
+            for (std::size_t pos = 0; pos + 1 < n; ++pos) {
+                const std::size_t i = order[f][pos];
+                left_sum += resid[i];
+                const double v = x[i][f];
+                const double vn = x[order[f][pos + 1]][f];
+                if (v == vn)
+                    continue; // not a split boundary
+                const auto left_cnt = static_cast<double>(pos + 1);
+                const auto right_cnt = static_cast<double>(n - pos - 1);
+                const double right_sum = total - left_sum;
+                // Squared-error reduction of splitting here
+                // (constant terms cancel).
+                const double gain =
+                    left_sum * left_sum / left_cnt +
+                    right_sum * right_sum / right_cnt;
+                // Strict >: earlier (feature, threshold) wins ties.
+                if (!found || gain > best_gain) {
+                    found = true;
+                    best_gain = gain;
+                    best_f = f;
+                    best_thr = v + (vn - v) * 0.5;
+                    best_left = left_sum / left_cnt;
+                    best_right = right_sum / right_cnt;
+                }
+            }
+        }
+        if (!found || best_gain <= kMinGain)
+            break; // residuals are flat: converged
+        Stump s;
+        s.feature = best_f;
+        s.threshold = best_thr;
+        s.left = kLearningRate * best_left;
+        s.right = kLearningRate * best_right;
+        stumps_.push_back(s);
+        for (std::size_t i = 0; i < n; ++i)
+            resid[i] -= x[i][best_f] < best_thr ? s.left : s.right;
     }
-    return true;
 }
 
-ScopedSurrogate::ScopedSurrogate(bool enabled)
-    : prev_value_(tls_override_value), prev_active_(tls_override_active)
+double
+CostSurrogate::predict(const FeatureVec &x) const
 {
-    tls_override_active = true;
-    tls_override_value = enabled;
+    double acc = base_;
+    for (const Stump &s : stumps_)
+        acc += x[s.feature] < s.threshold ? s.left : s.right;
+    return acc;
 }
 
-ScopedSurrogate::~ScopedSurrogate()
+std::string
+CostSurrogate::describe() const
 {
-    tls_override_active = prev_active_;
-    tls_override_value = prev_value_;
+    std::ostringstream os;
+    os << "stumps base=";
+    hexDouble(os, base_);
+    for (const Stump &s : stumps_) {
+        os << " [f" << s.feature << "<";
+        hexDouble(os, s.threshold);
+        os << " ? ";
+        hexDouble(os, s.left);
+        os << " : ";
+        hexDouble(os, s.right);
+        os << ']';
+    }
+    return os.str();
 }
 
 // ------------------------------------------------------------ the loop
@@ -425,8 +189,10 @@ surrogateArgmin(std::size_t n,
     const std::size_t seed_count = std::max<std::size_t>(2, opts.seed_count);
 
     SurrogateSweepResult r;
-    if (!surrogateEnabled() || n <= seed_count + opts.top_k) {
-        // Legacy exhaustive path: every candidate really evaluated,
+    // n <= seed_count + top_k, written without the sum so a top_k
+    // near SIZE_MAX cannot wrap around into the surrogate path.
+    if (opts.top_k >= n || n - opts.top_k <= seed_count) {
+        // Exhaustive path: every candidate really evaluated,
         // bit-identical to a plain parallelMap sweep.
         std::vector<std::size_t> all(n);
         std::iota(all.begin(), all.end(), std::size_t{0});
@@ -473,14 +239,14 @@ surrogateArgmin(std::size_t n,
         tx.push_back(feature(seeds[i]));
         ty.push_back(std::asinh(seed_cost[i]));
     }
-    const std::unique_ptr<CostSurrogate> model = makeSurrogate(opts.kind);
-    model->fit(tx, ty);
+    CostSurrogate model;
+    model.fit(tx, ty);
 
     // 3. Predict the whole grid (pure per index: lane-invariant).
     // Ranking uses the raw asinh-space outputs; `predicted` is
     // published back in cost units.
     const std::vector<double> pred_raw = parallelMap(
-        n, [&](std::size_t i) { return model->predict(feature(i)); });
+        n, [&](std::size_t i) { return model.predict(feature(i)); });
     r.predicted.resize(n);
     for (std::size_t i = 0; i < n; ++i)
         r.predicted[i] = std::sinh(pred_raw[i]);

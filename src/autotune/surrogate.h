@@ -11,16 +11,11 @@
  * measured evaluation only for a small seed batch plus the top-k
  * predicted candidates.
  *
- * Two backends sit behind one CostSurrogate interface:
- *
- *  - GradientBoostedStumps (default): an additive ensemble of
- *    depth-1 regression trees fitted to residuals. Thresholds are
- *    midpoints of sorted unique feature values; every argmin breaks
- *    ties toward the lowest feature index, then the lowest threshold,
- *    so the fitted model is a pure function of the training set.
- *  - TinyMlp: a 10-16-1 tanh network, weights initialized from a
- *    fixed-seed Rng and trained by full-batch gradient descent over a
- *    fixed epoch count on standardized features/targets.
+ * The model is an additive ensemble of gradient-boosted depth-1
+ * regression trees (stumps) fitted to residuals. Thresholds are
+ * midpoints of sorted unique feature values; every argmin breaks ties
+ * toward the lowest feature index, then the lowest threshold, so the
+ * fitted model is a pure function of the training set.
  *
  * Determinism rules (the same contract as core/parallel.h): training
  * and prediction are serial double-precision arithmetic with a fixed
@@ -30,18 +25,15 @@
  * through parallelMap with per-index pure evaluators, so its outputs
  * are byte-identical at any lane count too.
  *
- * The MTIA_SURROGATE environment variable (or a ScopedSurrogate
- * override) gates the whole subsystem: when off ("0"), the loop
- * degrades to the legacy exhaustive path — every candidate is
- * evaluated for real, bit-identically to a plain parallelMap sweep —
- * which is the reference the zero-regret bench gate compares against.
+ * Grids no larger than seed_count + top_k are swept exhaustively —
+ * every candidate evaluated for real, bit-identically to a plain
+ * parallelMap sweep. A caller that needs that exhaustive reference
+ * (the zero-regret gates) sets top_k to the grid size.
  */
 
 #include <array>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,74 +43,42 @@ namespace mtia {
 constexpr std::size_t kSurrogateFeatures = 10;
 using FeatureVec = std::array<double, kSurrogateFeatures>;
 
-/** Which learned backend a sweep trains. */
-enum class SurrogateKind : std::uint8_t {
-    Stumps, ///< gradient-boosted regression stumps (default)
-    Mlp,    ///< tiny fixed-seed multilayer perceptron
-};
-
-/** Human-readable backend name ("stumps" / "mlp"). */
-const char *surrogateKindName(SurrogateKind kind);
-
 /**
- * One trained cost model: fit() on (features -> cost) samples, then
- * predict() anywhere in feature space. Implementations are
- * deterministic (see the file comment) and cheap enough to retrain
- * from scratch inside every tuning call.
+ * The trained cost model: fit() on (features -> cost) samples, then
+ * predict() anywhere in feature space. Deterministic (see the file
+ * comment) and cheap enough to retrain from scratch inside every
+ * tuning call.
  */
 class CostSurrogate
 {
   public:
-    virtual ~CostSurrogate() = default;
-
     /**
      * Train from scratch on @p x / @p y (same length, nonempty).
      * Calling fit again discards the previous model.
      */
-    virtual void fit(const std::vector<FeatureVec> &x,
-                     const std::vector<double> &y) = 0;
+    void fit(const std::vector<FeatureVec> &x, const std::vector<double> &y);
 
     /** Predicted cost at @p x. @pre fit() has run. */
-    virtual double predict(const FeatureVec &x) const = 0;
+    double predict(const FeatureVec &x) const;
 
     /**
      * Deterministic dump of every fitted parameter (hex-float text):
      * byte-equal dumps mean byte-equal models, which is what the
      * lane-invariance tests diff.
      */
-    virtual std::string describe() const = 0;
-
-    /** Backend name, e.g. "stumps". */
-    virtual const char *name() const = 0;
-};
-
-/** Construct an untrained surrogate of the given kind. */
-std::unique_ptr<CostSurrogate> makeSurrogate(SurrogateKind kind);
-
-/**
- * Whether surrogate-guided tuning is on: the innermost live
- * ScopedSurrogate if any, else MTIA_SURROGATE (off only when set to
- * exactly "0"), else on.
- */
-bool surrogateEnabled();
-
-/**
- * RAII override of surrogateEnabled() for tests and benches: while
- * alive on this thread, the surrogate path is forced on or off
- * independent of the environment. Scopes nest; the innermost wins.
- */
-class ScopedSurrogate
-{
-  public:
-    explicit ScopedSurrogate(bool enabled);
-    ~ScopedSurrogate();
-
-    ScopedSurrogate(const ScopedSurrogate &) = delete;
-    ScopedSurrogate &operator=(const ScopedSurrogate &) = delete;
+    std::string describe() const;
 
   private:
-    bool prev_value_;
-    bool prev_active_;
+    struct Stump
+    {
+        std::size_t feature = 0;
+        double threshold = 0.0;
+        double left = 0.0; ///< learning-rate-scaled response, x[f] < thr
+        double right = 0.0;
+    };
+
+    double base_ = 0.0;
+    std::vector<Stump> stumps_;
 };
 
 /** Tuning-loop knobs. Defaults suit grids of a few hundred to a few
@@ -128,18 +88,17 @@ struct SurrogateSweepOptions
     /** Real evaluations used to train the model (evenly strided over
      *  the grid, first and last candidate always included). */
     std::size_t seed_count = 24;
-    /** Predicted-best candidates re-checked with the real evaluator. */
+    /** Predicted-best candidates re-checked with the real evaluator;
+     *  the grid size (or more) makes the sweep exhaustive. */
     std::size_t top_k = 8;
-    /** Backend to train. */
-    SurrogateKind kind = SurrogateKind::Stumps;
     /**
      * Warm-start samples (typically k-nearest entries from a
      * PerfDatabase/GemmVariantDatabase KD-tree): extra training rows
      * prepended to the seed batch. They never count as real
      * evaluations of this grid and are never selection candidates.
      */
-    std::vector<FeatureVec> warm_features;
-    std::vector<double> warm_costs;
+    std::vector<FeatureVec> warm_features{};
+    std::vector<double> warm_costs{};
     /**
      * Evaluate seed/verify batches serially on the calling thread
      * instead of through the lane pool. Timing-based evaluators
@@ -171,8 +130,8 @@ struct SurrogateSweepResult
     /** Mean |prediction - real| over the verified top-k (0 when the
      *  surrogate did not run). */
     double mae = 0.0;
-    /** False when the sweep fell back to exhaustive evaluation
-     *  (surrogate disabled or the grid is small enough to measure). */
+    /** False when the sweep fell back to exhaustive evaluation (the
+     *  grid is no larger than seed_count + top_k). */
     bool used_surrogate = false;
 };
 
@@ -190,9 +149,9 @@ struct SurrogateSweepResult
  *     (lowest index wins ties).
  *
  * @p feature and @p real_cost must be pure functions of the index
- * (plus read-only captures) — the parallelFor contract. When the
- * surrogate is disabled, or n <= seed_count + top_k, every candidate
- * is evaluated for real instead (the legacy exhaustive path,
+ * (plus read-only captures) — the parallelFor contract. When
+ * n <= seed_count + top_k (no overflow: top_k may be SIZE_MAX), every
+ * candidate is evaluated for real instead (the exhaustive path,
  * bit-identical to a plain sweep).
  *
  * Every call feeds the autotune.{surrogate_evals,real_evals,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
 
 #include "core/check.h"
 
@@ -83,55 +82,6 @@ Histogram::percentile(double p) const
         std::ceil(p / 100.0 * static_cast<double>(n)));
     rank = std::clamp<std::size_t>(rank, 1, n);
     return samples_[rank - 1];
-}
-
-Counter &
-StatsRegistry::counter(const std::string &name)
-{
-    return counters_[name];
-}
-
-Histogram &
-StatsRegistry::histogram(const std::string &name)
-{
-    return histograms_[name];
-}
-
-double &
-StatsRegistry::scalar(const std::string &name)
-{
-    return scalars_[name];
-}
-
-void
-StatsRegistry::dump(std::ostream &os) const
-{
-    for (const auto &[name, c] : counters_)
-        os << name << " = " << c.value() << "\n";
-    for (const auto &[name, v] : scalars_)
-        os << name << " = " << v << "\n";
-    for (const auto &[name, h] : histograms_) {
-        os << name << ": n=" << h.count();
-        if (!h.empty()) {
-            os << std::setprecision(6)
-               << " mean=" << h.mean()
-               << " p50=" << h.percentile(50)
-               << " p99=" << h.percentile(99)
-               << " max=" << h.max();
-        }
-        os << "\n";
-    }
-}
-
-void
-StatsRegistry::resetAll()
-{
-    for (auto &[name, c] : counters_)
-        c.reset();
-    for (auto &[name, h] : histograms_)
-        h.reset();
-    for (auto &[name, v] : scalars_)
-        v = 0.0;
 }
 
 } // namespace mtia

@@ -3,30 +3,14 @@
 
 /**
  * @file
- * Lightweight statistics package: counters, scalar gauges, and sample
- * histograms with percentile queries. Components register their stats
- * with a StatsRegistry so experiments can dump a uniform report.
+ * Exact sample histogram with percentile queries, for small fleet
+ * studies. Labeled, bounded-memory metrics live in telemetry/metrics.h.
  */
 
-#include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 namespace mtia {
-
-/** Monotonic event counter. */
-class Counter
-{
-  public:
-    void inc(std::uint64_t by = 1) { value_ += by; }
-    void reset() { value_ = 0; }
-    std::uint64_t value() const { return value_; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
 
 /**
  * Collection of scalar samples supporting mean/min/max and exact
@@ -58,34 +42,6 @@ class Histogram
     mutable std::vector<double> samples_;
     mutable bool sorted_ = true;
     double sum_ = 0.0;
-};
-
-/**
- * Named stats owned by a component tree. Names are dotted paths, e.g.
- * "device0.dram.bytesRead".
- */
-class StatsRegistry
-{
-  public:
-    /** Find-or-create a counter with the given dotted name. */
-    Counter &counter(const std::string &name);
-
-    /** Find-or-create a histogram with the given dotted name. */
-    Histogram &histogram(const std::string &name);
-
-    /** Find-or-create a scalar gauge. */
-    double &scalar(const std::string &name);
-
-    /** Dump all stats, sorted by name. */
-    void dump(std::ostream &os) const;
-
-    /** Reset every registered stat. */
-    void resetAll();
-
-  private:
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Histogram> histograms_;
-    std::map<std::string, double> scalars_;
 };
 
 } // namespace mtia

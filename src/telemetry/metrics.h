@@ -7,12 +7,11 @@
  * a bounded-memory log-bucketed histogram, collected in a
  * MetricRegistry that exports deterministic JSON snapshots.
  *
- * This complements the older sim/stats.h package: StatsRegistry keeps
- * every sample (exact percentiles, O(n) memory — right for small fleet
- * studies), while MetricRegistry is what long serving runs and the
- * bench reports use: constant memory per series, labels for
- * per-device / per-request-class breakdowns, and machine-readable
- * output that can be diffed run-over-run.
+ * MetricRegistry is what long serving runs and the bench reports use:
+ * constant memory per series, labels for per-device /
+ * per-request-class breakdowns, and machine-readable output that can
+ * be diffed run-over-run. (sim/stats.h Histogram, which keeps every
+ * sample for exact percentiles, remains for small fleet studies.)
  *
  * All values fed to these metrics must be derived from simulated state
  * (DES ticks, byte counts); nothing here may read the wall clock, so

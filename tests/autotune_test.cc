@@ -7,14 +7,14 @@
  * sharding, and the surrogate-guided explore -> predict -> verify
  * loop: training determinism across lane counts, monotone-feature
  * sanity, warm-start equivalence, held-out accuracy, and the
- * MTIA_SURROGATE=0 exhaustive fallback.
+ * exhaustive fallback a full verify budget (top_k = grid size) takes.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <limits>
 #include <numeric>
 
 #include "autotune/autotune_stats.h"
@@ -428,34 +428,28 @@ TEST(SurrogateTest, TrainingIsByteIdenticalAcrossLaneCounts)
         x.push_back(syntheticFeatures(i * 7));
         y.push_back(syntheticCost(i * 7));
     }
-    for (const SurrogateKind kind :
-         {SurrogateKind::Stumps, SurrogateKind::Mlp}) {
-        std::string ref_dump;
-        std::vector<double> ref_pred;
-        for (const unsigned lanes : {1u, 2u, 8u}) {
-            ScopedParallelism scoped(lanes);
-            const auto model = makeSurrogate(kind);
-            model->fit(x, y);
-            std::vector<double> pred;
-            for (std::size_t i = 0; i < 300; i += 11)
-                pred.push_back(model->predict(syntheticFeatures(i)));
-            if (lanes == 1) {
-                ref_dump = model->describe();
-                ref_pred = pred;
-                continue;
-            }
-            // Byte-identical model (hex-float dump) and predictions.
-            EXPECT_EQ(model->describe(), ref_dump)
-                << surrogateKindName(kind) << " at " << lanes
-                << " lanes";
-            EXPECT_EQ(pred, ref_pred);
+    std::string ref_dump;
+    std::vector<double> ref_pred;
+    for (const unsigned lanes : {1u, 2u, 8u}) {
+        ScopedParallelism scoped(lanes);
+        CostSurrogate model;
+        model.fit(x, y);
+        std::vector<double> pred;
+        for (std::size_t i = 0; i < 300; i += 11)
+            pred.push_back(model.predict(syntheticFeatures(i)));
+        if (lanes == 1) {
+            ref_dump = model.describe();
+            ref_pred = pred;
+            continue;
         }
+        // Byte-identical model (hex-float dump) and predictions.
+        EXPECT_EQ(model.describe(), ref_dump) << "at " << lanes << " lanes";
+        EXPECT_EQ(pred, ref_pred);
     }
 }
 
 TEST(SurrogateTest, SweepIsByteIdenticalAcrossLaneCounts)
 {
-    ScopedSurrogate on(true);
     SurrogateSweepResult ref;
     for (const unsigned lanes : {1u, 2u, 8u}) {
         ScopedParallelism scoped(lanes);
@@ -478,8 +472,7 @@ TEST(SurrogateTest, SweepIsByteIdenticalAcrossLaneCounts)
 TEST(SurrogateTest, MonotoneCostLearnsMonotonePredictions)
 {
     // Cost strictly increasing in feature 0: the fitted model must
-    // rank a far-right candidate above a far-left one, for both
-    // backends.
+    // rank a far-right candidate above a far-left one.
     std::vector<FeatureVec> x;
     std::vector<double> y;
     for (std::size_t i = 0; i < 64; ++i) {
@@ -488,58 +481,47 @@ TEST(SurrogateTest, MonotoneCostLearnsMonotonePredictions)
         x.push_back(f);
         y.push_back(10.0 + 3.0 * static_cast<double>(i));
     }
-    for (const SurrogateKind kind :
-         {SurrogateKind::Stumps, SurrogateKind::Mlp}) {
-        const auto model = makeSurrogate(kind);
-        model->fit(x, y);
-        FeatureVec lo{};
-        lo[0] = 4.0;
-        FeatureVec mid{};
-        mid[0] = 32.0;
-        FeatureVec hi{};
-        hi[0] = 60.0;
-        EXPECT_LT(model->predict(lo), model->predict(mid))
-            << surrogateKindName(kind);
-        EXPECT_LT(model->predict(mid), model->predict(hi))
-            << surrogateKindName(kind);
-    }
+    CostSurrogate model;
+    model.fit(x, y);
+    FeatureVec lo{};
+    lo[0] = 4.0;
+    FeatureVec mid{};
+    mid[0] = 32.0;
+    FeatureVec hi{};
+    hi[0] = 60.0;
+    EXPECT_LT(model.predict(lo), model.predict(mid));
+    EXPECT_LT(model.predict(mid), model.predict(hi));
 }
 
 TEST(SurrogateTest, HeldOutAccuracyOnSmoothSyntheticCost)
 {
     // Train on a 48-sample stride, score on held-out indices: the
-    // relative MAE must clear a loose bound for both backends (the
-    // synthetic landscape spans ~[50, 530]).
+    // relative MAE must clear a loose bound (the synthetic landscape
+    // spans ~[50, 530]).
     std::vector<FeatureVec> x;
     std::vector<double> y;
     for (std::size_t i = 0; i < 400; i += 8) {
         x.push_back(syntheticFeatures(i));
         y.push_back(syntheticCost(i));
     }
-    for (const SurrogateKind kind :
-         {SurrogateKind::Stumps, SurrogateKind::Mlp}) {
-        const auto model = makeSurrogate(kind);
-        model->fit(x, y);
-        double abs_err = 0.0;
-        double mean = 0.0;
-        std::size_t held = 0;
-        for (std::size_t i = 3; i < 400; i += 8) {
-            abs_err += std::abs(model->predict(syntheticFeatures(i)) -
-                                syntheticCost(i));
-            mean += syntheticCost(i);
-            ++held;
-        }
-        const double mae_pct =
-            abs_err / mean * 100.0;
-        EXPECT_LT(mae_pct, 10.0) << surrogateKindName(kind);
+    CostSurrogate model;
+    model.fit(x, y);
+    double abs_err = 0.0;
+    double mean = 0.0;
+    for (std::size_t i = 3; i < 400; i += 8) {
+        abs_err += std::abs(model.predict(syntheticFeatures(i)) -
+                            syntheticCost(i));
+        mean += syntheticCost(i);
     }
+    EXPECT_LT(abs_err / mean * 100.0, 10.0);
 }
 
 TEST(SurrogateTest, DisabledSweepIsExhaustiveAndFindsTrueArgmin)
 {
-    ScopedSurrogate off(false);
+    // A verify budget as large as the grid leaves the model nothing
+    // to prune: the sweep is the exhaustive reference.
     const SurrogateSweepResult r = surrogateArgmin(
-        400, syntheticFeatures, syntheticCost);
+        400, syntheticFeatures, syntheticCost, {.top_k = 400});
     EXPECT_FALSE(r.used_surrogate);
     EXPECT_EQ(r.real_evals, 400u);
     EXPECT_EQ(r.surrogate_evals, 0u);
@@ -556,7 +538,6 @@ TEST(SurrogateTest, DisabledSweepIsExhaustiveAndFindsTrueArgmin)
 
 TEST(SurrogateTest, SmallGridFallsBackToExhaustiveEvenWhenEnabled)
 {
-    ScopedSurrogate on(true);
     SurrogateSweepOptions o;
     o.seed_count = 8;
     o.top_k = 4;
@@ -568,7 +549,6 @@ TEST(SurrogateTest, SmallGridFallsBackToExhaustiveEvenWhenEnabled)
 
 TEST(SurrogateTest, SurrogateSweepFindsNearOptimalWithFewEvals)
 {
-    ScopedSurrogate on(true);
     const SurrogateSweepResult r = surrogateArgmin(
         400, syntheticFeatures, syntheticCost);
     EXPECT_TRUE(r.used_surrogate);
@@ -582,32 +562,26 @@ TEST(SurrogateTest, SurrogateSweepFindsNearOptimalWithFewEvals)
     EXPECT_EQ(r.best_index, want);
 }
 
-TEST(SurrogateTest, EnvVariableTogglesAndScopesNest)
+TEST(SurrogateTest, MaxVerifyBudgetIsExhaustiveWithoutOverflow)
 {
-    // No override: MTIA_SURROGATE=0 (and only "0") disables.
-    ASSERT_EQ(setenv("MTIA_SURROGATE", "0", 1), 0);
-    EXPECT_FALSE(surrogateEnabled());
-    ASSERT_EQ(setenv("MTIA_SURROGATE", "1", 1), 0);
-    EXPECT_TRUE(surrogateEnabled());
-    ASSERT_EQ(setenv("MTIA_SURROGATE", "0", 1), 0);
-    {
-        ScopedSurrogate outer(true);
-        EXPECT_TRUE(surrogateEnabled());
-        {
-            ScopedSurrogate inner(false);
-            EXPECT_FALSE(surrogateEnabled());
-        }
-        EXPECT_TRUE(surrogateEnabled());
-    }
-    EXPECT_FALSE(surrogateEnabled());
-    ASSERT_EQ(unsetenv("MTIA_SURROGATE"), 0);
-    EXPECT_TRUE(surrogateEnabled());
+    // seed_count + SIZE_MAX wraps; the fallback rule must not add
+    // them, or this sweep would take the surrogate path and try to
+    // reserve SIZE_MAX verify slots.
+    const SurrogateSweepResult r = surrogateArgmin(
+        400, syntheticFeatures, syntheticCost,
+        {.top_k = std::numeric_limits<std::size_t>::max()});
+    const SurrogateSweepResult ref = surrogateArgmin(
+        400, syntheticFeatures, syntheticCost, {.top_k = 400});
+    EXPECT_FALSE(r.used_surrogate);
+    EXPECT_EQ(r.real_evals, 400u);
+    EXPECT_EQ(r.best_index, ref.best_index);
+    EXPECT_EQ(r.best_cost, ref.best_cost);
+    EXPECT_EQ(r.measured_cost, ref.measured_cost);
 }
 
 TEST(SurrogateTest, StatsCountEvalsAndErrors)
 {
     autotune::resetStats();
-    ScopedSurrogate on(true);
     SurrogateSweepOptions o;
     o.seed_count = 16;
     o.top_k = 8;
@@ -624,14 +598,16 @@ TEST(SurrogateTest, StatsCountEvalsAndErrors)
 
 TEST_F(KernelTunerTest, SurrogateDisabledMatchesExhaustiveGridSweep)
 {
-    // With the surrogate off, tuneSurrogate must pick the true argmin
-    // of the extended grid, bit-identically at any lane count.
-    ScopedSurrogate off(false);
+    // With a verify budget as large as the grid, tuneSurrogate must
+    // pick the true argmin of the extended grid, bit-identically at
+    // any lane count.
     const FcShape q{384, 1536, 768};
+    const std::size_t grid = KernelTuner::extendedVariantSpace().size();
     KernelSurrogateResult ref;
     for (const unsigned lanes : {1u, 8u}) {
         ScopedParallelism scoped(lanes);
-        const KernelSurrogateResult r = tuner_.tuneSurrogate(q);
+        const KernelSurrogateResult r =
+            tuner_.tuneSurrogate(q, nullptr, {.top_k = grid});
         EXPECT_FALSE(r.loop.used_surrogate);
         EXPECT_EQ(r.loop.real_evals, r.grid_size);
         if (lanes == 1) {
@@ -651,18 +627,12 @@ TEST_F(KernelTunerTest, SurrogateZeroRegretOnReferenceShapes)
     // the same extended grid bit-exactly.
     SurrogateSweepOptions o;
     o.top_k = 24;
+    const std::size_t grid = KernelTuner::extendedVariantSpace().size();
     for (const FcShape q : {FcShape{256, 1024, 512},
                             FcShape{768, 768, 384}}) {
-        KernelSurrogateResult ex;
-        {
-            ScopedSurrogate off(false);
-            ex = tuner_.tuneSurrogate(q);
-        }
-        KernelSurrogateResult sg;
-        {
-            ScopedSurrogate on(true);
-            sg = tuner_.tuneSurrogate(q, nullptr, o);
-        }
+        const KernelSurrogateResult ex =
+            tuner_.tuneSurrogate(q, nullptr, {.top_k = grid});
+        const KernelSurrogateResult sg = tuner_.tuneSurrogate(q, nullptr, o);
         EXPECT_TRUE(sg.loop.used_surrogate);
         EXPECT_LT(sg.loop.real_evals, ex.loop.real_evals / 4);
         EXPECT_EQ(sg.loop.best_index, ex.loop.best_index);
@@ -681,7 +651,6 @@ TEST_F(KernelTunerTest, WarmStartFromDatabaseEqualsManualWarmSamples)
     SurrogateSweepOptions o;
     o.top_k = 24;
 
-    ScopedSurrogate on(true);
     const KernelSurrogateResult via_db = tuner_.tuneSurrogate(q, &db, o);
 
     SurrogateSweepOptions manual = o;
@@ -738,10 +707,9 @@ TEST(BatchTunerTest, SurrogateWinnerRuleMatchesEvaluate)
     std::size_t winner = 0;
     const auto snaps =
         tuner.evaluate(builder, grid, fromMillis(100.0), winner);
-    // Small grid: the loop falls back to exhaustive even when the
-    // surrogate is on, and its cost encoding must reproduce
-    // evaluate()'s highest-QPS-under-SLO winner rule exactly.
-    ScopedSurrogate on(true);
+    // Small grid: the loop falls back to exhaustive at the default
+    // budget, and its cost encoding must reproduce evaluate()'s
+    // highest-QPS-under-SLO winner rule exactly.
     const BatchSurrogateResult r =
         tuner.tuneSurrogate(builder, grid, fromMillis(100.0));
     EXPECT_FALSE(r.loop.used_surrogate);
@@ -765,9 +733,9 @@ TEST(CoalescingTunerTest, SurrogateFallbackMatchesSweepFront)
                                        fromMillis(32.0)};
     const std::vector<unsigned> parallel = {1, 2, 4};
     const auto ranked = tuner.sweep(trace, 512, windows, parallel);
-    ScopedSurrogate off(false);
-    const CoalescingSurrogateResult r =
-        tuner.sweepSurrogate(trace, 512, windows, parallel);
+    const CoalescingSurrogateResult r = tuner.sweepSurrogate(
+        trace, 512, windows, parallel,
+        {.top_k = windows.size() * parallel.size()});
     EXPECT_FALSE(r.loop.used_surrogate);
     EXPECT_EQ(r.best.score, ranked.front().score);
     EXPECT_EQ(r.best.config.window, ranked.front().config.window);

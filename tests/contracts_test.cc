@@ -10,6 +10,7 @@
 #include <limits>
 #include <vector>
 
+#include "autotune/kernel_tuner.h"
 #include "core/check.h"
 #include "fleet/firmware.h"
 #include "graph/graph.h"
@@ -284,6 +285,15 @@ TEST(ContractsFleet, RolloutRejectsNonMonotoneStageFractions)
         {"narrow", 0.25, fromSeconds(1.0)}, // fraction went backwards
     };
     EXPECT_THROW(mgr.rollout(bundle, plan, 4), CheckFailedError);
+}
+
+// ----------------------------------------------------------- autotune
+
+TEST(ContractsAutotune, GemmKernelTunerRejectsZeroReps)
+{
+    ScopedCheckThrow guard;
+    EXPECT_THROW(GemmKernelTuner(0), CheckFailedError);
+    EXPECT_THROW(GemmKernelTuner(-1), CheckFailedError);
 }
 
 // -------------------------------------------------------------- graph

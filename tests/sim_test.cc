@@ -177,22 +177,6 @@ TEST(Histogram, InterleavedAddAndQuery)
     EXPECT_DOUBLE_EQ(h.max(), 9.0);
 }
 
-TEST(StatsRegistry, FindOrCreateAndDump)
-{
-    StatsRegistry reg;
-    reg.counter("a.b").inc(3);
-    reg.counter("a.b").inc();
-    EXPECT_EQ(reg.counter("a.b").value(), 4u);
-    reg.histogram("lat").add(1.0);
-    reg.scalar("util") = 0.5;
-    std::ostringstream os;
-    reg.dump(os);
-    EXPECT_NE(os.str().find("a.b = 4"), std::string::npos);
-    reg.resetAll();
-    EXPECT_EQ(reg.counter("a.b").value(), 0u);
-    EXPECT_TRUE(reg.histogram("lat").empty());
-}
-
 TEST(EventQueue, RunsInTimeOrder)
 {
     EventQueue q;
