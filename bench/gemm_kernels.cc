@@ -14,6 +14,11 @@
  *                 blocks vs two passes over the output)
  *   fused int8    fusedQuantizedGemm vs quantizeDynamic(PerRow) →
  *                 DotProductEngine::gemmInt8 → activation
+ *   DHEN FC rates fusedGemmActivation (FP16 weights, ReLU) on each of
+ *                 the DHEN functional model's 12 FC shapes at batch
+ *                 192, the shapes the functional executor runs;
+ *                 GFLOP/s per FC and bit-equality against
+ *                 DotProductEngine::gemm → ReLU on sampled rows
  *
  * Every path asserts bit-identical results (hard [1, 1] gates in
  * BENCH_gemm_kernels.json); throughput and the fused-vs-unfused and
@@ -24,6 +29,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <iterator>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -33,6 +40,8 @@
 #include "core/check.h"
 #include "core/numerics_stats.h"
 #include "core/simd_gemm.h"
+#include "models/model_zoo.h"
+#include "ops/dense_ops.h"
 #include "ops/gemm_kernels.h"
 #include "pe/dpe.h"
 #include "pe/simd_engine.h"
@@ -238,6 +247,77 @@ main()
     report.metric("fused_int8_bits_equal", i8_equal ? 1.0 : 0.0, 1.0,
                   1.0);
     report.wallClockRatio("fused_int8_vs_unfused", i8_ratio);
+
+    // ---- DHEN FC rates --------------------------------------------
+    // The FCs of the model perfbench's functional_inference workload
+    // executes, with their own seeded FP16 weights and a Gaussian FP32
+    // activation. The DPE reference costs tens of ns per MAC, so the
+    // gate compares sampled rows: every mr-strip position (mr <= 4 on
+    // every tier) in every mc-row block. Each output row depends only
+    // on its own A row, so the sampled rows of the reference are
+    // exactly those rows of the full product.
+    bench::section("DHEN FC shapes (batch 192, fp16 weights, fused relu)");
+    constexpr std::int64_t kBatch = 192;
+    constexpr std::int64_t kSampledRows[] = {0, 1, 2, 3, 64, 125, 190, 191};
+    RankingModelParams dhen;
+    dhen.batch = kBatch;
+    dhen.tbe.tables = 8;
+    dhen.tbe.dim = 64;
+    dhen.dhen_layers = 2;
+    const ModelInfo model = buildRankingModel(dhen);
+    int fc_index = 0;
+    for (const int id : model.graph.topoOrder()) {
+        const auto *fc = dynamic_cast<const FullyConnectedOp *>(
+            model.graph.node(id).op.get());
+        if (fc == nullptr)
+            continue;
+        const std::int64_t k = fc->shape().k;
+        const std::int64_t n = fc->shape().n;
+        const Tensor &weights = fc->weights();
+        Tensor x(Shape{kBatch, k}, DType::FP32);
+        x.fillGaussian(rng);
+        Tensor y;
+        const Timed t = bestOf(
+            [&] {
+                y = gemm_kernels::fusedGemmActivation(
+                    x, weights, fc->dtype(), Nonlinearity::Relu,
+                    /*use_lut=*/true);
+            },
+            [&] { return tensorSum(y); });
+
+        std::vector<float> sampled;
+        for (const std::int64_t r : kSampledRows) {
+            for (std::int64_t c = 0; c < k; ++c)
+                sampled.push_back(x.at2(r, c));
+        }
+        const std::int64_t rows = std::size(kSampledRows);
+        const Tensor ref = gemm_kernels::sharedSimdEngine().apply(
+            Nonlinearity::Relu,
+            dpe.gemm(Tensor::fromFloats(sampled, Shape{rows, k},
+                                        DType::FP32),
+                     weights, fc->dtype()));
+        bool equal = true;
+        for (std::int64_t i = 0; i < rows; ++i) {
+            const auto bytes = static_cast<std::size_t>(n) * sizeof(float);
+            equal = equal &&
+                std::memcmp(y.f32Data() + kSampledRows[i] * n,
+                            ref.f32Data() + i * n, bytes) == 0;
+        }
+        const double fc_flops = 2.0 * static_cast<double>(kBatch) *
+            static_cast<double>(k) * static_cast<double>(n);
+        const double gflops =
+            t.seconds > 0.0 ? fc_flops / t.seconds / 1e9 : 0.0;
+        char name[48];
+        std::snprintf(name, sizeof(name), "dhen_fc%02d_%lldx%lld",
+                      fc_index++, static_cast<long long>(k),
+                      static_cast<long long>(n));
+        bench::row(std::string(name) + " GFLOP/s", "vs DPE reference",
+                   bench::fmt("%.2f", gflops) +
+                       (equal ? " (bit-identical)" : " (NO — DIVERGED)"));
+        report.metric(std::string(name) + "_bits_equal", equal ? 1.0 : 0.0,
+                      1.0, 1.0);
+        report.metric(std::string(name) + "_gflops", gflops);
+    }
 
     // The numerics.gemm_flops counter accumulated by the blocked-GEMM
     // runs above lands in the report's telemetry snapshot.

@@ -6,7 +6,7 @@
  * Portable 128-bit SIMD abstraction for the vectorized numerics
  * kernel layer: four-lane float / int32 vectors over SSE2 (x86-64
  * baseline, no -m flags) or NEON (AArch64) intrinsics, a software
- * prefetch, aligned buffers, and the runtime SimdIsa tier.
+ * prefetch, and the runtime SimdIsa tier.
  *
  * The vector types exist only where MTIA_SIMD_VEC128 is defined, and
  * code using them compiles only under that guard. Which path runs is
@@ -27,8 +27,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <new>
-#include <utility>
 
 #if defined(__SSE2__) || defined(_M_X64) || \
     (defined(_M_IX86_FP) && _M_IX86_FP >= 2)
@@ -46,7 +44,7 @@ namespace mtia::simd {
 /** Lanes per 128-bit vector. */
 inline constexpr std::size_t kLanes = 4;
 
-/** Alignment of AlignedBuffer storage (one cache line). */
+/** Alignment of kernel scratch storage (one cache line). */
 inline constexpr std::size_t kAlignment = 64;
 
 #if defined(MTIA_SIMD_VEC128)
@@ -471,68 +469,6 @@ storeI8Saturate(VecI32 a, VecI32 b, VecI32 c, VecI32 d, std::uint8_t *dst)
 
 #endif // MTIA_SIMD_VEC128
 
-// ---------------------------------------------------- aligned buffer
-
-/**
- * Cache-line-aligned uninitialized-then-zeroed array of a trivially
- * copyable type; move-only. Aligned stores/loads stay on one line and
- * prefetches cover whole rows.
- */
-template <typename T> class AlignedBuffer
-{
-  public:
-    AlignedBuffer() = default;
-
-    explicit AlignedBuffer(std::size_t n) : n_(n)
-    {
-        if (n_ == 0)
-            return;
-        ptr_ = static_cast<T *>(::operator new(
-            n_ * sizeof(T), std::align_val_t{kAlignment}));
-        std::memset(static_cast<void *>(ptr_), 0, n_ * sizeof(T));
-    }
-
-    AlignedBuffer(AlignedBuffer &&o) noexcept
-        : ptr_(std::exchange(o.ptr_, nullptr)),
-          n_(std::exchange(o.n_, 0))
-    {
-    }
-
-    AlignedBuffer &
-    operator=(AlignedBuffer &&o) noexcept
-    {
-        if (this != &o) {
-            release();
-            ptr_ = std::exchange(o.ptr_, nullptr);
-            n_ = std::exchange(o.n_, 0);
-        }
-        return *this;
-    }
-
-    AlignedBuffer(const AlignedBuffer &) = delete;
-    AlignedBuffer &operator=(const AlignedBuffer &) = delete;
-
-    ~AlignedBuffer() { release(); }
-
-    T *data() { return ptr_; }
-    const T *data() const { return ptr_; }
-    std::size_t size() const { return n_; }
-    T &operator[](std::size_t i) { return ptr_[i]; }
-    const T &operator[](std::size_t i) const { return ptr_[i]; }
-
-  private:
-    void
-    release()
-    {
-        if (ptr_ != nullptr)
-            ::operator delete(ptr_, std::align_val_t{kAlignment});
-        ptr_ = nullptr;
-    }
-
-    T *ptr_ = nullptr;
-    std::size_t n_ = 0;
-};
-
 // ------------------------------------------------- runtime dispatch
 
 /**
@@ -540,7 +476,8 @@ template <typename T> class AlignedBuffer
  * GEMM has a micro-kernel per tier; the numerics kernels (dtype
  * conversion, INT8 quantization, TBE gather) run their scalar
  * reference on `Scalar` and the 128-bit VecF32/VecI32 path on every
- * other tier (SSE2 on x86 for Sse2/Avx2/Avx512, NEON on AArch64).
+ * other tier (SSE2 on x86 for Sse2/Avx2/Avx512, NEON on AArch64),
+ * except FP16 conversion, which runs F16C on Avx2/Avx512.
  * `Scalar` is the bit-exact reference; every wider tier must produce
  * byte-identical results (same mul-then-add fp chains, vectorized only
  * across independent output columns or elements).
@@ -561,7 +498,8 @@ const char *isaName(SimdIsa isa);
  * True when the running CPU supports `isa` AND the matching kernel TU
  * was compiled into this binary (Sse2/Neon need MTIA_SIMD_VEC128;
  * AVX2/AVX-512 TUs are built only when the compiler accepts
- * -mavx2/-mavx512f).
+ * -mavx2 -mf16c / -mavx512f). Avx2 and Avx512 also need the CPU's
+ * f16c bit, which their FP16 conversions use.
  */
 bool isaSupported(SimdIsa isa);
 
@@ -576,6 +514,28 @@ SimdIsa detectBestIsa();
  * fanning out, so pool workers inherit the caller's choice.
  */
 SimdIsa activeIsa();
+
+/**
+ * FP16 narrowing / widening over F16C (vcvtps2ph with
+ * round-to-nearest-even / vcvtph2ps), bit-identical to the scalar
+ * fp32ToFp16Bits / fp16BitsToFp32 for every input. When @p isa is
+ * Avx2 or Avx512 (tiers that require the f16c cpuid bit) these
+ * convert all @p n elements and return true; on any other tier they
+ * convert nothing and return false. Buffers must not overlap.
+ */
+bool f16cNarrow(SimdIsa isa, const float *src, std::uint16_t *dst,
+                std::size_t n);
+bool f16cWiden(SimdIsa isa, const std::uint16_t *src, float *dst,
+               std::size_t n);
+
+namespace detail
+{
+// The F16C kernels, defined in simd_f16c.cc (built only when CMake's
+// compiler checks pass; f16cNarrow/f16cWiden reference them behind
+// MTIA_GEMM_HAVE_AVX2).
+void narrowFp16F16c(const float *src, std::uint16_t *dst, std::size_t n);
+void widenFp16F16c(const std::uint16_t *src, float *dst, std::size_t n);
+} // namespace detail
 
 /**
  * RAII thread-local ISA override for tests and tuner sweeps; nests,

@@ -30,14 +30,16 @@ cpuHasIsa(SimdIsa isa)
     case SimdIsa::Avx2:
 #if (defined(__x86_64__) || defined(_M_X64)) &&                         \
     (defined(__GNUC__) || defined(__clang__))
-        return __builtin_cpu_supports("avx2") != 0;
+        return __builtin_cpu_supports("avx2") != 0 &&
+               __builtin_cpu_supports("f16c") != 0;
 #else
         return false;
 #endif
     case SimdIsa::Avx512:
 #if (defined(__x86_64__) || defined(_M_X64)) &&                         \
     (defined(__GNUC__) || defined(__clang__))
-        return __builtin_cpu_supports("avx512f") != 0;
+        return __builtin_cpu_supports("avx512f") != 0 &&
+               __builtin_cpu_supports("f16c") != 0;
 #else
         return false;
 #endif
@@ -55,7 +57,9 @@ cpuHasIsa(SimdIsa isa)
 // ride on core/simd.h's 128-bit backend (MTIA_SIMD_VEC128; cpuHasIsa
 // tells the two apart); the wider x86 tiers are separate GEMM TUs
 // added by CMake only when the compiler accepts their -m flags
-// (MTIA_GEMM_HAVE_* definitions).
+// (MTIA_GEMM_HAVE_* definitions). MTIA_GEMM_HAVE_AVX2 also brings the
+// F16C conversion TU, and CMake defines MTIA_GEMM_HAVE_AVX512 only
+// alongside it.
 bool
 tierCompiled(SimdIsa isa)
 {
@@ -158,6 +162,34 @@ activeIsa()
         return detectBestIsa();
     }();
     return env_or_best;
+}
+
+bool
+f16cNarrow([[maybe_unused]] SimdIsa isa, [[maybe_unused]] const float *src,
+           [[maybe_unused]] std::uint16_t *dst,
+           [[maybe_unused]] std::size_t n)
+{
+#if defined(MTIA_GEMM_HAVE_AVX2)
+    if (isa == SimdIsa::Avx2 || isa == SimdIsa::Avx512) {
+        detail::narrowFp16F16c(src, dst, n);
+        return true;
+    }
+#endif
+    return false;
+}
+
+bool
+f16cWiden([[maybe_unused]] SimdIsa isa,
+          [[maybe_unused]] const std::uint16_t *src,
+          [[maybe_unused]] float *dst, [[maybe_unused]] std::size_t n)
+{
+#if defined(MTIA_GEMM_HAVE_AVX2)
+    if (isa == SimdIsa::Avx2 || isa == SimdIsa::Avx512) {
+        detail::widenFp16F16c(src, dst, n);
+        return true;
+    }
+#endif
+    return false;
 }
 
 ScopedIsa::ScopedIsa(SimdIsa isa)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 #include "core/check.h"
 #include "core/numerics_stats.h"
@@ -47,42 +48,118 @@ scalarTileI8(const std::int8_t *a, const std::int8_t *b, std::int32_t *c,
     }
 }
 
+// --------------------------------------------------- per-lane scratch
+
+/**
+ * Grow-only, cache-line-aligned, uninitialized storage. A request no
+ * larger than the capacity reuses it; a larger one replaces it, so
+ * what a buffer retains is the largest request it has served.
+ */
+class ScratchBuffer
+{
+  public:
+    ScratchBuffer() = default;
+    ScratchBuffer(const ScratchBuffer &) = delete;
+    ScratchBuffer &operator=(const ScratchBuffer &) = delete;
+    ~ScratchBuffer() { release(); }
+
+    template <typename T>
+    T *
+    get(std::int64_t n)
+    {
+        const auto bytes = static_cast<std::size_t>(n) * sizeof(T);
+        if (bytes > bytes_) {
+            release();
+            ptr_ = ::operator new(bytes, std::align_val_t{kAlignment});
+            bytes_ = bytes;
+        }
+        return static_cast<T *>(ptr_);
+    }
+
+  private:
+    void
+    release()
+    {
+        if (ptr_ != nullptr)
+            ::operator delete(ptr_, std::align_val_t{kAlignment});
+        ptr_ = nullptr;
+        bytes_ = 0;
+    }
+
+    void *ptr_ = nullptr;
+    std::size_t bytes_ = 0;
+};
+
+/**
+ * One lane's GEMM scratch. Each pool lane is one thread, so a
+ * thread_local is a per-lane buffer: `b_pack` belongs to the thread
+ * that called the driver (the lanes fill and read it inside that
+ * call's parallel regions), `a_block` and `row` to whichever lane
+ * packs into them. A thread runs one driver call at a time (nested
+ * regions run inline), so no buffer is ever in use twice.
+ */
+struct LaneScratch
+{
+    ScratchBuffer b_pack;
+    ScratchBuffer a_block;
+    ScratchBuffer row;
+};
+
+thread_local LaneScratch tl_scratch;
+
 // --------------------------------------------------- packing helpers
 //
-// Pure elementwise data movement; identical regardless of tier or
-// thread count. B is packed panel-major: panel p (rows [k0,k1)) lives
-// at b_pack + k0*n, as nr-wide column strips laid out sequentially so
-// the strip starting at column j0 sits at offset kcp*j0, with layout
-// strip[p*nw + j]. A row blocks pack as mr-tall strips, strip at row
-// offset is*kcp, layout strip[p*mh + i].
+// Elementwise data movement from a row source; identical regardless
+// of tier or thread count. B is packed panel-major: panel p (rows
+// [k0,k1)) lives at b_pack + k0*n, as nr-wide column strips laid out
+// sequentially so the strip starting at column j0 sits at offset
+// kcp*j0, with layout strip[p*nw + j]. A row blocks pack as mr-tall
+// strips, strip at row offset is*kcp, layout strip[p*mh + i]. Each
+// source row segment is fetched (and so converted) exactly once per
+// call: B rows once per panel, A row segments once per row block and
+// panel.
 
-template <typename T>
-void
-packBPanel(const T *b, T *dst, std::int64_t n, std::int64_t k0,
-           std::int64_t kcp, int nr)
+/** Row-major int8 buffer read in place (the int8 row source). */
+struct Int8Rows
 {
-    for (std::int64_t j0 = 0; j0 < n; j0 += nr) {
-        const std::int64_t nw = std::min<std::int64_t>(nr, n - j0);
-        T *strip = dst + kcp * j0;
-        for (std::int64_t p = 0; p < kcp; ++p) {
-            const T *src = b + (k0 + p) * n + j0;
-            for (std::int64_t j = 0; j < nw; ++j)
-                strip[p * nw + j] = src[j];
+    const std::int8_t *p;
+    std::int64_t ld;
+
+    const std::int8_t *
+    row(std::int64_t r, std::int64_t c0, std::int64_t, std::int8_t *) const
+    {
+        return p + r * ld + c0;
+    }
+};
+
+template <typename T, typename Src>
+void
+packBPanel(const Src &b, T *dst, std::int64_t n, std::int64_t k0,
+           std::int64_t kcp, int nr, T *staging)
+{
+    for (std::int64_t p = 0; p < kcp; ++p) {
+        const T *src = b.row(k0 + p, 0, n, staging);
+        for (std::int64_t j0 = 0; j0 < n; j0 += nr) {
+            const std::int64_t nw = std::min<std::int64_t>(nr, n - j0);
+            std::memcpy(dst + kcp * j0 + p * nw, src + j0,
+                        static_cast<std::size_t>(nw) * sizeof(T));
         }
     }
 }
 
-template <typename T>
+template <typename T, typename Src>
 void
-packABlock(const T *a, T *dst, std::int64_t lda, std::int64_t i0,
-           std::int64_t mb, std::int64_t k0, std::int64_t kcp, int mr)
+packABlock(const Src &a, T *dst, std::int64_t i0, std::int64_t mb,
+           std::int64_t k0, std::int64_t kcp, int mr, T *staging)
 {
     for (std::int64_t is = 0; is < mb; is += mr) {
         const std::int64_t mh = std::min<std::int64_t>(mr, mb - is);
         T *strip = dst + is * kcp;
-        for (std::int64_t p = 0; p < kcp; ++p)
-            for (std::int64_t i = 0; i < mh; ++i)
-                strip[p * mh + i] = a[(i0 + is + i) * lda + k0 + p];
+        for (std::int64_t i = 0; i < mh; ++i) {
+            const T *src = a.row(i0 + is + i, k0, kcp, staging);
+            for (std::int64_t p = 0; p < kcp; ++p)
+                strip[p * mh + i] = src[p];
+        }
     }
 }
 
@@ -96,11 +173,11 @@ sanitized(std::int64_t v)
     return std::max<std::int64_t>(1, v);
 }
 
-// Shared driver skeleton for the f32/int8 element types.
-template <typename T, typename Acc>
+// The one driver, for the f32 and int8 element types.
+template <typename T, typename Acc, typename Src>
 void
-gemmDriver(const T *a, const T *b, Acc *c, std::int64_t m, std::int64_t n,
-           std::int64_t k, int mr, int nr,
+gemmDriver(const Src &a, const Src &b, Acc *c, std::int64_t m,
+           std::int64_t n, std::int64_t k, int mr, int nr,
            void (*tile)(const T *, const T *, Acc *, std::int64_t,
                         std::int64_t, int, int),
            const GemmBlocking &blk,
@@ -115,15 +192,17 @@ gemmDriver(const T *a, const T *b, Acc *c, std::int64_t m, std::int64_t n,
         ((sanitized(blk.nc) + nr - 1) / nr) * static_cast<std::int64_t>(nr);
 
     const std::int64_t np = (k + kc - 1) / kc;
+    // Longest row segment a lane stages: a whole B row, or one A
+    // row's kc-deep panel slice.
+    const std::int64_t staged = std::max(n, std::min(kc, k));
 
     // Pack B once per call; panels are disjoint output regions.
-    AlignedBuffer<T> b_pack(static_cast<std::size_t>(std::max<std::int64_t>(
-        1, k * n)));
-    T *b_pack_ptr = b_pack.data();
+    T *b_pack = tl_scratch.b_pack.get<T>(k * n);
     parallelFor(static_cast<std::size_t>(np), [&](std::size_t pz) {
         const std::int64_t k0 = static_cast<std::int64_t>(pz) * kc;
         const std::int64_t kcp = std::min(kc, k - k0);
-        packBPanel(b, b_pack_ptr + k0 * n, n, k0, kcp, nr);
+        packBPanel(b, b_pack + k0 * n, n, k0, kcp, nr,
+                   tl_scratch.row.get<T>(staged));
     });
 
     const std::int64_t nb = (m + mc - 1) / mc;
@@ -132,12 +211,13 @@ gemmDriver(const T *a, const T *b, Acc *c, std::int64_t m, std::int64_t n,
         const std::int64_t mb = std::min(mc, m - i0);
         std::memset(static_cast<void *>(c + i0 * n), 0,
                     static_cast<std::size_t>(mb * n) * sizeof(Acc));
-        AlignedBuffer<T> a_pack(static_cast<std::size_t>(mc * kc));
+        T *a_pack = tl_scratch.a_block.get<T>(mb * std::min(kc, k));
+        T *staging = tl_scratch.row.get<T>(staged);
         for (std::int64_t p = 0; p < np; ++p) {
             const std::int64_t k0 = p * kc;
             const std::int64_t kcp = std::min(kc, k - k0);
-            packABlock(a, a_pack.data(), k, i0, mb, k0, kcp, mr);
-            const T *b_panel = b_pack_ptr + k0 * n;
+            packABlock(a, a_pack, i0, mb, k0, kcp, mr, staging);
+            const T *b_panel = b_pack + k0 * n;
             for (std::int64_t jc = 0; jc < n; jc += ncr) {
                 const std::int64_t jc_end = std::min(n, jc + ncr);
                 for (std::int64_t j0 = jc; j0 < jc_end; j0 += nr) {
@@ -146,8 +226,7 @@ gemmDriver(const T *a, const T *b, Acc *c, std::int64_t m, std::int64_t n,
                     for (std::int64_t is = 0; is < mb; is += mr) {
                         const std::int64_t mh =
                             std::min<std::int64_t>(mr, mb - is);
-                        tile(a_pack.data() + is * kcp,
-                             b_panel + kcp * j0,
+                        tile(a_pack + is * kcp, b_panel + kcp * j0,
                              c + (i0 + is) * n + j0, n, kcp,
                              static_cast<int>(mh), static_cast<int>(nw));
                     }
@@ -204,7 +283,7 @@ microKernel(SimdIsa isa)
 }
 
 void
-gemmF32(const float *a, const float *b, float *c, std::int64_t m,
+gemmF32(const RowSource &a, const RowSource &b, float *c, std::int64_t m,
         std::int64_t n, std::int64_t k, SimdIsa isa,
         const GemmBlocking &blk,
         void (*epilogue)(void *, std::int64_t, std::int64_t),
@@ -218,6 +297,17 @@ gemmF32(const float *a, const float *b, float *c, std::int64_t m,
     gemmDriver<float, float>(a, b, c, m, n, k, mk.mr, mk.nr, mk.f32, blk,
                              epilogue, epilogue_arg);
     numerics::noteGemmFlops(2 * m * n * k);
+}
+
+void
+gemmF32(const float *a, const float *b, float *c, std::int64_t m,
+        std::int64_t n, std::int64_t k, SimdIsa isa,
+        const GemmBlocking &blk,
+        void (*epilogue)(void *, std::int64_t, std::int64_t),
+        void *epilogue_arg)
+{
+    gemmF32(RowSource{.f32 = a, .ld = k}, RowSource{.f32 = b, .ld = n}, c,
+            m, n, k, isa, blk, epilogue, epilogue_arg);
 }
 
 void
@@ -235,7 +325,8 @@ gemmI8(const std::int8_t *a, const std::int8_t *b, std::int32_t *c,
     if (m == 0 || n == 0)
         return;
     const GemmMicroKernel &mk = microKernel(isa);
-    gemmDriver<std::int8_t, std::int32_t>(a, b, c, m, n, k, mk.mr8, mk.nr8,
+    gemmDriver<std::int8_t, std::int32_t>(Int8Rows{a, k}, Int8Rows{b, n},
+                                          c, m, n, k, mk.mr8, mk.nr8,
                                           mk.i8, blk, epilogue,
                                           epilogue_arg);
     numerics::noteGemmFlops(2 * m * n * k);

@@ -19,9 +19,16 @@
  *  - C is zeroed, then kc-deep packed panels are accumulated in
  *    ascending panel order; micro-kernels load/accumulate/store their
  *    C tile per panel, preserving the global k order.
- *  - Packing (BLIS-style) is pure elementwise data movement: B is
+ *  - Packing (BLIS-style) converts each operand element exactly
+ *    once and moves it, elementwise, into its packed slot: B is
  *    packed once per call into nr-wide column strips per panel; A is
- *    packed per row block into mr-tall row strips.
+ *    packed per row block into mr-tall row strips. A RowSource yields
+ *    each row already rounded through the compute dtype (by the same
+ *    converters the reference uses), so the kernels only ever see the
+ *    fp32 values the reference multiplies.
+ *  - Pack panels and row staging live in grow-only per-lane scratch
+ *    reused across calls and never zeroed: every slot a micro-kernel
+ *    reads is written by the pack first.
  *  - Threads partition disjoint mc-row blocks via core/parallel.h
  *    parallelFor (static sharding), so the work-to-writes mapping is
  *    independent of the lane count.
@@ -69,16 +76,52 @@ struct GemmMicroKernel
                int nw);
 };
 
+/**
+ * A GEMM operand read row by row as fp32. FP32 storage is read in
+ * place through `f32` (row stride `ld` elements); any other operand
+ * sets `fetch`, which writes row r, columns [c0, c0 + len), as the
+ * fp32 values the reference would multiply into `dst` — converting
+ * from the stored dtype while the driver packs. `fetch` runs on pool
+ * lanes concurrently, so it must only read shared state.
+ */
+struct RowSource
+{
+    const float *f32 = nullptr;
+    std::int64_t ld = 0;
+    const void *ctx = nullptr;
+    void (*fetch)(const void *ctx, std::int64_t r, std::int64_t c0,
+                  std::int64_t len, float *dst) = nullptr;
+
+    /** Row r, columns [c0, c0 + len), as fp32: a pointer into the
+     *  storage when it is fp32, else into `staging` (len floats). */
+    const float *
+    row(std::int64_t r, std::int64_t c0, std::int64_t len,
+        float *staging) const
+    {
+        if (fetch == nullptr)
+            return f32 + r * ld + c0;
+        fetch(ctx, r, c0, len, staging);
+        return staging;
+    }
+};
+
 /** Micro-kernel table entry for `isa` (must satisfy isaSupported). */
 const GemmMicroKernel &microKernel(SimdIsa isa);
 
 /**
- * C[m×n] = A[m×k] · B[k×n], row-major fp32, bit-identical to the
- * sequential scalar reference on every tier. `epilogue`, when
- * non-null, runs inside the parallel region once per finished row
- * block (args: row begin/end) — the fusion hook for activation /
- * dequant passes while the block is still cache-hot.
+ * C[m×n] = A[m×k] · B[k×n] over fp32 row sources, C row-major,
+ * bit-identical to the sequential scalar reference on every tier.
+ * `epilogue`, when non-null, runs inside the parallel region once per
+ * finished row block (args: row begin/end) — the fusion hook for
+ * activation / dequant passes while the block is still cache-hot.
  */
+void gemmF32(const RowSource &a, const RowSource &b, float *c,
+             std::int64_t m, std::int64_t n, std::int64_t k, SimdIsa isa,
+             const GemmBlocking &blk,
+             void (*epilogue)(void *, std::int64_t, std::int64_t) = nullptr,
+             void *epilogue_arg = nullptr);
+
+/** gemmF32 over row-major fp32 buffers (the in-place RowSource). */
 void gemmF32(const float *a, const float *b, float *c, std::int64_t m,
              std::int64_t n, std::int64_t k, SimdIsa isa,
              const GemmBlocking &blk,

@@ -1,5 +1,6 @@
 #include "ops/gemm_kernels.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -81,42 +82,85 @@ checkGemmShapes(const Tensor &a, const Tensor &b)
         << ": gemm inner dimensions must match";
 }
 
+bool
+isHalf(DType dt)
+{
+    return dt == DType::FP16 || dt == DType::BF16;
+}
+
+/** Narrow fp32 `src` to half `dt` and widen it back into `dst`,
+ *  through a stack chunk; `src` and `dst` may alias. */
+void
+narrowAndWiden(const float *src, float *dst, std::int64_t len, DType dt)
+{
+    constexpr std::int64_t kChunk = 256;
+    std::uint16_t bits[kChunk];
+    for (std::int64_t i = 0; i < len; i += kChunk) {
+        const auto count =
+            static_cast<std::size_t>(std::min(kChunk, len - i));
+        convertBuffer(src + i, bits, count, dt);
+        convertBuffer(bits, dst + i, count, dt);
+    }
+}
+
+// simd::RowSource::fetch for a tensor operand: the reference gemm's
+// `roundTrip(at2(i, x), compute_dtype)` over one row segment. A half
+// operand already stored in the compute dtype is widened in one pass;
+// any other is converted to floats and, for a half compute dtype,
+// narrowed and widened again.
+void
+fetchOperandRow(const void *ctx, std::int64_t r, std::int64_t c0,
+                std::int64_t len, float *dst)
+{
+    const auto &op = *static_cast<const OperandRows *>(ctx);
+    const Tensor &t = *op.tensor;
+    const DType dt = op.compute_dtype;
+    const std::int64_t off = r * t.shape().dim(1) + c0;
+    const auto n = static_cast<std::size_t>(len);
+    if (isHalf(t.dtype())) {
+        convertBuffer(
+            reinterpret_cast<const std::uint16_t *>(t.raw().data()) + off,
+            dst, n, t.dtype());
+        if (t.dtype() == dt) {
+            // The narrow step of a round trip is the identity on a
+            // widened half except that it quiets NaNs, so set the
+            // quiet bit (FP32 bit 22, where FP16 bit 9 and BF16 bit 6
+            // both widen to).
+            for (std::size_t i = 0; i < n; ++i) {
+                const auto u = std::bit_cast<std::uint32_t>(dst[i]);
+                const std::uint32_t quiet =
+                    (u & 0x7fffffffu) > 0x7f800000u ? 0x00400000u : 0u;
+                dst[i] = std::bit_cast<float>(u | quiet);
+            }
+            return;
+        }
+    } else if (t.dtype() == DType::FP32) {
+        const float *src = t.f32Data() + off;
+        if (isHalf(dt)) {
+            narrowAndWiden(src, dst, len, dt);
+            return;
+        }
+        std::copy(src, src + len, dst);
+    } else {
+        for (std::int64_t i = 0; i < len; ++i)
+            dst[i] = t.at(off + i);
+    }
+    if (isHalf(dt)) {
+        narrowAndWiden(dst, dst, len, dt);
+    } else if (dt != DType::FP32) {
+        for (std::int64_t i = 0; i < len; ++i)
+            dst[i] = roundTrip(dst[i], dt);
+    }
+}
+
 } // namespace
 
-std::vector<float>
-operandFloats(const Tensor &t, DType compute_dtype)
+simd::RowSource
+OperandRows::source() const
 {
-    const DType dt = compute_dtype;
-    const bool half = dt == DType::FP16 || dt == DType::BF16;
-    if (half && t.dtype() == dt) {
-        // Already stored in the compute dtype: one widening pass. The
-        // narrow step of a round trip is the identity on a widened
-        // half except that it quiets NaNs, so set the quiet bit (FP32
-        // bit 22, where FP16 bit 9 and BF16 bit 6 both widen to).
-        std::vector<float> out(static_cast<std::size_t>(t.numel()));
-        convertBuffer(
-            reinterpret_cast<const std::uint16_t *>(t.raw().data()),
-            out.data(), out.size(), dt);
-        for (float &x : out) {
-            const std::uint32_t u = std::bit_cast<std::uint32_t>(x);
-            const std::uint32_t quiet =
-                (u & 0x7fffffffu) > 0x7f800000u ? 0x00400000u : 0u;
-            x = std::bit_cast<float>(u | quiet);
-        }
-        return out;
-    }
-    std::vector<float> out = t.toFloats();
-    if (dt == DType::FP32 || out.empty())
-        return out;
-    if (half) {
-        std::vector<std::uint16_t> bits(out.size());
-        convertBuffer(out.data(), bits.data(), out.size(), dt);
-        convertBuffer(bits.data(), out.data(), out.size(), dt);
-        return out;
-    }
-    for (float &x : out)
-        x = roundTrip(x, dt);
-    return out;
+    if (tensor->dtype() == DType::FP32 && compute_dtype == DType::FP32)
+        return {.f32 = tensor->f32Data(), .ld = tensor->shape().dim(1)};
+    return {.ctx = this, .fetch = &fetchOperandRow};
 }
 
 const SimdEngine &
@@ -141,10 +185,11 @@ gemm(const Tensor &a, const Tensor &b, DType compute_dtype,
     const std::int64_t m = a.shape().dim(0);
     const std::int64_t k = a.shape().dim(1);
     const std::int64_t n = b.shape().dim(1);
-    const std::vector<float> av = operandFloats(a, compute_dtype);
-    const std::vector<float> bv = operandFloats(b, compute_dtype);
+    const OperandRows av{&a, compute_dtype};
+    const OperandRows bv{&b, compute_dtype};
     Tensor c(Shape{m, n}, DType::FP32);
-    simd::gemmF32(av.data(), bv.data(), c.f32Data(), m, n, k, isa, blk);
+    simd::gemmF32(av.source(), bv.source(), c.f32Data(), m, n, k, isa,
+                  blk);
     return c;
 }
 
@@ -165,11 +210,11 @@ fusedGemmActivation(const Tensor &a, const Tensor &b, DType compute_dtype,
     const std::int64_t m = a.shape().dim(0);
     const std::int64_t k = a.shape().dim(1);
     const std::int64_t n = b.shape().dim(1);
-    const std::vector<float> av = operandFloats(a, compute_dtype);
-    const std::vector<float> bv = operandFloats(b, compute_dtype);
+    const OperandRows av{&a, compute_dtype};
+    const OperandRows bv{&b, compute_dtype};
     Tensor c(Shape{m, n}, DType::FP32);
     ActEpilogue ep{c.f32Data(), n, f, use_lut};
-    simd::gemmF32(av.data(), bv.data(), ep.c, m, n, k, isa, blk,
+    simd::gemmF32(av.source(), bv.source(), ep.c, m, n, k, isa, blk,
                   &applyActivationRows, &ep);
     return c;
 }

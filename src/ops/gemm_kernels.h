@@ -24,8 +24,6 @@
  * MTIA_SIMD_ISA env → cpuid) and is resolved on the calling thread.
  */
 
-#include <vector>
-
 #include "core/simd_gemm.h"
 #include "pe/simd_engine.h"
 #include "tensor/quantize.h"
@@ -39,13 +37,23 @@ namespace mtia::gemm_kernels
 const SimdEngine &sharedSimdEngine();
 
 /**
- * GEMM operand @p t as floats rounded through @p compute_dtype: the
- * reference gemm's `roundTrip(at2(i, x), compute_dtype)` hoisted out
- * of the k loop. A half operand already stored in the compute dtype
- * is widened in one pass; any other is converted to floats and, for a
- * half compute dtype, narrowed and widened again.
+ * GEMM operand @p tensor read as rows of floats rounded through
+ * @p compute_dtype: the reference gemm's
+ * `roundTrip(at2(i, x), compute_dtype)` hoisted out of the k loop and
+ * done per row while the driver packs. FP32 storage with an FP32
+ * compute dtype is read in place; any other combination converts
+ * each row segment it is asked for (a half operand already stored in
+ * the compute dtype in one widening pass). The tensor must outlive
+ * the source.
  */
-std::vector<float> operandFloats(const Tensor &t, DType compute_dtype);
+struct OperandRows
+{
+    const Tensor *tensor;
+    DType compute_dtype;
+
+    /** The driver-facing view; points at this object. */
+    simd::RowSource source() const;
+};
 
 /** C = A·B with inputs rounded through @p compute_dtype, bit-identical
  *  to DotProductEngine::gemm. */

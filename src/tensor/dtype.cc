@@ -326,8 +326,13 @@ void
 convertBuffer(const float *src, std::uint16_t *dst, std::size_t n,
               DType to)
 {
+    const simd::SimdIsa isa = simd::activeIsa();
+    if (to == DType::FP16 && simd::f16cNarrow(isa, src, dst, n)) {
+        numerics::noteBytesConverted(n * sizeof(float));
+        return;
+    }
 #if defined(MTIA_SIMD_VEC128)
-    if (simd::activeIsa() != simd::SimdIsa::Scalar) {
+    if (isa != simd::SimdIsa::Scalar) {
         MTIA_DCHECK(to == DType::FP16 || to == DType::BF16)
             << ": convertBuffer target must be a 16-bit float dtype";
         if (to == DType::FP16)
@@ -345,8 +350,13 @@ void
 convertBuffer(const std::uint16_t *src, float *dst, std::size_t n,
               DType from)
 {
+    const simd::SimdIsa isa = simd::activeIsa();
+    if (from == DType::FP16 && simd::f16cWiden(isa, src, dst, n)) {
+        numerics::noteBytesConverted(n * sizeof(std::uint16_t));
+        return;
+    }
 #if defined(MTIA_SIMD_VEC128)
-    if (simd::activeIsa() != simd::SimdIsa::Scalar) {
+    if (isa != simd::SimdIsa::Scalar) {
         MTIA_DCHECK(from == DType::FP16 || from == DType::BF16)
             << ": convertBuffer source must be a 16-bit float dtype";
         if (from == DType::FP16)

@@ -15,12 +15,17 @@
  *    bf16BitsToFp32 — the branchy scalar reference semantics; fine
  *    for single values and cold paths;
  *  - convertBuffer — the batch kernel layer, dispatched on
- *    simd::activeIsa(): branch-free (mask/select)
- *    round-to-nearest-even over core/simd.h vectors on every vector
- *    tier, bit-identical to the per-element functions for every input
- *    including NaN payloads, ±0, denormals, and ties. On the scalar
- *    tier it runs scalar::convertBuffer, the element-at-a-time
- *    reference loop the equivalence tests and benches compare against.
+ *    simd::activeIsa(), bit-identical to the per-element functions
+ *    for every input including NaN payloads, ±0, denormals, and ties:
+ *      Scalar       scalar::convertBuffer, the element-at-a-time
+ *                   reference loop the equivalence tests and benches
+ *                   compare against;
+ *      Sse2 / Neon  branch-free (mask/select) round-to-nearest-even
+ *                   over core/simd.h's 128-bit vectors;
+ *      Avx2 / Avx512  FP16 through F16C (simd::f16cNarrow /
+ *                   f16cWiden: vcvtps2ph RTNE, vcvtph2ps with NaN
+ *                   lanes blended to the reference bits); BF16 on the
+ *                   128-bit kernels.
  *
  * Hot loops outside this kernel layer must call convertBuffer, not
  * the per-element functions (enforced by the scalar-hot-loop rule in

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/check.h"
 #include "core/simd.h"
@@ -11,17 +12,22 @@ namespace mtia {
 
 namespace {
 
-/** Max |x| over rows [r0, r1) of a rank-2 tensor (reference path). */
+/** Max |x| over rows [r0, r1) of a rank-2 tensor (reference path);
+ *  +inf when the rows hold an inf or a NaN. */
 float
 absMaxOverRows(const Tensor &t, std::int64_t r0, std::int64_t r1)
 {
     const std::int64_t k = t.shape().dim(1);
     float m = 0.0f;
+    bool finite = true;
     for (std::int64_t r = r0; r < r1; ++r) {
-        for (std::int64_t c = 0; c < k; ++c)
-            m = std::max(m, std::abs(t.at2(r, c)));
+        for (std::int64_t c = 0; c < k; ++c) {
+            const float x = t.at2(r, c);
+            m = std::max(m, std::abs(x));
+            finite = finite && std::isfinite(x);
+        }
     }
-    return m;
+    return finite ? m : std::numeric_limits<float>::infinity();
 }
 
 /** Reference per-element scale-and-store (the seed code path). */
@@ -49,33 +55,47 @@ using simd::VecI32;
  * min and max per lane, then amax = max(-min, max) reduced across
  * lanes. Exactly equals the sequential max(|x_i|) because float
  * min/max are exact and associative for non-NaN inputs and
- * |x| = max(-x, x).
+ * |x| = max(-x, x). min/max drop NaNs (SSE2 and NEON differently,
+ * std::max too), so the same pass also tests each element's exponent
+ * for all-ones and returns +inf when the range holds an inf or a NaN.
  */
 float
 absMaxRange(const float *src, std::size_t n, [[maybe_unused]] bool vec128)
 {
     float m = 0.0f;
+    bool finite = true;
     std::size_t i = 0;
 #if defined(MTIA_SIMD_VEC128)
     if (vec128 && n >= simd::kLanes) {
         VecF32 lo = VecF32::broadcast(0.0f);
         VecF32 hi = VecF32::broadcast(0.0f);
+        VecI32 nonfinite = VecI32::broadcast(0);
         for (; i + simd::kLanes <= n; i += simd::kLanes) {
             const VecF32 v = VecF32::load(src + i);
             lo = simd::vmin(lo, v);
             hi = simd::vmax(hi, v);
+            nonfinite = nonfinite |
+                simd::cmpGt(simd::bitcastToI32(v) &
+                                VecI32::broadcastBits(0x7fffffffu),
+                            VecI32::broadcastBits(0x7f7fffffu));
         }
         float lanes_lo[simd::kLanes];
         float lanes_hi[simd::kLanes];
+        std::int32_t lanes_bad[simd::kLanes] = {};
         lo.store(lanes_lo);
         hi.store(lanes_hi);
-        for (std::size_t l = 0; l < simd::kLanes; ++l)
+        nonfinite.store(lanes_bad);
+        for (std::size_t l = 0; l < simd::kLanes; ++l) {
             m = std::max(m, std::max(-lanes_lo[l], lanes_hi[l]));
+            finite = finite && lanes_bad[l] == 0;
+        }
     }
 #endif
-    for (; i < n; ++i)
+    for (; i < n; ++i) {
         m = std::max(m, std::abs(src[i]));
-    return m;
+        finite = finite && std::isfinite(src[i]);
+    }
+    return finite ? m : std::numeric_limits<float>::infinity();
 }
 
 /**
@@ -211,6 +231,9 @@ quantizeDynamic(const Tensor &src, QuantGranularity granularity,
         const auto off = static_cast<std::size_t>(r0 * k);
         const auto len = static_cast<std::size_t>((r1 - r0) * k);
         const float amax = absMaxRange(f + off, len, vec128);
+        MTIA_CHECK(std::isfinite(amax))
+            << ": quantizeDynamic input holds an inf or a NaN in rows ["
+            << r0 << ", " << r1 << ")";
         const float scale = amax / 127.0f;
         out.scales.push_back(scale);
         const float inv = scale > 0.0f ? 1.0f / scale : 0.0f;
@@ -232,10 +255,10 @@ quantizeStatic(const Tensor &weights, double saturate_percentile)
     std::vector<float> scratch;
     const float *f = floatView(weights, scratch);
 
-    float amax = 0.0f;
-    if (saturate_percentile >= 100.0) {
-        amax = absMaxRange(f, n, vec128);
-    } else {
+    float amax = absMaxRange(f, n, vec128);
+    MTIA_CHECK(std::isfinite(amax))
+        << ": quantizeStatic input holds an inf or a NaN";
+    if (saturate_percentile < 100.0) {
         std::vector<float> mags(f, f + n);
         for (float &v : mags)
             v = std::abs(v);
@@ -351,6 +374,9 @@ quantizeDynamic(const Tensor &src, QuantGranularity granularity,
     for (std::int64_t r0 = 0; r0 < m; r0 += group) {
         const std::int64_t r1 = std::min(m, r0 + group);
         const float amax = absMaxOverRows(src, r0, r1);
+        MTIA_CHECK(std::isfinite(amax))
+            << ": quantizeDynamic input holds an inf or a NaN in rows ["
+            << r0 << ", " << r1 << ")";
         const float scale = amax / 127.0f;
         out.scales.push_back(scale);
         quantizeGroup(src, out.values, r0, r1, scale);

@@ -50,7 +50,9 @@ struct QuantizedTensor
 /**
  * Symmetric dynamic quantization of a rank-2 activation tensor.
  * Scales are derived from the observed min/max magnitude, exactly as
- * the RE/SIMD pipeline computes them.
+ * the RE/SIMD pipeline computes them. The input must be finite: an
+ * inf or a NaN fails an MTIA_CHECK (its int8 bytes would differ by
+ * tier).
  *
  * @param src Rank-2 float tensor [M, K].
  * @param granularity Scale granularity.
@@ -62,7 +64,8 @@ QuantizedTensor quantizeDynamic(const Tensor &src,
 
 /**
  * Static symmetric quantization for weights with a calibration
- * saturation percentile (clipping outliers improves SQNR).
+ * saturation percentile (clipping outliers improves SQNR). The
+ * weights must be finite, as for quantizeDynamic.
  */
 QuantizedTensor quantizeStatic(const Tensor &weights,
                                double saturate_percentile = 100.0);

@@ -5,7 +5,8 @@
  * overflow vector are warm, scheduling and dispatching inline-sized
  * callbacks must never touch the allocator. The functional executor's
  * is that a last consumer takes its input by move: one run allocates
- * less than a copy-semantics run by at least those inputs' bytes.
+ * less than a copy-semantics run by at least those inputs' bytes. A
+ * warm FC run allocates no weight-sized operand or pack buffer.
  * This binary replaces global operator new/delete with counting
  * versions, so it is its own test executable.
  */
@@ -16,12 +17,15 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "copy_executor.h"
 #include "core/parallel.h"
 #include "graph/fusion.h"
 #include "models/model_zoo.h"
+#include "ops/dense_ops.h"
 #include "sim/event_queue.h"
+#include "sim/random.h"
 #include "sim/types.h"
 
 namespace {
@@ -32,6 +36,9 @@ constexpr std::size_t kTensorSizedBytes = 512;
 
 std::atomic<std::uint64_t> g_allocations{0};
 std::atomic<std::uint64_t> g_tensor_sized_bytes{0};
+/** Allocations of at least g_large_threshold bytes (off by default). */
+std::atomic<std::size_t> g_large_threshold{~std::size_t{0}};
+std::atomic<std::uint64_t> g_large_allocations{0};
 
 std::uint64_t
 allocationCount()
@@ -51,6 +58,8 @@ countAllocation(std::size_t size)
     g_allocations.fetch_add(1, std::memory_order_relaxed);
     if (size >= kTensorSizedBytes)
         g_tensor_sized_bytes.fetch_add(size, std::memory_order_relaxed);
+    if (size >= g_large_threshold.load(std::memory_order_relaxed))
+        g_large_allocations.fetch_add(1, std::memory_order_relaxed);
 }
 
 } // namespace
@@ -207,6 +216,41 @@ TEST(ExecutorAllocation, LastConsumersTakeInputsByMove)
         << "copy semantics " << copying << " B, executor " << moving
         << " B";
     EXPECT_EQ(r.peak_bytes, ref.result.peak_bytes);
+}
+
+TEST(GemmAllocation, WarmFcRunAllocatesNothingWeightSizedButItsOutput)
+{
+    // The GEMM converts operands while packing them into per-lane
+    // scratch reused across calls: once warm, an FC run (FP32
+    // activations, FP16 weights, fused ReLU) allocates nothing as
+    // large as its k x n fp32 weight panel except its output.
+    constexpr std::int64_t kM = 192, kK = 512, kN = 128;
+    const std::size_t panel_bytes = kK * kN * sizeof(float);
+    for (const unsigned lanes : {1u, 2u}) {
+        SCOPED_TRACE(lanes);
+        const ScopedParallelism scope(lanes);
+        const FullyConnectedOp fc(kM, kK, kN, DType::FP16,
+                                  /*has_activation=*/true,
+                                  Nonlinearity::Relu, 7);
+        Rng rng(9);
+        Tensor x(Shape{kM, kK}, DType::FP32);
+        x.fillGaussian(rng);
+        const std::vector<Tensor> inputs{x};
+        OpContext ctx;
+        const Tensor warm = fc.run(inputs, ctx);
+
+        g_large_threshold.store(panel_bytes);
+        const std::uint64_t before = g_large_allocations.load();
+        const Tensor y = fc.run(inputs, ctx);
+        const std::uint64_t large = g_large_allocations.load() - before;
+        g_large_threshold.store(~std::size_t{0});
+
+        const std::size_t output_bytes = y.raw().size();
+        EXPECT_EQ(large, output_bytes >= panel_bytes ? 1u : 0u)
+            << "panel " << panel_bytes << " B, output " << output_bytes
+            << " B";
+        EXPECT_EQ(y.raw(), warm.raw());
+    }
 }
 
 } // namespace

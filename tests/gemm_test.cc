@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/numerics_stats.h"
@@ -107,6 +110,104 @@ TEST(GemmKernelsTest, EveryTierAndThreadCountMatchesDpeReference)
                         << c.m << "x" << c.n << "x" << c.k << " dtype "
                         << dtypeName(dt) << " tier "
                         << simd::isaName(isa) << " lanes " << lanes;
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Writes raw element bits into @p t at flat index @p i: FP32 takes
+ * all 32 bits, FP16/BF16 the low 16.
+ */
+void
+setBits(Tensor &t, std::int64_t i, std::uint32_t bits)
+{
+    std::uint8_t *p = t.raw().data() + i * dtypeSize(t.dtype());
+    if (t.dtype() == DType::FP32) {
+        std::memcpy(p, &bits, 4);
+    } else {
+        const auto h = static_cast<std::uint16_t>(bits);
+        std::memcpy(p, &h, 2);
+    }
+}
+
+/** {signalling NaN, quiet NaN, smallest denormal, largest denormal}
+ *  bit patterns of @p dt. */
+std::array<std::uint32_t, 4>
+specialBits(DType dt)
+{
+    switch (dt) {
+    case DType::FP16:
+        return {0x7d01u, 0xfe03u, 0x0001u, 0x83ffu};
+    case DType::BF16:
+        return {0x7f81u, 0xffc3u, 0x0001u, 0x807fu};
+    default:
+        return {0x7f800101u, 0xffc00003u, 0x00000001u, 0x807fffffu};
+    }
+}
+
+TEST(GemmKernelsTest, RowSourceMatrixMatchesDpeOnEveryTierAndLaneCount)
+{
+    // Every stored dtype x compute dtype the row source converts
+    // between, on shapes off the mr/nr/kc multiples (n = 1 and k = 0
+    // included). Each operand carries a signalling NaN, a quiet NaN
+    // and denormals. A NaN sits in only one operand per run and at
+    // most once per A row (B column), so no output element meets two
+    // NaNs and the result bits do not depend on which one an add
+    // keeps.
+    const DotProductEngine dpe;
+    constexpr GemmCase kEdgeCases[] = {
+        {7, 37, 300}, {5, 1, 19}, {6, 33, 0}, {13, 65, 257}, {1, 31, 1},
+    };
+    const simd::GemmBlocking blockings[] = {{}, {5, 7, 40}};
+    constexpr DType kDtypes[] = {DType::FP32, DType::FP16, DType::BF16};
+    Rng rng(108);
+    for (const GemmCase &c : kEdgeCases) {
+        for (const DType stored : kDtypes) {
+            for (const bool nan_in_a : {true, false}) {
+                Tensor a(Shape{c.m, c.k}, stored);
+                Tensor b(Shape{c.k, c.n}, stored);
+                a.fillGaussian(rng);
+                b.fillGaussian(rng);
+                const auto sp = specialBits(stored);
+                if (c.k > 0) {
+                    // Denormals anywhere; NaNs in distinct A rows or
+                    // distinct B columns.
+                    setBits(a, 0, sp[2]);
+                    setBits(a, c.m * c.k - 1, sp[3]);
+                    setBits(b, 0, sp[3]);
+                    setBits(b, c.k * c.n - 1, sp[2]);
+                    if (nan_in_a) {
+                        setBits(a, (c.m / 2) * c.k + c.k / 3, sp[0]);
+                        if (c.m > 1)
+                            setBits(a, (c.m - 1) * c.k, sp[1]);
+                    } else {
+                        setBits(b, (c.k / 2) * c.n + c.n / 2, sp[0]);
+                        if (c.n > 1)
+                            setBits(b, (c.k - 1) * c.n + c.n - 1, sp[1]);
+                    }
+                }
+                for (const DType compute : kDtypes) {
+                    const Tensor ref = dpe.gemm(a, b, compute);
+                    for (const simd::SimdIsa isa : supportedTiers()) {
+                        for (const unsigned lanes : {1u, 2u, 8u}) {
+                            ScopedParallelism scope(lanes);
+                            for (const simd::GemmBlocking &blk : blockings) {
+                                const Tensor out =
+                                    gemm_kernels::gemm(a, b, compute, isa,
+                                                       blk);
+                                EXPECT_EQ(out.raw(), ref.raw())
+                                    << c.m << "x" << c.n << "x" << c.k
+                                    << " stored " << dtypeName(stored)
+                                    << " compute " << dtypeName(compute)
+                                    << (nan_in_a ? " nan in a" : " nan in b")
+                                    << " tier " << simd::isaName(isa)
+                                    << " lanes " << lanes << " kc "
+                                    << blk.kc;
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -267,8 +368,9 @@ TEST(GemmKernelsTest, RawPointerGemmHandlesDegenerateShapes)
 TEST(GemmKernelsTest, OperandConversionMatchesThreePassRoundTripOnAllHalfPatterns)
 {
     // A half operand stored in the compute dtype is widened in one
-    // pass. It must equal the three-pass round trip (widen, narrow,
-    // widen) on every bit pattern, signalling NaNs included.
+    // pass per row segment. It must equal the three-pass round trip
+    // (widen, narrow, widen) on every bit pattern, signalling NaNs
+    // included.
     for (const DType dt : {DType::FP16, DType::BF16}) {
         Tensor t(Shape{256, 256}, dt);
         auto *bits = reinterpret_cast<std::uint16_t *>(t.raw().data());
@@ -282,8 +384,20 @@ TEST(GemmKernelsTest, OperandConversionMatchesThreePassRoundTripOnAllHalfPattern
             convertBuffer(ref.data(), narrow.data(), ref.size(), dt);
             convertBuffer(narrow.data(), ref.data(), ref.size(), dt);
 
-            const std::vector<float> got =
-                gemm_kernels::operandFloats(t, dt);
+            // Read through the row source in ragged column segments,
+            // as the pack does.
+            const gemm_kernels::OperandRows rows{&t, dt};
+            const simd::RowSource src = rows.source();
+            std::vector<float> got(ref.size());
+            for (std::int64_t r = 0; r < 256; ++r) {
+                for (std::int64_t c0 = 0; c0 < 256; c0 += 97) {
+                    const std::int64_t len = std::min<std::int64_t>(
+                        97, 256 - c0);
+                    float *dst = got.data() + r * 256 + c0;
+                    const float *row = src.row(r, c0, len, dst);
+                    std::copy(row, row + len, dst);
+                }
+            }
             ASSERT_EQ(got.size(), ref.size());
             std::size_t mismatches = 0;
             for (std::size_t i = 0; i < ref.size(); ++i) {

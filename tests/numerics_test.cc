@@ -256,6 +256,111 @@ TEST(NumericsDtype, OddLengthsExerciseVectorTails)
     });
 }
 
+float
+bitsFloat(std::uint32_t b)
+{
+    float f;
+    std::memcpy(&f, &b, 4);
+    return f;
+}
+
+TEST(NumericsDtype, F16cWidenExhaustiveAndNarrowStructuredSweep)
+{
+    // The F16C kernels (Avx2/Avx512) against the scalar reference, and
+    // convertBuffer on every other tier against the same: every half
+    // widened at several start offsets and lengths (unaligned loads,
+    // every tail length), and a narrowing sweep over each half's
+    // value, the exact ties around it, their fp32 neighbours, the
+    // subnormal and overflow edges, and NaN payloads of both kinds.
+    std::vector<std::uint16_t> halves(1 << 16);
+    for (std::size_t i = 0; i < halves.size(); ++i)
+        halves[i] = static_cast<std::uint16_t>(i);
+
+    std::vector<float> narrow_in;
+    for (std::uint32_t sign = 0; sign <= 0x8000u; sign += 0x8000u) {
+        for (std::uint32_t h = 0; h < 0x7c00u; ++h) {
+            const float lo = fp16BitsToFp32(static_cast<std::uint16_t>(h));
+            const float hi =
+                fp16BitsToFp32(static_cast<std::uint16_t>(h + 1));
+            const std::uint32_t tie = floatBits((lo + hi) * 0.5f);
+            for (const std::uint32_t b :
+                 {floatBits(lo), tie - 1, tie, tie + 1})
+                narrow_in.push_back(bitsFloat(b | (sign << 16)));
+        }
+        // Below the smallest subnormal: 2^-25 ties to zero, anything
+        // above it rounds up; fp32 denormals flush.
+        for (const std::uint32_t b :
+             {0x33000000u, 0x33000001u, 0x32ffffffu, 0x00000001u,
+              0x007fffffu, 0x387fffffu, 0x38800000u, 0x477fefffu,
+              0x477ff000u, 0x477fffffu, 0x47800000u, 0x7f800000u})
+            narrow_in.push_back(bitsFloat(b | (sign << 16)));
+        // NaNs: every top-ten payload, quiet and signalling, with and
+        // without low payload bits the narrowing drops.
+        for (std::uint32_t top = 0; top < 0x400u; ++top) {
+            for (const std::uint32_t low : {0x0u, 0x1u, 0x1fffu}) {
+                const std::uint32_t mant = (top << 13) | low;
+                if (mant != 0)
+                    narrow_in.push_back(
+                        bitsFloat((sign << 16) | 0x7f800000u | mant));
+            }
+        }
+    }
+    std::vector<std::uint16_t> narrow_ref(narrow_in.size());
+    scalar::convertBuffer(narrow_in.data(), narrow_ref.data(),
+                          narrow_in.size(), DType::FP16);
+    std::vector<float> widen_ref(halves.size());
+    scalar::convertBuffer(halves.data(), widen_ref.data(), halves.size(),
+                          DType::FP16);
+
+    forEachTier([&] {
+        const simd::SimdIsa isa = simd::activeIsa();
+        const bool f16c =
+            isa == simd::SimdIsa::Avx2 || isa == simd::SimdIsa::Avx512;
+        for (const std::size_t start : {0u, 1u, 3u, 7u}) {
+            for (const std::size_t trim : {0u, 1u, 5u}) {
+                const std::size_t n = halves.size() - start - trim;
+                std::vector<float> wide(n);
+                convertBuffer(halves.data() + start, wide.data(), n,
+                              DType::FP16);
+                EXPECT_EQ(std::memcmp(wide.data(), widen_ref.data() + start,
+                                      n * sizeof(float)),
+                          0)
+                    << "start " << start << " trim " << trim;
+                std::vector<float> direct(n);
+                EXPECT_EQ(simd::f16cWiden(isa, halves.data() + start,
+                                          direct.data(), n),
+                          f16c);
+                if (f16c) {
+                    EXPECT_EQ(std::memcmp(direct.data(), wide.data(),
+                                          n * sizeof(float)),
+                              0);
+                }
+            }
+        }
+        std::size_t mismatches = 0;
+        for (const std::size_t start : {0u, 5u}) {
+            const std::size_t n = narrow_in.size() - start;
+            std::vector<std::uint16_t> got(n);
+            convertBuffer(narrow_in.data() + start, got.data(), n,
+                          DType::FP16);
+            std::vector<std::uint16_t> direct(n);
+            EXPECT_EQ(simd::f16cNarrow(isa, narrow_in.data() + start,
+                                       direct.data(), n),
+                      f16c);
+            for (std::size_t i = 0; i < n; ++i) {
+                const std::uint16_t want = narrow_ref[start + i];
+                if ((got[i] != want || (f16c && direct[i] != want)) &&
+                    mismatches++ < 8)
+                    ADD_FAILURE() << "input 0x" << std::hex
+                                  << floatBits(narrow_in[start + i])
+                                  << ": got 0x" << got[i] << ", want 0x"
+                                  << want;
+            }
+        }
+        EXPECT_EQ(mismatches, 0u);
+    });
+}
+
 // ----------------------------------------------------------- quantize
 
 TEST(NumericsQuantize, DynamicMatchesScalarAcrossGranularities)
@@ -491,13 +596,8 @@ TEST(NumericsGather, AccumulateMatchesScalarAcrossDims)
 
 // ------------------------------------------------------ simd + stats
 
-TEST(NumericsSimd, AlignedBufferAndRtneBasics)
+TEST(NumericsSimd, RtneBasics)
 {
-    simd::AlignedBuffer<float> buf(37);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) %
-                  simd::kAlignment,
-              0u);
-
 #if defined(MTIA_SIMD_VEC128)
     // RTNE through the lane-wide converter: ties go to even.
     alignas(64) float in[4] = {0.5f, 1.5f, 2.5f, -0.5f};
