@@ -24,7 +24,7 @@
  *
  * Check conditions must be side-effect free: a condition that mutates
  * state would behave differently between release and debug builds for
- * MTIA_DCHECK. scripts/check_sim_invariants.py enforces this.
+ * MTIA_DCHECK. mtia-lint's check-side-effect rule enforces this.
  *
  * Comparison checks evaluate each operand exactly once and print both
  * values on failure:

@@ -29,7 +29,7 @@
  *
  * Hot loops outside this kernel layer must call convertBuffer, not
  * the per-element functions (enforced by the scalar-hot-loop rule in
- * scripts/check_sim_invariants.py).
+ * tools/mtia-lint).
  */
 
 #include <cstdint>

@@ -3,11 +3,11 @@
 
 /**
  * @file
- * A real (if deliberately small) C++ lexer for mtia-lint. Unlike the
- * regex linter it descends from, it understands the token structure
- * of the language: line continuations are spliced first, comments and
- * string/char literals (including raw strings) are consumed as whole
- * units, and preprocessor directives are captured as logical lines —
+ * A real (if deliberately small) C++ lexer for mtia-lint. Unlike a
+ * regex linter, it understands the token structure of the language:
+ * line continuations are spliced first, comments and string/char
+ * literals (including raw strings) are consumed as whole units, and
+ * preprocessor directives are captured as logical lines —
  * so a "std::cout" inside a string literal or a commented-out rand()
  * can never produce a finding, and a macro continued across five
  * physical lines is still one directive.

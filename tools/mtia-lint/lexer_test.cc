@@ -1,12 +1,20 @@
-// Unit tests for the mtia-lint lexer: the properties the regex linter
-// could never guarantee — comments and string literals produce no
-// code tokens, raw strings swallow their payload wholesale, line
-// continuations splice into one logical line, and suppression
-// comments surface with their justification bit.
+// Unit tests for mtia-lint. The lexer: comments and string literals
+// produce no code tokens, raw strings swallow their payload
+// wholesale, line continuations splice into one logical line, and
+// suppression comments surface with their justification bit. The
+// rules: every fixture under tests/lint_fixtures/rules/ meets the
+// expectation its name carries, linted through the same fileContext()
+// the CLI uses.
 
 #include "lexer.h"
+#include "rules.h"
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -164,6 +172,101 @@ TEST(LintLexer, LiteralPrefixes)
         strings += t.kind == Tok::String;
     EXPECT_EQ(strings, 3);
 }
+
+namespace fs = std::filesystem;
+
+const std::string kFixtureDir = "tests/lint_fixtures/rules";
+
+// Aggregate fixtures that predate the <rule>_bad / <rule>_ok naming,
+// with the rule each must fire ("" accepts any finding).
+const std::map<std::string, std::string> kAggregateFixtures = {
+    {"bad_example.cc", ""},
+    {"bad_header.h", "include-guard"},
+    {"scalar_hot_loop.cc", "scalar-hot-loop"},
+};
+
+std::vector<std::string>
+fixtureNames()
+{
+    std::vector<std::string> names;
+    for (const auto &e :
+         fs::directory_iterator(fs::path(MTIA_SOURCE_DIR) / kFixtureDir))
+        if (e.is_regular_file())
+            names.push_back(e.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+bool
+endsWith(const std::string &s, const std::string &suffix)
+{
+    return s.size() >= suffix.size() &&
+           s.compare(s.size() - suffix.size(), suffix.size(), suffix) ==
+               0;
+}
+
+class LintFixture : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(LintFixture, MeetsTheExpectationInItsName)
+{
+    const std::string name = GetParam();
+    const std::string rel = kFixtureDir + "/" + name;
+    std::ifstream in(fs::path(MTIA_SOURCE_DIR) / rel, std::ios::binary);
+    ASSERT_TRUE(in) << rel;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    // Fixtures are linted as the CLI lints them with --treat-as-src.
+    const std::vector<Finding> findings =
+        runRules(lex(buf.str()), rel, fileContext(rel, true));
+
+    std::set<std::string> fired;
+    std::string report;
+    for (const Finding &f : findings) {
+        fired.insert(f.rule);
+        report += "\n  " + f.file + ":" + std::to_string(f.line) + ": [" +
+                  f.rule + "] " + f.detail;
+    }
+
+    const auto aggregate = kAggregateFixtures.find(name);
+    if (aggregate != kAggregateFixtures.end()) {
+        EXPECT_FALSE(findings.empty()) << rel << ": expected findings";
+        if (!aggregate->second.empty()) {
+            EXPECT_TRUE(fired.count(aggregate->second))
+                << rel << ": expected [" << aggregate->second << "]"
+                << report;
+        }
+        return;
+    }
+
+    const std::string stem = fs::path(name).stem().string();
+    const bool bad = endsWith(stem, "_bad");
+    ASSERT_TRUE(bad || endsWith(stem, "_ok"))
+        << rel << ": fixture name must end in _bad or _ok";
+    if (!bad) {
+        EXPECT_TRUE(findings.empty())
+            << rel << ": negative fixture must be clean" << report;
+        return;
+    }
+    // A variant suffix narrows the scenario, not the rule:
+    // include_guard_mismatch_bad.h still expects [include-guard].
+    std::string rule = stem.substr(0, stem.size() - 4);
+    std::replace(rule.begin(), rule.end(), '_', '-');
+    const bool matched =
+        std::any_of(fired.begin(), fired.end(), [&](const std::string &r) {
+            return rule == r || rule.rfind(r + "-", 0) == 0;
+        });
+    EXPECT_TRUE(matched) << rel << ": expected a [" << rule
+                         << "] finding" << report;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rules, LintFixture, ::testing::ValuesIn(fixtureNames()),
+    [](const ::testing::TestParamInfo<std::string> &fixture) {
+        std::string id = fixture.param;
+        std::replace(id.begin(), id.end(), '.', '_');
+        return id;
+    });
 
 } // namespace
 } // namespace mtia_lint

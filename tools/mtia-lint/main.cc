@@ -2,8 +2,8 @@
  * mtia-lint: compiled cross-TU static analyzer for the simulator's
  * determinism and layering invariants.
  *
- * Token-level ports of every scripts/check_sim_invariants.py rule
- * (no string/comment false positives), plus:
+ * Token-level determinism and hygiene rules (no string/comment false
+ * positives), plus:
  *   - a cross-TU include-graph pass enforcing the declared layer DAG
  *     (tools/mtia-lint/layers.def) and rejecting include cycles;
  *   - unordered-iteration, pointer-key-ordered and parallel-capture,
@@ -16,9 +16,10 @@
  *             [--graph-src DIR] [--no-graph] [--treat-as-src]
  *             [--dump-module-graph] [PATH ...]
  *
- * With no PATH arguments, lints src/, bench/ and tools/ under --root
- * and runs the include-graph pass over src/. Exits 1 on any
- * violation, 2 on usage or I/O errors.
+ * With no PATH arguments, lints src/, bench/, tools/, perfbench/ and
+ * examples/ under --root and runs the include-graph pass over src/.
+ * Exits 1 on any violation, 2 on usage or I/O errors (including a
+ * PATH or --graph-src that does not exist).
  */
 
 #include <algorithm>
@@ -196,6 +197,11 @@ main(int argc, char **argv)
             .lexically_normal();
     if (!fs::exists(root))
         return fail("root " + root.string() + " does not exist");
+    for (const std::string &p : opt.paths)
+        if (!fs::exists(p))
+            return fail("path " + p + " does not exist");
+    if (!opt.graph_src.empty() && !fs::exists(opt.graph_src))
+        return fail("--graph-src " + opt.graph_src + " does not exist");
     if (opt.layers.empty())
         opt.layers = (root / "tools/mtia-lint/layers.def").string();
 
@@ -203,7 +209,8 @@ main(int argc, char **argv)
     const bool default_targets = opt.paths.empty();
     std::vector<fs::path> files;
     if (default_targets) {
-        for (const char *d : {"src", "bench", "tools"})
+        for (const char *d :
+             {"src", "bench", "tools", "perfbench", "examples"})
             if (fs::exists(root / d))
                 collect(root / d, files);
     } else {
@@ -229,21 +236,9 @@ main(int argc, char **argv)
         if (rel.empty() || rel.compare(0, 2, "..") == 0)
             rel = f.generic_string();
 
-        mtia_lint::FileContext ctx;
-        const bool in_src = rel.rfind("src/", 0) == 0;
-        ctx.in_src = in_src || opt.treat_as_src;
-        ctx.logging_exempt = rel.rfind("src/sim/logging", 0) == 0;
-        ctx.telemetry =
-            rel.rfind("src/telemetry/", 0) == 0 || opt.treat_as_src;
-        ctx.sim_core =
-            rel.rfind("src/sim/", 0) == 0 || opt.treat_as_src;
-        ctx.dtype_kernel = rel.rfind("src/tensor/dtype.", 0) == 0;
-        ctx.simd_kernel = rel.rfind("src/core/simd", 0) == 0;
-        const std::string ext = f.extension().string();
-        ctx.is_header = ext == ".h" || ext == ".hpp";
-
         const mtia_lint::LexedFile lf = mtia_lint::lex(buf.str());
-        auto file_findings = mtia_lint::runRules(lf, rel, ctx);
+        auto file_findings = mtia_lint::runRules(
+            lf, rel, mtia_lint::fileContext(rel, opt.treat_as_src));
         findings.insert(findings.end(), file_findings.begin(),
                         file_findings.end());
     }

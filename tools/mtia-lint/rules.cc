@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <filesystem>
 #include <set>
 
 namespace mtia_lint {
@@ -33,8 +34,8 @@ anyIdent(const Tokens &t, std::size_t i,
     return false;
 }
 
-/** How the token at @p i is qualified, mirroring the Python regexes'
- *  `(?<![\w:.])` lookbehind with an optional `std::`. */
+/** How the token at @p i is qualified: unqualified, `std::`, a
+ *  member access (`.`/`->`), or another `::` qualifier. */
 enum class Qual { None, Std, Member, Other };
 
 Qual
@@ -723,8 +724,8 @@ RuleRunner::run()
                       return a.line < b.line;
                   return a.rule < b.rule;
               });
-    // One finding per (line, rule): the Python linter matches each
-    // rule at most once per physical line, and parity depends on it.
+    // One finding per (line, rule): a rule that matches a physical
+    // line several times reports it once.
     findings_.erase(
         std::unique(findings_.begin(), findings_.end(),
                     [](const Finding &a, const Finding &b) {
@@ -735,6 +736,24 @@ RuleRunner::run()
 }
 
 } // namespace
+
+FileContext
+fileContext(const std::string &rel, bool treat_as_src)
+{
+    const auto under = [&](const char *prefix) {
+        return rel.rfind(prefix, 0) == 0;
+    };
+    const std::string ext = std::filesystem::path(rel).extension();
+    FileContext ctx;
+    ctx.in_src = under("src/") || treat_as_src;
+    ctx.logging_exempt = under("src/sim/logging");
+    ctx.telemetry = under("src/telemetry/") || treat_as_src;
+    ctx.sim_core = under("src/sim/") || treat_as_src;
+    ctx.dtype_kernel = under("src/tensor/dtype.");
+    ctx.simd_kernel = under("src/core/simd");
+    ctx.is_header = ext == ".h" || ext == ".hpp";
+    return ctx;
+}
 
 std::vector<Finding>
 runRules(const LexedFile &lf, const std::string &file,

@@ -3,13 +3,13 @@
 
 /**
  * @file
- * The mtia-lint rule engine: token-level ports of every rule in
- * scripts/check_sim_invariants.py plus the determinism rules that are
- * only feasible with a real lexer (unordered-iteration,
+ * The mtia-lint rule engine: token-level determinism and hygiene
+ * rules (wall-clock, unseeded-rng, raw-output, include-guard, ...),
+ * the determinism rules that need real tokens (unordered-iteration,
  * pointer-key-ordered, parallel-capture) and the suppression-hygiene
- * rule (bare-allow). Findings carry the same `file:line: [rule]`
- * shape as the Python linter so the two can be diffed directly — the
- * lint_parity ctest does exactly that on the shared fixtures.
+ * rule (bare-allow). Every rule has a `<rule>_bad` / `<rule>_ok`
+ * fixture pair under tests/lint_fixtures/rules/, checked per file by
+ * the LintFixtures gtest.
  */
 
 #include <string>
@@ -27,8 +27,8 @@ struct Finding
     std::string detail;
 };
 
-/** Which rule families apply to a file; mirrors the Python linter's
- *  path-derived context exactly. */
+/** Which rule families apply to a file, derived from its path by
+ *  fileContext(). */
 struct FileContext
 {
     bool in_src = false;        ///< raw-output + new determinism rules
@@ -39,6 +39,12 @@ struct FileContext
     bool simd_kernel = false;   ///< raw-intrinsics exempt (src/core/simd*)
     bool is_header = false;     ///< include-guard applies
 };
+
+/** The rule context of the file at @p rel, its '/'-separated path
+ *  relative to the lint root. @p treat_as_src applies the src/-only
+ *  families (raw-output, telemetry-wall-clock, heap-top-copy and the
+ *  determinism rules) to every file, as `--treat-as-src` does. */
+FileContext fileContext(const std::string &rel, bool treat_as_src);
 
 /** Run every applicable rule over @p lf. Suppressions
  *  (`// sim-lint: allow(<rule>)` on the finding's line) are already
