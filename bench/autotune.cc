@@ -416,9 +416,10 @@ main()
                      static_cast<double>(autotune::surrogateEvals()));
     report.surrogate("real_evals",
                      static_cast<double>(autotune::realEvals()));
-    report.wallClockSpeedup(parallelLanes(),
-                            serial_s / std::max(parallel_s, 1e-9));
-    report.wallClockRatio("surrogate_tuning_speedup", tuning_speedup);
+    report.wallClock("lanes", parallelLanes(), "lanes");
+    report.wallClock("parallel_speedup",
+                     serial_s / std::max(parallel_s, 1e-9), "x");
+    report.wallClock("surrogate_tuning_speedup", tuning_speedup, "x");
     autotune::publishAutotuneMetrics(metrics);
     report.attachTelemetry(&metrics);
     return 0;

@@ -39,33 +39,18 @@ Report::metric(const std::string &metric_name, double measured,
 }
 
 void
-Report::wallClockSpeedup(unsigned threads, double speedup)
+Report::wallClock(const std::string &clock_name, double value,
+                  const std::string &unit)
 {
-    MTIA_CHECK_GT(threads, 0u)
-        << ": wall_clock_speedup needs a thread count";
-    MTIA_CHECK_GT(speedup, 0.0)
-        << ": wall_clock_speedup must be a positive ratio";
-    speedup_threads_ = threads;
-    speedup_ = speedup;
-    has_speedup_ = true;
-}
-
-void
-Report::wallClockRatio(const std::string &ratio_name, double ratio)
-{
-    MTIA_CHECK(!ratio_name.empty())
-        << ": wall_clock_ratios entry needs a name";
-    MTIA_CHECK_GT(ratio, 0.0)
-        << ": wall_clock_ratios " << ratio_name
-        << " must be a positive ratio";
-    ratios_.push_back({ratio_name, ratio});
+    MTIA_CHECK(!clock_name.empty()) << ": wall_clock entry needs a name";
+    wall_clock_.push_back({clock_name, value, 0.0, 0.0, false, unit});
 }
 
 void
 Report::surrogate(const std::string &field, double value)
 {
     MTIA_CHECK(!field.empty()) << ": surrogate block field needs a name";
-    for (const Ratio &f : surrogate_fields_) {
+    for (const Field &f : surrogate_fields_) {
         MTIA_CHECK(f.name != field)
             << ": surrogate block field " << field << " recorded twice";
     }
@@ -89,48 +74,39 @@ std::string
 Report::json() const
 {
     std::ostringstream os;
-    os << "{\"schema\":\"mtia-bench-report-v1\",\"bench\":";
+    os << "{\"schema\":\"mtia-bench-report-v2\",\"bench\":";
     telemetry::writeJsonString(os, name_);
-    os << ",\"metrics\":[";
-    bool first = true;
-    for (const Entry &e : entries_) {
-        os << (first ? "\n" : ",\n") << "{\"name\":";
-        first = false;
-        telemetry::writeJsonString(os, e.name);
-        os << ",\"measured\":";
-        telemetry::writeJsonDouble(os, e.measured);
-        if (!e.unit.empty()) {
-            os << ",\"unit\":";
-            telemetry::writeJsonString(os, e.unit);
-        }
-        if (e.has_band) {
-            os << ",\"paper_lo\":";
-            telemetry::writeJsonDouble(os, e.paper_lo);
-            os << ",\"paper_hi\":";
-            telemetry::writeJsonDouble(os, e.paper_hi);
-            const bool within =
-                e.measured >= e.paper_lo && e.measured <= e.paper_hi;
-            os << ",\"within_band\":" << (within ? "true" : "false");
-        }
-        os << '}';
-    }
-    os << "\n]";
-    if (has_speedup_) {
-        os << ",\"wall_clock_speedup\":{\"threads\":" << speedup_threads_
-           << ",\"speedup\":";
-        telemetry::writeJsonDouble(os, speedup_);
-        os << '}';
-    }
-    if (!ratios_.empty()) {
-        os << ",\"wall_clock_ratios\":[";
-        for (std::size_t i = 0; i < ratios_.size(); ++i) {
-            os << (i ? "," : "") << "{\"name\":";
-            telemetry::writeJsonString(os, ratios_[i].name);
-            os << ",\"ratio\":";
-            telemetry::writeJsonDouble(os, ratios_[i].ratio);
+    // One metrics / wall_clock array, one entry per line.
+    const auto write_entries = [&os](const std::vector<Entry> &entries) {
+        bool first = true;
+        for (const Entry &e : entries) {
+            os << (first ? "\n" : ",\n") << "{\"name\":";
+            first = false;
+            telemetry::writeJsonString(os, e.name);
+            os << ",\"measured\":";
+            telemetry::writeJsonDouble(os, e.measured);
+            if (!e.unit.empty()) {
+                os << ",\"unit\":";
+                telemetry::writeJsonString(os, e.unit);
+            }
+            if (e.has_band) {
+                os << ",\"paper_lo\":";
+                telemetry::writeJsonDouble(os, e.paper_lo);
+                os << ",\"paper_hi\":";
+                telemetry::writeJsonDouble(os, e.paper_hi);
+                const bool within =
+                    e.measured >= e.paper_lo && e.measured <= e.paper_hi;
+                os << ",\"within_band\":" << (within ? "true" : "false");
+            }
             os << '}';
         }
-        os << ']';
+        os << "\n]";
+    };
+    os << ",\"metrics\":[";
+    write_entries(entries_);
+    if (!wall_clock_.empty()) {
+        os << ",\"wall_clock\":[";
+        write_entries(wall_clock_);
     }
     if (!surrogate_fields_.empty()) {
         os << ",\"surrogate\":{";
@@ -138,7 +114,7 @@ Report::json() const
             os << (i ? "," : "");
             telemetry::writeJsonString(os, surrogate_fields_[i].name);
             os << ":";
-            telemetry::writeJsonDouble(os, surrogate_fields_[i].ratio);
+            telemetry::writeJsonDouble(os, surrogate_fields_[i].value);
         }
         os << '}';
     }

@@ -10,18 +10,17 @@
  * $MTIA_BENCH_REPORT_DIR when set — so CI can archive it and later
  * PRs can diff the perf trajectory run-over-run.
  *
- * Schema (mtia-bench-report-v1):
+ * Schema (mtia-bench-report-v2):
  *   {
- *     "schema": "mtia-bench-report-v1",
+ *     "schema": "mtia-bench-report-v2",
  *     "bench": "<name>",
  *     "metrics": [
  *       {"name": "...", "measured": 44.0, "unit": "%",
  *        "paper_lo": 40.0, "paper_hi": 48.0, "within_band": true},
  *       ...
  *     ],
- *     "wall_clock_speedup": {"threads": 8, "speedup": 3.4}, // optional
- *     "wall_clock_ratios": [                                // optional
- *       {"name": "conversion", "ratio": 4.1}, ...
+ *     "wall_clock": [                                       // optional
+ *       {"name": "parallel_speedup", "measured": 3.4, "unit": "x"}, ...
  *     ],
  *     "surrogate": {                                        // optional
  *       "mae": 0.01, "rank_correlation": 0.98, ...          // ordered
@@ -30,16 +29,16 @@
  *   }
  *
  * Every value recorded here must be derived from simulated state, so
- * identical builds produce byte-identical reports. The exceptions are
- * "wall_clock_speedup" — a measured serial-vs-parallel harness ratio
- * — and "wall_clock_ratios" — named scalar-vs-vectorized kernel
- * throughput ratios — which by nature vary run to run; determinism
- * comparisons must strip those fields before diffing. The "surrogate"
- * block (learned-cost-model accuracy: MAE, rank correlation, regret,
- * eval counts) is derived from deterministic evaluations and is
- * covered by the byte-identity guarantee. Export failures
- * go through the telemetry error handler (ScopedTelemetryThrow makes
- * them assertable in tests).
+ * identical builds produce byte-identical reports at any lane count
+ * and on any SIMD tier. The one exception is "wall_clock": host
+ * timings, rates and speedups (and the lane count they were taken
+ * at), which vary run to run. scripts/check_bench.py strips it and
+ * requires the rest to equal the committed golden
+ * bench/golden/BENCH_<name>.json. The "surrogate" block
+ * (learned-cost-model accuracy: MAE, rank correlation, regret, eval
+ * counts) is derived from deterministic evaluations and is covered by
+ * the guarantee. Export failures go through the telemetry error
+ * handler (ScopedTelemetryThrow makes them assertable in tests).
  */
 
 #include <string>
@@ -72,21 +71,13 @@ class Report
                 const std::string &unit = "");
 
     /**
-     * Record how much faster the bench's parallel section ran than a
-     * single-lane rerun of the same work ( > 1 means parallelism
-     * helped). Wall-clock by nature: excluded from byte-identical
-     * guarantees, emitted as the top-level "wall_clock_speedup"
-     * object.
+     * Record a host-dependent measurement: a wall-clock time, rate,
+     * speedup or the lane count it was taken at. Emitted in order
+     * under the top-level "wall_clock" array, the one field excluded
+     * from the byte-identity guarantee.
      */
-    void wallClockSpeedup(unsigned threads, double speedup);
-
-    /**
-     * Record a named measured throughput ratio (e.g. vectorized vs
-     * scalar kernel). Wall-clock by nature: excluded from
-     * byte-identical guarantees, emitted in order under the top-level
-     * "wall_clock_ratios" array.
-     */
-    void wallClockRatio(const std::string &ratio_name, double ratio);
+    void wallClock(const std::string &clock_name, double value,
+                   const std::string &unit = "");
 
     /**
      * Record one field of the surrogate accuracy block (MAE,
@@ -126,20 +117,17 @@ class Report
         std::string unit;
     };
 
-    struct Ratio
+    struct Field
     {
         std::string name;
-        double ratio;
+        double value;
     };
 
     std::string name_;
     std::vector<Entry> entries_;
-    std::vector<Ratio> ratios_;
-    std::vector<Ratio> surrogate_fields_;
+    std::vector<Entry> wall_clock_;
+    std::vector<Field> surrogate_fields_;
     const telemetry::MetricRegistry *telemetry_ = nullptr;
-    unsigned speedup_threads_ = 0;
-    double speedup_ = 0.0;
-    bool has_speedup_ = false;
     bool written_ = false;
 };
 

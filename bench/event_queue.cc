@@ -18,8 +18,8 @@
  * Simulated results (event counts, final ticks, checksums, inline
  * fractions, promotion counts) are deterministic and land in
  * BENCH_event_queue.json; the measured events/sec ratio is wall-clock
- * by nature and is emitted only as the report's "wall_clock_speedup"
- * field (near-future mix) and printed rows.
+ * by nature and is emitted only under the report's "wall_clock" array
+ * (near-future mix) and as printed rows.
  */
 
 #include <algorithm>
@@ -299,9 +299,8 @@ main()
             near_speedup = speedup;
     }
 
-    // Wall-clock by nature: excluded from byte-identical guarantees,
-    // emitted as the top-level wall_clock_speedup object. The CI
-    // bench-reports job checks this stays >= 3.
-    report.wallClockSpeedup(1, near_speedup);
+    // Wall-clock by nature: excluded from byte-identical guarantees.
+    // The >= 3x target is the printed row above, not a gate.
+    report.wallClock("near_speedup", near_speedup, "x");
     return 0;
 }

@@ -131,7 +131,8 @@ main()
     report.metric("ecc_throughput_penalty_pct",
                   (1.0 - c_with.qps / c_without.qps) * 100.0, 10.0,
                   15.0, "%");
-    report.wallClockSpeedup(parallelLanes(),
-                            serial_s / std::max(parallel_s, 1e-9));
+    report.wallClock("lanes", parallelLanes(), "lanes");
+    report.wallClock("parallel_speedup",
+                     serial_s / std::max(parallel_s, 1e-9), "x");
     return 0;
 }

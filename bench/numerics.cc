@@ -20,8 +20,8 @@
  * Every mix asserts bit-identical results between the two paths (hard
  * [1, 1] gates in BENCH_numerics.json); the measured throughput
  * ratios are wall-clock by nature and land only under the report's
- * "wall_clock_ratios" array, where CI applies a warn-only >= 2x gate
- * on the conversion and quantization entries.
+ * "wall_clock" array; the >= 2x targets on the conversion and
+ * quantization mixes are printed rows, not gates.
  */
 
 #include <algorithm>
@@ -210,7 +210,7 @@ main()
 
     report.metric("conversion_bits_equal", conv_equal ? 1.0 : 0.0, 1.0,
                   1.0);
-    report.wallClockRatio("conversion", conv_ratio);
+    report.wallClock("conversion", conv_ratio, "x");
 
     // ---- quantization --------------------------------------------
     Tensor act(Shape{512, 2048}, DType::FP32);
@@ -266,7 +266,7 @@ main()
 
     report.metric("quantization_bits_equal", quant_equal ? 1.0 : 0.0,
                   1.0, 1.0);
-    report.wallClockRatio("quantization", quant_ratio);
+    report.wallClock("quantization", quant_ratio, "x");
 
     // ---- codec ---------------------------------------------------
     ByteBuffer int8(1 << 20);
@@ -328,7 +328,7 @@ main()
                codec_ok ? "yes" : "NO — CORRUPTED");
 
     report.metric("codec_roundtrip_ok", codec_ok ? 1.0 : 0.0, 1.0, 1.0);
-    report.wallClockRatio("codec", codec_ratio);
+    report.wallClock("codec", codec_ratio, "x");
 
     // ---- gather --------------------------------------------------
     constexpr std::size_t kPoolRows = 1024;
@@ -386,7 +386,7 @@ main()
 
     report.metric("gather_bits_equal", gather_equal ? 1.0 : 0.0, 1.0,
                   1.0);
-    report.wallClockRatio("gather", gather_ratio);
+    report.wallClock("gather", gather_ratio, "x");
 
     // The kernel-layer counters accumulated by the runs above land in
     // the report's telemetry snapshot.

@@ -8,16 +8,16 @@
  *
  * The same scenario runs twice: once at the ambient MTIA_THREADS lane
  * count and once pinned serial. The two summaries must match byte for
- * byte (the results_match metric is a hard CI gate, and ctest
- * bench_parallel_cluster_determinism re-checks the whole report at
- * MTIA_THREADS 1 vs 8); the wall-clock ratio between them is the
- * speedup headline (>= 8x target on a 64-chip scenario with enough
- * cores — warn-only, since CI runners and this container may have
+ * byte (the results_match metric is a hard [1, 1] band, and ctest
+ * bench_parallel_cluster_determinism checks the whole report against
+ * its golden at MTIA_THREADS 1 and 8); the wall-clock ratio between
+ * them is the speedup headline (>= 8x target on a 64-chip scenario
+ * with enough cores — a printed row, not a gate, since hosts may have
  * fewer).
  *
  * Emits BENCH_parallel_cluster.json. Everything in it except
- * wall_clock_speedup derives from simulated state and is
- * byte-identical at any MTIA_THREADS count.
+ * "wall_clock" derives from simulated state and is byte-identical at
+ * any MTIA_THREADS count.
  */
 
 #include <cstdio>
@@ -109,16 +109,19 @@ main()
     report.metric("failovers", par.failovers);
     report.metric("ecc_errors", static_cast<double>(par.ecc_errors));
 
-    // Wall clock is machine-dependent by nature: it rides the one
-    // report field the determinism checks strip. >= 8x is the 64-chip
-    // target with >= 8 cores; fewer cores report honestly below it.
+    // Wall clock is machine-dependent by nature: it rides "wall_clock",
+    // the one report field the golden check strips. >= 8x is the
+    // 64-chip target with >= 8 cores; fewer cores report honestly
+    // below it.
+    report.wallClock("lanes", lanes, "lanes");
     if (par_seconds > 0.0)
-        report.wallClockSpeedup(lanes, serial_seconds / par_seconds);
+        report.wallClock("parallel_speedup", serial_seconds / par_seconds,
+                         "x");
     std::snprintf(label, sizeof label, "%.2fx at %u lane(s)",
                   par_seconds > 0.0 ? serial_seconds / par_seconds : 0.0,
                   lanes);
     bench::row("wall-clock speedup vs serial",
-               ">= 8x with >= 8 cores (warn-only)", label);
+               ">= 8x with >= 8 cores (not gated)", label);
 
     report.write();
     std::printf("\nreport: %s\n", report.path().c_str());

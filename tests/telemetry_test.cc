@@ -366,10 +366,11 @@ TEST(BenchReport, EmitsSchemaWithBandsAndTelemetry)
     report.metric("in_band", 44.0, 40.0, 48.0, "%");
     report.metric("out_of_band", 60.0, 40.0, 48.0, "%");
     report.metric("unitless", 3.0);
+    report.wallClock("parallel_speedup", 3.5, "x");
     report.attachTelemetry(&reg);
 
     const std::string json = report.json();
-    EXPECT_NE(json.find("\"schema\":\"mtia-bench-report-v1\""),
+    EXPECT_NE(json.find("\"schema\":\"mtia-bench-report-v2\""),
               std::string::npos);
     EXPECT_NE(json.find("\"bench\":\"unit_test\""), std::string::npos);
     EXPECT_NE(json.find("\"name\":\"in_band\",\"measured\":44,"
@@ -377,6 +378,9 @@ TEST(BenchReport, EmitsSchemaWithBandsAndTelemetry)
                         "\"paper_hi\":48,\"within_band\":true"),
               std::string::npos);
     EXPECT_NE(json.find("\"within_band\":false"), std::string::npos);
+    EXPECT_NE(json.find("\"wall_clock\":[\n{\"name\":\"parallel_speedup\","
+                        "\"measured\":3.5,\"unit\":\"x\"}\n]"),
+              std::string::npos);
     EXPECT_NE(json.find("\"telemetry\":{\"schema\":"
                         "\"mtia-metrics-v1\""),
               std::string::npos);
@@ -428,6 +432,7 @@ TEST(BenchReport, RejectsInvertedBandAndEmptyName)
         bench::Report report("bands");
         EXPECT_THROW(report.metric("m", 1.0, 5.0, 4.0),
                      CheckFailedError);
+        EXPECT_THROW(report.wallClock("", 1.0), CheckFailedError);
     }
     unsetenv("MTIA_BENCH_REPORT_DIR");
 }
