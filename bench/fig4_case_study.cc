@@ -15,26 +15,25 @@
 #include "bench_util.h"
 #include "graph/fusion.h"
 #include "models/case_study.h"
-#include "serving/serving_sim.h"
+#include "tbe_serving.h"
 
 using namespace mtia;
 
 namespace {
 
-/** Throughput multiplier of TBE consolidation, measured by the same
- * serving DES that Figure 5 uses. */
+/** Throughput multiplier of TBE consolidation: Figure 5's QPS-at-SLO
+ * ratio, from the same scenario, duration and seed. */
 double
 consolidationGain()
 {
-    ServingModelParams split;
-    split.remote_jobs_per_shard = 2;
-    ServingModelParams merged = split;
-    merged.remote_jobs_per_shard = 1;
-    const Tick dur = fromSeconds(40.0);
     const double a =
-        ServingSimulator(split).maxQpsAtSlo(5.0, 90.0, dur);
+        ClusterSimulator(bench::tbeServingConfig(2))
+            .maxQpsAtSlo(bench::kTbeQpsLo, bench::kTbeQpsHi,
+                         bench::kTbeRunDuration);
     const double b =
-        ServingSimulator(merged).maxQpsAtSlo(5.0, 90.0, dur);
+        ClusterSimulator(bench::tbeServingConfig(1))
+            .maxQpsAtSlo(bench::kTbeQpsLo, bench::kTbeQpsHi,
+                         bench::kTbeRunDuration);
     return a == 0.0 ? 1.0 : b / a;
 }
 

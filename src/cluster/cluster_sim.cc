@@ -6,6 +6,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "core/check.h"
@@ -55,9 +56,8 @@ latencyHistogramConfig()
  * One server replica: M chips + a deadline-aware batcher, plus every
  * counter its requests touch. A replica IS a ParallelDes partition:
  * all of this state is mutated only by events on the replica's own
- * queue, so replicas run concurrently with no sharing. The local
- * counters and histogram are merged (in replica index order) into the
- * ClusterResult after the run.
+ * queue. The local counters and histograms are merged (in replica
+ * index order) into the ClusterResult and the registry after the run.
  */
 struct SimReplica
 {
@@ -76,6 +76,9 @@ struct SimReplica
 
     // Replica-local results, merged after the run.
     telemetry::LogHistogram hist{latencyHistogramConfig()};
+    /** Latency components, engaged only while telemetry is attached. */
+    std::optional<telemetry::LogHistogram> hist_remote;
+    std::optional<telemetry::LogHistogram> hist_merge;
     std::vector<std::int64_t> shard_rows;
     std::uint64_t completed = 0;
     std::uint64_t completed_in_slo = 0;
@@ -139,6 +142,10 @@ class RunState
             auto rep = std::make_unique<SimReplica>();
             rep->chips.resize(cfg_.chips_per_replica);
             rep->shard_rows.assign(cfg_.embedding_shards, 0);
+            if (tel_ != nullptr) {
+                rep->hist_remote.emplace(latencyHistogramConfig());
+                rep->hist_merge.emplace(latencyHistogramConfig());
+            }
             rep->batcher = std::make_unique<DynamicBatcher>(
                 repq(r), bcfg, [this, r](ClusterBatch &&batch) {
                     dispatchBatch(r, std::move(batch));
@@ -294,52 +301,56 @@ class RunState
         for (unsigned s = 0; s < cfg_.embedding_shards; ++s)
             rep.shard_rows[s] += rows_per_shard[s];
 
-        // Gather on every chip owning a shard this batch touches...
+        // Gather on every chip owning a shard this batch touches, as
+        // gather_jobs FIFO jobs that split the chip's gather time
+        // evenly (the last takes the remainder)...
         rep.joins.push_back(std::make_unique<BatchJoin>());
         BatchJoin *join = rep.joins.back().get();
         join->id = id;
         join->rows = rows;
-        std::vector<Tick> chip_gather(cfg_.chips_per_replica, 0);
-        for (unsigned s = 0; s < cfg_.embedding_shards; ++s) {
-            if (rows_per_shard[s] == 0)
-                continue;
-            const unsigned chip = s % cfg_.chips_per_replica;
-            chip_gather[chip] += cfg_.service.gather_per_row *
-                static_cast<Tick>(rows_per_shard[s]);
-        }
+        std::vector<std::int64_t> chip_rows(cfg_.chips_per_replica, 0);
+        for (unsigned s = 0; s < cfg_.embedding_shards; ++s)
+            chip_rows[s % cfg_.chips_per_replica] += rows_per_shard[s];
+        const unsigned jobs = cfg_.service.gather_jobs;
         for (unsigned c = 0; c < cfg_.chips_per_replica; ++c)
-            if (chip_gather[c] > 0)
-                ++join->remaining;
+            if (chip_rows[c] > 0)
+                join->remaining += jobs;
         MTIA_DCHECK_GT(join->remaining, 0u)
             << ": dispatched a batch with no gather work";
         for (unsigned c = 0; c < cfg_.chips_per_replica; ++c) {
-            if (chip_gather[c] == 0)
+            if (chip_rows[c] == 0)
                 continue;
-            const Tick dur = cfg_.service.gather_base + chip_gather[c];
-            enqueueChipJob(rep_idx, c, dur,
-                           [this, rep_idx, join](Tick) {
-                               if (--join->remaining == 0)
-                                   scheduleMerge(rep_idx, join);
-                           });
+            const Tick total = cfg_.service.gather_base +
+                cfg_.service.gather_per_row *
+                    static_cast<Tick>(chip_rows[c]);
+            const Tick each = total / jobs;
+            for (unsigned j = 0; j < jobs; ++j)
+                enqueueChipJob(rep_idx, c,
+                               j + 1 < jobs ? each
+                                            : total - each * (jobs - 1),
+                               [this, rep_idx, join](Tick now) {
+                                   if (--join->remaining == 0)
+                                       scheduleMerge(rep_idx, join, now);
+                               });
         }
     }
 
-    void scheduleMerge(unsigned rep_idx, BatchJoin *join)
+    void scheduleMerge(unsigned rep_idx, BatchJoin *join, Tick gathered)
     {
         // ...then one merge on the batch's home chip.
         const unsigned chip = static_cast<unsigned>(
             join->id % cfg_.chips_per_replica);
         const Tick dur = cfg_.service.merge_base +
             cfg_.service.merge_per_row * static_cast<Tick>(join->rows);
-        enqueueChipJob(
-            rep_idx, chip, dur,
-            [this, rep_idx, id = join->id, rows = join->rows](Tick end) {
-                completeBatch(rep_idx, id, rows, end);
-            });
+        enqueueChipJob(rep_idx, chip, dur,
+                       [this, rep_idx, id = join->id, rows = join->rows,
+                        gathered](Tick end) {
+                           completeBatch(rep_idx, id, rows, gathered, end);
+                       });
     }
 
     void completeBatch(unsigned rep_idx, std::uint64_t id,
-                       std::int64_t rows, Tick end)
+                       std::int64_t rows, Tick gathered, Tick end)
     {
         SimReplica &rep = *replicas_[rep_idx];
         auto it = rep.inflight.find(id);
@@ -353,6 +364,10 @@ class RunState
                 ++rep.completed_in_slo;
             if (end <= duration_)
                 ++rep.completed_in_window;
+            if (rep.hist_remote) {
+                rep.hist_remote->add(toMillis(gathered - r.arrival));
+                rep.hist_merge->add(toMillis(end - gathered));
+            }
         }
         rep.inflight.erase(it);
         // Credit the controller's load view a network latency later.
@@ -550,7 +565,7 @@ RunState::run()
     out.dropped = dropped_;
 
     // Replica-local results merge in replica index order — a fixed
-    // order, so the merged bytes are lane-count independent.
+    // order, so the merged bytes are a pure function of the run.
     std::uint64_t completed_in_window = 0;
     for (const auto &rep : replicas_) {
         hist_total_.merge(rep->hist);
@@ -605,12 +620,19 @@ RunState::run()
             recover_sum / static_cast<double>(recovered);
 
     if (tel_ != nullptr) {
-        // Telemetry flushes strictly after the parallel phase ends:
-        // the registry is shared across the process and must only be
-        // touched from the caller thread.
         if (reg_total_ != nullptr)
             reg_total_->merge(hist_total_);
         auto &m = tel_->metrics;
+        auto &reg_remote = m.histogram("cluster.latency_ms",
+                                       {{"class", "remote"}},
+                                       latencyHistogramConfig());
+        auto &reg_merge = m.histogram("cluster.latency_ms",
+                                      {{"class", "merge"}},
+                                      latencyHistogramConfig());
+        for (const auto &rep : replicas_) {
+            reg_remote.merge(*rep->hist_remote);
+            reg_merge.merge(*rep->hist_merge);
+        }
         m.counter("cluster.requests", {{"event", "arrived"}})
             .inc(out.arrivals);
         m.counter("cluster.requests", {{"event", "completed"}})
@@ -696,9 +718,17 @@ ClusterSimulator::ClusterSimulator(ClusterConfig cfg) : cfg_(std::move(cfg))
         << ": replicas need at least one chip";
     MTIA_CHECK_GT(cfg_.embedding_shards, 0u)
         << ": cluster needs at least one embedding shard";
-    MTIA_CHECK_GT(cfg_.batcher.slo, 0u) << ": cluster needs an SLO";
+    MTIA_CHECK_GT(cfg_.service.gather_jobs, 0u)
+        << ": a gather needs at least one job";
+    MTIA_CHECK_GT(cfg_.batcher.capacity, 0)
+        << ": batcher capacity must be positive";
+    MTIA_CHECK_GT(cfg_.batcher.window, 0u)
+        << ": batcher window must be positive";
+    MTIA_CHECK_GT(cfg_.batcher.slo,
+                  cfg_.service.gather_base + cfg_.service.merge_base)
+        << ": SLO must exceed the unloaded gather + merge time";
 
-    // The fabric latency is the parallel DES epoch width, and the
+    // The fabric latency is the DES epoch width, and the
     // control-plane protocol leans on it being small against the
     // health timers: a heartbeat must cross the fabric within one
     // interval (else freshly-booted replicas look silent), and a
@@ -735,13 +765,29 @@ ClusterSimulator::sweep(const std::vector<double> &qps, Tick duration,
 {
     const Rng base(seed);
     // One fork substream per load point; telemetry-detached because
-    // the registry is shared mutable state across lanes. Each point's
-    // own partition phase then runs inline (nested region), so the
-    // bytes match a serial sweep exactly.
+    // the registry is shared mutable state across lanes.
     return parallelMap(qps.size(), [&](std::size_t i) {
         return simulateImpl(qps[i], duration, base.fork(i).next(),
                             nullptr);
     });
+}
+
+double
+ClusterSimulator::maxQpsAtSlo(double lo, double hi, Tick duration,
+                              std::uint64_t seed) const
+{
+    const double slo_ms = toMillis(cfg_.batcher.slo);
+    const auto meets = [&](double qps) {
+        const ClusterResult r = simulate(qps, duration, seed);
+        return r.completed > 0 && r.p99_ms <= slo_ms;
+    };
+    if (!meets(lo))
+        return 0.0;
+    for (int iter = 0; iter < 18; ++iter) {
+        const double mid = 0.5 * (lo + hi);
+        (meets(mid) ? lo : hi) = mid;
+    }
+    return lo;
 }
 
 } // namespace mtia

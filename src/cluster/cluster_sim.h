@@ -3,37 +3,39 @@
 
 /**
  * @file
- * Fleet-scale serving cluster simulator: N server replicas x M chips
- * per replica on one DES clock. Requests from a replayable
- * million-user trace are routed by a ClusterController (least-loaded
- * or consistent-hash policy), batched per replica by the
- * deadline-aware DynamicBatcher, and executed as per-shard gather
- * jobs on the chips holding each embedding shard followed by one
- * merge job — the remote/merge structure of serving/serving_sim.h
- * lifted to cluster scale. Replica health is heartbeat-tracked;
- * failover (detect -> drain -> re-route -> restart -> warm-up) and
- * chaos mode (replica kills + ECC storms from the Section 5.1
- * campaigns) exercise the paper's productionization story.
+ * The serving simulator: N server replicas x M chips per replica on
+ * one DES clock. Requests from a replayable million-user trace are
+ * routed by a ClusterController (least-loaded or consistent-hash
+ * policy), batched per replica by the deadline-aware DynamicBatcher,
+ * and executed as gather jobs on the chips holding each embedding
+ * shard followed by one merge job on FIFO chips with a host dispatch
+ * gap between jobs (the remote/merge structure of Sections 3.4 and 6).
+ * A one-replica, one-chip config is the Figure 5 TBE-consolidation
+ * experiment: split weighted/unweighted TBE is two gather jobs per
+ * chip, consolidated is one, with the same total gather time. Replica
+ * health is heartbeat-tracked; failover (detect -> drain -> re-route
+ * -> restart -> warm-up) and chaos mode (replica kills + ECC storms
+ * from the Section 5.1 campaigns) exercise the paper's
+ * productionization story.
  *
- * Parallel execution: the simulation is partitioned by chip owner —
- * partition 0 is the controller/host plane (trace admission, routing,
- * health sweeps, failover orchestration) and partition 1 + r is
- * replica r (batcher, chips, in-flight batches, local counters). Each
- * partition owns a bucketed EventQueue on a lane of the PR-3
- * deterministic pool, and partitions talk ONLY through
+ * Partitions: the simulation is split by chip owner — partition 0 is
+ * the controller/host plane (trace admission, routing, health sweeps,
+ * failover orchestration) and partition 1 + r is replica r (batcher,
+ * chips, in-flight batches, local counters). Each partition owns a
+ * bucketed EventQueue, and partitions talk ONLY through
  * sim/parallel_des.h mailboxes: every controller<->replica message
  * (admission, heartbeat ack, death/completion notice, drain
  * command/response, restart, warm-up completion) rides the modeled
  * host/network boundary with latency ClusterFabric::latency(), which
- * is also the conservative epoch width — so cross-partition events
- * always land strictly after the epoch barrier that exchanges them.
+ * is also the epoch width. The partitions run serially on the calling
+ * thread (see parallel_des.h for why); the partitioning stays because
+ * it models the fabric between the control plane and the replicas.
  *
  * Determinism: one seeded Rng per run (trace and chaos take fork
  * substreams), pre-generated chaos timelines, and the ParallelDes
- * index-ordered mailbox drain make every run byte-identical at any
- * MTIA_THREADS lane count — simulate() over partitions, and sweep()
- * over load points (whose nested simulate() partitions then run
- * inline), both meet the repo's standing determinism bar.
+ * index-ordered mailbox drain make every run byte-identical for a
+ * seed. sweep() fans load points out over the lane pool and is
+ * byte-identical at any MTIA_THREADS lane count.
  */
 
 #include <cstdint>
@@ -61,6 +63,10 @@ struct ClusterServiceModel
     Tick gather_per_row = fromMicros(2.0);
     /** Fixed gather launch cost per (chip, batch) with any rows. */
     Tick gather_base = fromMicros(200.0);
+    /** FIFO jobs each chip's gather is split into, evenly; the total
+     * gather time does not depend on it (the Figure 5 invariant).
+     * Split weighted/unweighted TBE instances are 2, consolidated 1. */
+    unsigned gather_jobs = 1;
     /** Fixed merge (dense interaction) cost per batch. */
     Tick merge_base = fromMillis(1.0);
     /** Per-row merge cost. */
@@ -76,9 +82,9 @@ struct ClusterServiceModel
  * (request admission, heartbeat ack, drain traffic, restart commands)
  * crosses the host PCIe link plus a switched network hop. latency()
  * is the one-way cost — and, being the minimum cross-partition
- * latency, the epoch width of the conservative parallel DES: larger
- * switch latency = wider epochs = fewer barriers, at the price of
- * coarser control-plane reactivity.
+ * latency, the epoch width of the partitioned DES: larger switch
+ * latency = wider epochs = fewer barriers, at the price of coarser
+ * control-plane reactivity.
  */
 struct ClusterFabric
 {
@@ -162,6 +168,12 @@ struct ClusterResult
 class ClusterSimulator
 {
   public:
+    /**
+     * @pre at least one replica, chip, shard and gather job; a positive
+     * batcher capacity and window; an SLO above the unloaded
+     * gather_base + merge_base; a fabric latency under the heartbeat
+     * interval and a restart delay above a drain round trip.
+     */
     explicit ClusterSimulator(ClusterConfig cfg);
 
     /** Simulate the cluster at offered load @p qps for @p duration. */
@@ -178,14 +190,26 @@ class ClusterSimulator
                                      Tick duration,
                                      std::uint64_t seed = 99) const;
 
+    /**
+     * Largest offered load in [@p lo, @p hi] whose P99 stays within
+     * batcher.slo: 18 bisection steps over simulate() at @p seed; 0 if
+     * even @p lo misses the SLO.
+     */
+    double maxQpsAtSlo(double lo, double hi, Tick duration,
+                       std::uint64_t seed = 99) const;
+
     const ClusterConfig &config() const { return cfg_; }
 
     /**
      * Attach an observability context (may be null to detach). While
-     * attached, simulate() records latency histograms, request/ECC
-     * counters, and failover gauges into the metric registry. The
-     * registry series accumulate across simulate() calls; per-call
-     * results always come from per-call scoped histograms.
+     * attached, simulate() records request/ECC counters, failover
+     * gauges and cluster.latency_ms histograms into the metric
+     * registry: class=total (arrival -> merge end), class=remote
+     * (arrival -> last gather done) and class=merge (last gather ->
+     * merge end), over completed requests. The registry series
+     * accumulate across simulate() calls; per-call results always come
+     * from per-call scoped histograms, and attaching never changes
+     * them.
      */
     void setTelemetry(telemetry::Telemetry *telemetry)
     {

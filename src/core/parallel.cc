@@ -222,19 +222,4 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &body)
             std::rethrow_exception(e);
 }
 
-void
-parallelPhases(std::size_t n,
-               const std::function<void(std::size_t)> &body,
-               const std::function<bool()> &between)
-{
-    MTIA_CHECK(between != nullptr)
-        << ": parallelPhases needs a between-phase callback";
-    // Each phase is one full parallelFor (which is itself a barrier:
-    // it blocks until every index ran), so between() always observes
-    // a quiescent phase and runs serially on the caller.
-    do {
-        parallelFor(n, body);
-    } while (between());
-}
-
 } // namespace mtia

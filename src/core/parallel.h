@@ -5,7 +5,13 @@
  * @file
  * Deterministic parallel execution for the expensive fan-outs: the
  * autotuner sweeps (Section 4.1), the fleet Monte-Carlo studies
- * (Sections 5.1-5.3), the A/B harness, and the bench sweeps.
+ * (Sections 5.1-5.3), the A/B harness, the cluster load sweep, and the
+ * bench sweeps.
+ *
+ * Only coarse, independent tasks pay for a dispatch: one parallelFor
+ * over the pool costs tens of microseconds of wall time, so a loop
+ * that needs a barrier every few microseconds of work runs faster on
+ * the calling thread (see sim/parallel_des.h).
  *
  * The design rule is *static sharding, index-ordered reduction*: work
  * over [0, n) is split into contiguous chunks fixed before any thread
@@ -109,22 +115,6 @@ class ScopedParallelism
  * until every index has run; rethrows the lowest-indexed exception.
  */
 void parallelFor(std::size_t n, const std::function<void(std::size_t)> &body);
-
-/**
- * Barrier-phased parallel execution for conservative time-windowed
- * simulation: repeatedly run @p body(i) for every i in [0, n) (one
- * parallelFor — a full barrier — per phase), then run @p between()
- * serially on the calling thread; stop when @p between() returns
- * false. @p between is also the only place shared state may be
- * touched: during a phase the usual parallelFor rule applies (each
- * index owns its slot, no cross-index mutation). The phase/barrier
- * alternation is identical at any lane count, so a body that is
- * deterministic per index keeps the whole loop byte-identical —
- * the property the partitioned DES (sim/parallel_des.h) builds on.
- */
-void parallelPhases(std::size_t n,
-                    const std::function<void(std::size_t)> &body,
-                    const std::function<bool()> &between);
 
 /**
  * Map i -> fn(i) over [0, n), returning results in index order. The

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "core/check.h"
-#include "core/parallel.h"
 
 namespace mtia {
 
@@ -50,9 +49,8 @@ ParallelDes::post(unsigned src, unsigned dst, Tick when,
         MTIA_CHECK_GT(when, epoch_end_)
             << ": cross-partition message lands inside the current "
                "epoch (latency below the epoch width)";
-    // Single writer: during a phase only partition src's lane touches
-    // the (src, *) mailboxes, so this append needs no synchronization
-    // and its order is the sender's deterministic program order.
+    // Only partition src's events append to the (src, *) mailboxes,
+    // so the order within one is the sender's program order.
     mailboxes_[static_cast<std::size_t>(src) * queues_.size() + dst]
         .push_back(Message{when, std::move(fn)});
 }
@@ -60,10 +58,10 @@ ParallelDes::post(unsigned src, unsigned dst, Tick when,
 bool
 ParallelDes::advanceEpoch()
 {
-    // Serial barrier, on the caller thread. Delivery walks dst-major,
-    // src-minor, FIFO within a mailbox: destination sequence numbers
-    // are assigned in this fixed index order, so same-tick dispatch
-    // ties resolve identically at every lane count.
+    // Barrier. Delivery walks dst-major, src-minor, FIFO within a
+    // mailbox: destination sequence numbers are assigned in this fixed
+    // index order, so same-tick dispatch ties never depend on the
+    // order partitions ran in.
     const std::size_t n = queues_.size();
     for (std::size_t dst = 0; dst < n; ++dst) {
         for (std::size_t src = 0; src < n; ++src) {
@@ -102,18 +100,15 @@ ParallelDes::run()
 {
     MTIA_CHECK(!running_) << ": ParallelDes::run is not reentrant";
     running_ = true;
-    // First barrier delivers setup-time post()s and anchors epoch 0;
-    // then each phase runs every partition up to the epoch end in
-    // parallel and the between-phase barrier exchanges messages.
+    // The first barrier delivers setup-time post()s and anchors epoch
+    // 0; then every partition runs up to the epoch end, in index
+    // order on this thread, and the next barrier exchanges messages.
     // runUntil leaves every partition clock exactly at epoch_end_
     // (see its contract), so delivery at epoch_end_ + 1 is always
     // schedulable.
-    if (advanceEpoch()) {
-        parallelPhases(
-            queues_.size(),
-            [this](std::size_t p) { queues_[p]->runUntil(epoch_end_); },
-            [this] { return advanceEpoch(); });
-    }
+    while (advanceEpoch())
+        for (const auto &q : queues_)
+            q->runUntil(epoch_end_);
     running_ = false;
 }
 

@@ -3,8 +3,9 @@
  * Tests for the cluster serving layer: trace sharding, routing
  * policies, the deadline-aware dynamic batcher, controller health
  * transitions, chaos timelines, and the end-to-end cluster simulator
- * — including the chaos determinism bar (byte-identical summaries at
- * MTIA_THREADS 1 vs 8 and across same-seed runs).
+ * — including the chaos determinism bar (byte-identical sweeps at
+ * MTIA_THREADS 1 vs 8 and across same-seed runs) and the Figure 5
+ * TBE-consolidation effect on a one-replica config.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,8 @@
 #include "cluster/routing.h"
 #include "core/parallel.h"
 #include "sim/event_queue.h"
+#include "tbe_serving.h"
+#include "telemetry/telemetry.h"
 
 namespace mtia {
 namespace {
@@ -483,44 +486,102 @@ TEST(ClusterSimTest, ChaosRunByteIdenticalAcrossLaneCountsAndRuns)
     EXPECT_NE(lane1, reseeded);
 }
 
-TEST(ClusterSimTest, PartitionedChaosByteIdenticalAcrossLanes)
+TEST(ClusterSimTest, ZeroPerRowGatherCompletesEveryArrival)
 {
-    // The tentpole determinism bar: ONE simulate() call is itself a
-    // parallel program now (controller + one partition per replica on
-    // the lane pool), and a full-chaos run — kills AND an ECC storm,
-    // exercising failover drains, re-routes, restarts, retries, and
-    // crash-kills across the epoch-barrier mailboxes — must render a
-    // byte-identical summary at every lane count and across same-seed
-    // repeats.
+    // Chips are marked as gathering by rows, not by time: with
+    // gather_per_row = 0 every touched chip still runs its gather_base
+    // job, so every batch reaches its merge instead of being lost.
     ClusterConfig cfg = testClusterConfig();
-    cfg.replicas = 8; // more partitions than some lane counts
-    cfg.chaos.enabled = true;
-    cfg.chaos.mean_kill_interval_s = 1.0;
-    cfg.chaos.mean_storm_interval_s = 0.5;
-    const ClusterSimulator sim(cfg);
-    const Tick dur = fromSeconds(3.0);
+    cfg.service.gather_per_row = 0;
+    const ClusterResult r =
+        ClusterSimulator(cfg).simulate(500.0, fromSeconds(2.0));
+    ASSERT_GT(r.arrivals, 0u);
+    EXPECT_EQ(r.completed, r.arrivals);
+}
 
-    std::string base;
-    {
-        ScopedParallelism serial(1);
-        base = sim.simulate(400.0, dur).summary();
-    }
-    ASSERT_NE(base.find("kills="), std::string::npos);
-    EXPECT_EQ(base.find("kills=0 "), std::string::npos)
-        << "chaos scenario produced no kills; the property is vacuous";
-    for (const unsigned lanes : {2u, 8u}) {
-        ScopedParallelism scope(lanes);
-        EXPECT_EQ(sim.simulate(400.0, dur).summary(), base)
-            << "summary changed at " << lanes << " lanes";
-    }
-    {
-        ScopedParallelism scope(8);
-        EXPECT_EQ(sim.simulate(400.0, dur).summary(), base)
-            << "same-seed repeat diverged";
-    }
-    // A different seed is a genuinely different experiment.
-    ScopedParallelism serial(1);
-    EXPECT_NE(sim.simulate(400.0, dur, 1234).summary(), base);
+// ClusterSimulator is the one serving simulator; these are its
+// serving-level properties on the Figure 5 scenario (tbe_serving.h).
+using bench::tbeServingConfig;
+
+const telemetry::LogHistogram &
+latencySeries(telemetry::Telemetry &tel, const char *cls)
+{
+    return tel.metrics.histogram("cluster.latency_ms", {{"class", cls}});
+}
+
+TEST(ServingSimTest, LowLoadMeetsSlo)
+{
+    const ClusterConfig cfg = tbeServingConfig(2);
+    const ClusterResult r =
+        ClusterSimulator(cfg).simulate(10.0, fromSeconds(20.0));
+    EXPECT_EQ(r.completed, r.arrivals);
+    EXPECT_LE(r.p99_ms, toMillis(cfg.batcher.slo));
+    // Unloaded latency: the admission hop, two 3 ms gathers with a
+    // dispatch gap, then the 12 ms merge after another gap ~ 22 ms.
+    EXPECT_NEAR(r.p50_ms, 22.0 + toMillis(cfg.fabric.latency()), 4.0);
+}
+
+TEST(ServingSimTest, OverloadViolatesSlo)
+{
+    const ClusterConfig cfg = tbeServingConfig(2);
+    // 24 ms of chip time per request saturates the chip at ~41 QPS.
+    const ClusterResult r =
+        ClusterSimulator(cfg).simulate(120.0, fromSeconds(20.0));
+    EXPECT_GT(r.p99_ms, toMillis(cfg.batcher.slo));
+    EXPECT_LT(r.completed_qps, 100.0);
+}
+
+TEST(ServingSimTest, SweepPercentilesAreScopedPerLoadPoint)
+{
+    // With telemetry attached, per-call results must still come from
+    // per-call histograms: a later load point's p99 must not smear in
+    // an earlier point's samples. The registry series accumulate every
+    // sample across calls.
+    ClusterSimulator sim(tbeServingConfig(2));
+    const Tick dur = fromSeconds(10.0);
+    const ClusterResult detached = sim.simulate(10.0, dur);
+
+    telemetry::Telemetry tel;
+    sim.setTelemetry(&tel);
+    const ClusterResult hot = sim.simulate(120.0, dur); // pollutes
+    const ClusterResult low = sim.simulate(10.0, dur);
+    sim.setTelemetry(nullptr);
+
+    EXPECT_GT(hot.p99_ms, detached.p99_ms); // distinct load points
+    EXPECT_EQ(low.summary(), detached.summary());
+    for (const char *cls : {"total", "remote", "merge"})
+        EXPECT_EQ(latencySeries(tel, cls).count(),
+                  hot.completed + low.completed)
+            << cls;
+}
+
+TEST(ServingSimTest, ConsolidationRaisesThroughputAtSlo)
+{
+    // Figure 5: merging weighted and unweighted TBE instances halves
+    // the gather job count; total gather/merge execution time is
+    // unchanged, yet throughput at the P99 SLO improves and P99 drops
+    // because merges stop queueing behind later requests' gathers.
+    ClusterSimulator split(tbeServingConfig(2));
+    ClusterSimulator merged(tbeServingConfig(1));
+    const Tick dur = bench::kTbeRunDuration;
+    const double qps_split =
+        split.maxQpsAtSlo(bench::kTbeQpsLo, bench::kTbeQpsHi, dur);
+    const double qps_merged =
+        merged.maxQpsAtSlo(bench::kTbeQpsLo, bench::kTbeQpsHi, dur);
+    EXPECT_GT(qps_split, bench::kTbeQpsLo);
+    EXPECT_GT(qps_merged, qps_split * 1.05);
+
+    // At the split system's sustainable load, consolidation lowers
+    // P99 and the merge component's P99.
+    telemetry::Telemetry tel_split;
+    telemetry::Telemetry tel_merged;
+    split.setTelemetry(&tel_split);
+    merged.setTelemetry(&tel_merged);
+    const ClusterResult a = split.simulate(qps_split, dur);
+    const ClusterResult b = merged.simulate(qps_split, dur);
+    EXPECT_LT(b.p99_ms, a.p99_ms);
+    EXPECT_LT(latencySeries(tel_merged, "merge").percentile(99),
+              latencySeries(tel_split, "merge").percentile(99));
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "autotune/kernel_tuner.h"
+#include "cluster/cluster_sim.h"
 #include "core/check.h"
 #include "core/simd.h"
 #include "fleet/firmware.h"
@@ -303,6 +304,45 @@ TEST(ContractsServing, CoalescerRejectsUnsortedTrace)
     trace.push_back(Request{0, /*arrival=*/200, /*candidates=*/4});
     trace.push_back(Request{1, /*arrival=*/100, /*candidates=*/4});
     EXPECT_THROW(c.coalesce(trace), CheckFailedError);
+}
+
+// ------------------------------------------------------------ cluster
+
+TEST(ContractsCluster, SimulatorRejectsZeroGatherJobs)
+{
+    ScopedCheckThrow guard;
+    ClusterConfig cfg;
+    cfg.service.gather_jobs = 0;
+    EXPECT_THROW(ClusterSimulator{cfg}, CheckFailedError);
+}
+
+TEST(ContractsCluster, SimulatorRejectsNonPositiveBatchCapacity)
+{
+    ScopedCheckThrow guard;
+    ClusterConfig cfg;
+    cfg.batcher.capacity = 0;
+    EXPECT_THROW(ClusterSimulator{cfg}, CheckFailedError);
+    cfg.batcher.capacity = -1;
+    EXPECT_THROW(ClusterSimulator{cfg}, CheckFailedError);
+}
+
+TEST(ContractsCluster, SimulatorRejectsZeroBatchWindow)
+{
+    ScopedCheckThrow guard;
+    ClusterConfig cfg;
+    cfg.batcher.window = 0;
+    EXPECT_THROW(ClusterSimulator{cfg}, CheckFailedError);
+}
+
+TEST(ContractsCluster, SimulatorRejectsSloAtOrBelowServiceTime)
+{
+    // No request can finish faster than one gather plus one merge.
+    ScopedCheckThrow guard;
+    ClusterConfig cfg;
+    cfg.batcher.slo = cfg.service.gather_base + cfg.service.merge_base;
+    EXPECT_THROW(ClusterSimulator{cfg}, CheckFailedError);
+    cfg.batcher.slo += 1;
+    EXPECT_NO_THROW(ClusterSimulator{cfg});
 }
 
 // -------------------------------------------------------------- fleet

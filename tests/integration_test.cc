@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "baselines/comparison.h"
+#include "cluster/cluster_sim.h"
 #include "fleet/firmware.h"
 #include "graph/executor.h"
 #include "graph/fusion.h"
@@ -21,7 +22,6 @@
 #include "models/model_zoo.h"
 #include "ops/dense_ops.h"
 #include "serving/ab_testing.h"
-#include "serving/serving_sim.h"
 
 namespace mtia {
 namespace {
@@ -167,7 +167,7 @@ TEST(Integration, ComparisonAndServingAgreeOnSloFeasibility)
 {
     // The comparison harness says what one device sustains; the
     // serving simulator must be able to run that load within SLO
-    // when the per-batch latency is mapped to merge/remote jobs.
+    // when the per-batch latency is mapped to gather and merge jobs.
     Device dev(ChipConfig::mtia2i());
     ComparisonHarness harness(dev);
     ModelInfo model = buildRankingModel(tinyParams());
@@ -176,14 +176,20 @@ TEST(Integration, ComparisonAndServingAgreeOnSloFeasibility)
     EXPECT_GT(cmp.mtia.qps, 0.0);
     EXPECT_GT(cmp.gpu.qps, 0.0);
 
-    ServingModelParams sp;
-    sp.shards = 1;
-    sp.remote_jobs_per_shard = 1;
-    sp.remote_total = fromMillis(1.0);
-    sp.merge_time = fromMillis(2.0);
-    const ServingSimulator sim(sp);
-    const ServingResult r = sim.simulate(50.0, fromSeconds(10.0));
-    EXPECT_TRUE(r.meets_slo);
+    ClusterConfig cfg;
+    cfg.replicas = 1;
+    cfg.chips_per_replica = 1;
+    cfg.embedding_shards = 1;
+    cfg.batcher.capacity = 1;
+    cfg.service.gather_base = fromMillis(1.0);
+    cfg.service.gather_per_row = 0;
+    cfg.service.merge_base = fromMillis(2.0);
+    cfg.service.merge_per_row = 0;
+    cfg.trace.users = 1000;
+    const ClusterResult r =
+        ClusterSimulator(cfg).simulate(50.0, fromSeconds(10.0));
+    EXPECT_EQ(r.completed, r.arrivals);
+    EXPECT_LE(r.p99_ms, toMillis(cfg.batcher.slo));
 }
 
 TEST(Integration, AbHarnessOnOptimizedGraphStillWithinTolerance)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the serving stack: coalescer conservation and fill
- * properties, the remote/merge DES (including the Figure 5 TBE-
- * consolidation effect), and the A/B harness with normalized entropy.
+ * properties, and the A/B harness with normalized entropy. The
+ * serving simulator's tests live with it in cluster_test.cc.
  */
 
 #include <gtest/gtest.h>
@@ -15,8 +15,6 @@
 #include "ops/dense_ops.h"
 #include "serving/ab_testing.h"
 #include "serving/coalescer.h"
-#include "serving/serving_sim.h"
-#include "telemetry/telemetry.h"
 
 namespace mtia {
 namespace {
@@ -146,88 +144,6 @@ TEST(CoalescerTest, BatchesRecordTheirOwnCapacity)
     EXPECT_GT(stats.mean_fill, std::min(narrow_fill, wide_fill));
     EXPECT_LT(stats.mean_fill, std::max(narrow_fill, wide_fill));
     EXPECT_EQ(stats.batches, narrow_batches.size() + wide_batches.size());
-}
-
-TEST(ServingSimTest, LowLoadMeetsSlo)
-{
-    ServingModelParams p;
-    const ServingSimulator sim(p);
-    const ServingResult r = sim.simulate(10.0, fromSeconds(20.0));
-    EXPECT_TRUE(r.meets_slo);
-    // Unloaded latency: two 3 ms remotes with a dispatch gap, then
-    // the 12 ms merge after another gap ~ 22 ms.
-    EXPECT_NEAR(r.p50_ms, 22.0, 4.0);
-}
-
-TEST(ServingSimTest, OverloadViolatesSlo)
-{
-    ServingModelParams p;
-    const ServingSimulator sim(p);
-    // Merge alone saturates shard 0 at ~83 QPS.
-    const ServingResult r = sim.simulate(120.0, fromSeconds(20.0));
-    EXPECT_FALSE(r.meets_slo);
-    EXPECT_LT(r.completed_qps, 100.0);
-}
-
-TEST(ServingSimTest, SweepPercentilesAreScopedPerLoadPoint)
-{
-    // Regression: with telemetry attached, simulate() used to compute
-    // ServingResult percentiles straight from the registry histograms,
-    // which accumulate across calls — so in a sweep every later load
-    // point's p99 smeared in all earlier points' samples. Per-point
-    // results must match a detached run exactly; the registry series
-    // still accumulates every sample across the sweep.
-    ServingModelParams p;
-    ServingSimulator sim(p);
-    const Tick dur = fromSeconds(10.0);
-    const ServingResult detached = sim.simulate(10.0, dur);
-
-    telemetry::Telemetry tel;
-    sim.setTelemetry(&tel);
-    const ServingResult hot = sim.simulate(120.0, dur); // pollutes
-    const ServingResult low = sim.simulate(10.0, dur);
-    sim.setTelemetry(nullptr);
-
-    EXPECT_GT(hot.p99_ms, detached.p99_ms); // distinct load points
-    EXPECT_EQ(low.p50_ms, detached.p50_ms); // same seed, same scope
-    EXPECT_EQ(low.p99_ms, detached.p99_ms);
-    EXPECT_EQ(low.merge_p99_ms, detached.merge_p99_ms);
-    EXPECT_EQ(low.remote_p99_ms, detached.remote_p99_ms);
-
-    // The exported series keeps its cross-call accumulation contract.
-    const auto &reg = tel.metrics.histogram(
-        "serving.latency_ms", {{"class", "total"}},
-        telemetry::LogHistogram::Config{1e-3, 1e5, 32});
-    const double secs = toSeconds(dur);
-    const auto completions = static_cast<std::uint64_t>(
-        (hot.completed_qps + low.completed_qps) * secs + 0.5);
-    EXPECT_GE(reg.count(), completions);
-}
-
-TEST(ServingSimTest, ConsolidationRaisesThroughputAtSlo)
-{
-    // Figure 5: merging weighted and unweighted TBE instances halves
-    // the remote job count; total remote/merge execution time is
-    // unchanged, yet throughput at the P99 SLO improves and P99 drops
-    // because merges stop queueing behind later requests' remotes.
-    ServingModelParams split;
-    split.remote_jobs_per_shard = 2;
-    ServingModelParams merged = split;
-    merged.remote_jobs_per_shard = 1;
-
-    const ServingSimulator sim_split(split);
-    const ServingSimulator sim_merged(merged);
-    const Tick dur = fromSeconds(60.0);
-    const double qps_split = sim_split.maxQpsAtSlo(5.0, 90.0, dur);
-    const double qps_merged = sim_merged.maxQpsAtSlo(5.0, 90.0, dur);
-    EXPECT_GT(qps_merged, qps_split * 1.05);
-
-    // At the split system's sustainable load, consolidation lowers
-    // P99 and the gain shows up in the merge component, not remote.
-    const ServingResult a = sim_split.simulate(qps_split, dur);
-    const ServingResult b = sim_merged.simulate(qps_split, dur);
-    EXPECT_LT(b.p99_ms, a.p99_ms);
-    EXPECT_LT(b.merge_p99_ms, a.merge_p99_ms);
 }
 
 TEST(NormalizedEntropyTest, PerfectAndBasePredictors)

@@ -631,47 +631,5 @@ TEST(ParallelDes, BarrierDrainOrdersSourcesByIndex)
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(ParallelDes, TokenRingTraceIdenticalAcrossLaneCounts)
-{
-    // Property: a token-ring workload with per-partition local chatter
-    // produces byte-identical per-partition event traces at any lane
-    // count — each partition logs only into its own slot, and all
-    // cross-partition flow rides the mailboxes.
-    constexpr unsigned kParts = 4;
-    constexpr Tick kLat = 50;
-    auto trace = []() {
-        ParallelDes des(kParts, kLat);
-        std::vector<std::vector<Tick>> logs(kParts);
-        std::function<void(unsigned, int)> hop = [&](unsigned p,
-                                                     int hops) {
-            logs[p].push_back(des.queue(p).now());
-            if (hops == 0)
-                return;
-            const unsigned next = (p + 1) % kParts;
-            des.post(p, next, des.queue(p).now() + kLat,
-                     [&hop, next, hops]() { hop(next, hops - 1); });
-        };
-        des.queue(0).schedule(0, [&hop]() { hop(0, 40); });
-        for (unsigned p = 0; p < kParts; ++p)
-            for (int i = 0; i < 8; ++i)
-                des.queue(p).schedule(
-                    static_cast<Tick>(i) * 7 + p, [&logs, &des, p]() {
-                        logs[p].push_back(des.queue(p).now());
-                    });
-        des.run();
-        return logs;
-    };
-    std::vector<std::vector<Tick>> base;
-    {
-        ScopedParallelism one(1);
-        base = trace();
-    }
-    for (const unsigned lanes : {2u, 8u}) {
-        ScopedParallelism scope(lanes);
-        EXPECT_EQ(trace(), base)
-            << "partition traces changed at " << lanes << " lanes";
-    }
-}
-
 } // namespace
 } // namespace mtia

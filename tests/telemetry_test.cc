@@ -1,7 +1,7 @@
 /**
  * Telemetry subsystem tests: Chrome-trace golden file, labeled metric
  * registry contracts, bounded log-bucketed histograms, export failure
- * paths, and byte-determinism of instrumented serving runs.
+ * paths, and byte-determinism of instrumented cluster serving runs.
  *
  * The golden trace lives in tests/golden/trace_small.json; regenerate
  * it with MTIA_REGEN_GOLDEN=1 ./telemetry_test after an intentional
@@ -16,8 +16,8 @@
 #include <string>
 
 #include "bench_report.h"
+#include "cluster/cluster_sim.h"
 #include "core/check.h"
-#include "serving/serving_sim.h"
 #include "sim/event_queue.h"
 #include "telemetry/telemetry.h"
 
@@ -275,38 +275,33 @@ TEST(EventQueueTelemetry, TracksExecutedAndPeakPending)
 
 // ------------------------------------- instrumented serving: end2end
 
-TEST(ServingTelemetry, RecordsTraceAndMetrics)
+/** A small chaos cluster: failovers, re-routes and ECC retries all
+ * land in the exported counters. */
+ClusterSimulator
+chaosCluster()
 {
-    ServingSimulator sim(ServingModelParams{});
-    Telemetry tel;
-    sim.setTelemetry(&tel);
-    sim.simulate(20.0, fromSeconds(5.0), 7);
-
-    EXPECT_FALSE(tel.trace.empty());
-    const std::string trace = tel.trace.json();
-    EXPECT_NE(trace.find("\"shard0\""), std::string::npos);
-    EXPECT_NE(trace.find("\"queue_depth\""), std::string::npos);
-
-    const std::string metrics = tel.metrics.json();
-    EXPECT_NE(metrics.find("\"serving.latency_ms\""),
-              std::string::npos);
-    EXPECT_NE(metrics.find("\"class\":\"total\""), std::string::npos);
-    EXPECT_NE(metrics.find("\"serving.requests\""), std::string::npos);
-    EXPECT_NE(metrics.find("\"sim.events_executed\""),
-              std::string::npos);
+    ClusterConfig cfg;
+    cfg.trace.users = 10'000;
+    cfg.chaos.enabled = true;
+    cfg.chaos.mean_kill_interval_s = 1.0;
+    cfg.chaos.mean_storm_interval_s = 0.5;
+    return ClusterSimulator(cfg);
 }
 
 TEST(ServingTelemetry, IdenticalSeedsYieldByteIdenticalExports)
 {
     const auto run = [] {
-        ServingSimulator sim(ServingModelParams{});
+        ClusterSimulator sim = chaosCluster();
         Telemetry tel;
         sim.setTelemetry(&tel);
-        sim.simulate(25.0, fromSeconds(5.0), 42);
+        sim.simulate(400.0, fromSeconds(3.0), 42);
         return std::pair{tel.trace.json(), tel.metrics.json()};
     };
     const auto [trace_a, metrics_a] = run();
     const auto [trace_b, metrics_b] = run();
+    EXPECT_NE(metrics_a.find("\"cluster.latency_ms\""),
+              std::string::npos);
+    EXPECT_NE(metrics_a.find("\"class\":\"merge\""), std::string::npos);
     EXPECT_EQ(trace_a, trace_b);
     EXPECT_EQ(metrics_a, metrics_b);
 }
@@ -315,25 +310,22 @@ TEST(ServingTelemetry, DetachedRunMatchesAttachedResults)
 {
     // Telemetry must observe, not perturb: the simulated results are
     // identical with and without an attached context.
-    ServingSimulator sim(ServingModelParams{});
-    const ServingResult plain = sim.simulate(25.0, fromSeconds(5.0), 7);
+    ClusterSimulator sim = chaosCluster();
+    const ClusterResult plain = sim.simulate(400.0, fromSeconds(3.0), 7);
+    ASSERT_GT(plain.failovers, 0u);
     Telemetry tel;
     sim.setTelemetry(&tel);
-    const ServingResult traced =
-        sim.simulate(25.0, fromSeconds(5.0), 7);
-    EXPECT_DOUBLE_EQ(plain.completed_qps, traced.completed_qps);
-    EXPECT_DOUBLE_EQ(plain.p50_ms, traced.p50_ms);
-    EXPECT_DOUBLE_EQ(plain.p99_ms, traced.p99_ms);
-    EXPECT_DOUBLE_EQ(plain.merge_p99_ms, traced.merge_p99_ms);
-    EXPECT_DOUBLE_EQ(plain.remote_p99_ms, traced.remote_p99_ms);
+    const ClusterResult traced =
+        sim.simulate(400.0, fromSeconds(3.0), 7);
+    EXPECT_EQ(plain.summary(), traced.summary());
 }
 
 TEST(ServingTelemetry, ExportFilesWritesTraceAndMetrics)
 {
-    ServingSimulator sim(ServingModelParams{});
+    ClusterSimulator sim = chaosCluster();
     Telemetry tel;
     sim.setTelemetry(&tel);
-    sim.simulate(20.0, fromSeconds(2.0), 7);
+    sim.simulate(200.0, fromSeconds(1.0), 7);
 
     const std::string stem =
         ::testing::TempDir() + "telemetry_export_test";
@@ -343,8 +335,8 @@ TEST(ServingTelemetry, ExportFilesWritesTraceAndMetrics)
     EXPECT_TRUE(trace.is_open());
     EXPECT_TRUE(metrics.is_open());
     std::ostringstream buf;
-    buf << trace.rdbuf();
-    EXPECT_EQ(buf.str(), tel.trace.json());
+    buf << metrics.rdbuf();
+    EXPECT_EQ(buf.str(), tel.metrics.json());
 
     telemetry::ScopedTelemetryThrow guard;
     EXPECT_THROW(tel.exportFiles("/nonexistent-dir/stem"),
