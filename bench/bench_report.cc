@@ -6,7 +6,6 @@
 
 #include "core/check.h"
 #include "telemetry/json.h"
-#include "telemetry/telemetry.h"
 
 namespace mtia::bench {
 
@@ -137,12 +136,10 @@ Report::write()
     written_ = true;
     const std::string p = path();
     std::ofstream out(p, std::ios::binary | std::ios::trunc);
-    if (!out.is_open())
-        telemetry::exportError("bench report: cannot open " + p);
+    MTIA_CHECK(out.is_open()) << ": bench report: cannot open " << p;
     out << json();
     out.flush();
-    if (!out.good())
-        telemetry::exportError("bench report: write failed for " + p);
+    MTIA_CHECK(out.good()) << ": bench report: write failed for " << p;
 }
 
 } // namespace mtia::bench

@@ -37,8 +37,8 @@
  * bench/golden/BENCH_<name>.json. The "surrogate" block
  * (learned-cost-model accuracy: MAE, rank correlation, regret, eval
  * counts) is derived from deterministic evaluations and is covered by
- * the guarantee. Export failures go through the telemetry error
- * handler (ScopedTelemetryThrow makes them assertable in tests).
+ * the guarantee. Export failures are MTIA_CHECK failures
+ * (ScopedCheckThrow makes them assertable in tests).
  */
 
 #include <string>

@@ -29,6 +29,26 @@ log2Positive(std::int64_t v)
     return std::log2(static_cast<double>(std::max<std::int64_t>(1, v)));
 }
 
+/**
+ * Deterministic synthetic GEMM operands for timing a shape; values
+ * only have to be non-degenerate, timing does not depend on them.
+ */
+struct GemmOperands
+{
+    std::vector<float> a, b, c;
+
+    explicit GemmOperands(const FcShape &s)
+        : a(static_cast<std::size_t>(s.m * s.k)),
+          b(static_cast<std::size_t>(s.k * s.n)),
+          c(static_cast<std::size_t>(s.m * s.n))
+    {
+        for (std::size_t i = 0; i < a.size(); ++i)
+            a[i] = static_cast<float>(static_cast<int>(i % 251) - 125) * 0.01f;
+        for (std::size_t i = 0; i < b.size(); ++i)
+            b[i] = static_cast<float>(static_cast<int>(i % 241) - 120) * 0.01f;
+    }
+};
+
 } // namespace
 
 std::vector<FcOptions>
@@ -318,16 +338,7 @@ GemmKernelTuner::tuneSurrogate(const FcShape &shape,
     const std::vector<GemmVariant> space = extendedVariantSpace();
     MTIA_CHECK(!space.empty()) << ": empty GEMM variant space";
 
-    const auto m = static_cast<std::size_t>(shape.m);
-    const auto n = static_cast<std::size_t>(shape.n);
-    const auto k = static_cast<std::size_t>(shape.k);
-    std::vector<float> a(m * k);
-    std::vector<float> b(k * n);
-    std::vector<float> c(m * n);
-    for (std::size_t i = 0; i < a.size(); ++i)
-        a[i] = static_cast<float>(static_cast<int>(i % 251) - 125) * 0.01f;
-    for (std::size_t i = 0; i < b.size(); ++i)
-        b[i] = static_cast<float>(static_cast<int>(i % 241) - 120) * 0.01f;
+    GemmOperands ops(shape);
 
     SurrogateSweepOptions o = opts;
     // Timing-based evaluator: samples must not run concurrently.
@@ -345,8 +356,8 @@ GemmKernelTuner::tuneSurrogate(const FcShape &shape,
         space.size(),
         [&](std::size_t i) { return variantFeatures(shape, space[i]); },
         [&](std::size_t i) {
-            return measureVariant(space[i], a.data(), b.data(), c.data(),
-                                  shape);
+            return measureVariant(space[i], ops.a.data(), ops.b.data(),
+                                  ops.c.data(), shape);
         },
         o);
 
@@ -382,18 +393,7 @@ GemmKernelTuner::tuneMeasured(const FcShape &shape) const
     MTIA_CHECK(shape.m > 0 && shape.n > 0 && shape.k > 0)
         << ": GemmKernelTuner needs a positive shape, got "
         << shape.toString();
-    const auto m = static_cast<std::size_t>(shape.m);
-    const auto n = static_cast<std::size_t>(shape.n);
-    const auto k = static_cast<std::size_t>(shape.k);
-    // Deterministic synthetic operands; values only have to be
-    // non-degenerate, timing does not depend on them.
-    std::vector<float> a(m * k);
-    std::vector<float> b(k * n);
-    std::vector<float> c(m * n);
-    for (std::size_t i = 0; i < a.size(); ++i)
-        a[i] = static_cast<float>(static_cast<int>(i % 251) - 125) * 0.01f;
-    for (std::size_t i = 0; i < b.size(); ++i)
-        b[i] = static_cast<float>(static_cast<int>(i % 241) - 120) * 0.01f;
+    GemmOperands ops(shape);
 
     const std::vector<GemmVariant> space = variantSpace();
     MTIA_CHECK(!space.empty()) << ": empty GEMM variant space";
@@ -401,7 +401,8 @@ GemmKernelTuner::tuneMeasured(const FcShape &shape) const
     bool first = true;
     for (const GemmVariant &v : space) {
         const double secs =
-            measureVariant(v, a.data(), b.data(), c.data(), shape);
+            measureVariant(v, ops.a.data(), ops.b.data(), ops.c.data(),
+                           shape);
         // Strict less-than: the earliest variant in space order wins
         // ties, mirroring tuneExhaustive's deterministic reduction.
         if (first || secs < result.seconds) {
@@ -419,16 +420,11 @@ GemmKernelTuner::tuneApproximate(const FcShape &shape,
                                  GemmVariantDatabase &db) const
 {
     if (const auto hit = db.lookup(shape)) {
-        const auto m = static_cast<std::size_t>(shape.m);
-        const auto n = static_cast<std::size_t>(shape.n);
-        const auto k = static_cast<std::size_t>(shape.k);
-        std::vector<float> a(m * k);
-        std::vector<float> b(k * n);
-        std::vector<float> c(m * n);
+        GemmOperands ops(shape);
         GemmTuneResult result;
         result.variant = hit->best_variant;
-        result.seconds = measureVariant(result.variant, a.data(),
-                                        b.data(), c.data(), shape);
+        result.seconds = measureVariant(result.variant, ops.a.data(),
+                                        ops.b.data(), ops.c.data(), shape);
         result.gflops = shape.flops() / result.seconds / 1e9;
         return result;
     }

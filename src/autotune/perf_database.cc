@@ -137,47 +137,6 @@ KdTree::nearestK(const ShapeKey &q, std::size_t k) const
     return out;
 }
 
-void
-PerfDatabase::insert(PerfEntry entry)
-{
-    entries_.push_back(std::move(entry));
-    dirty_ = true;
-}
-
-void
-PerfDatabase::rebuild() const
-{
-    std::vector<ShapeKey> keys;
-    keys.reserve(entries_.size());
-    for (const auto &e : entries_)
-        keys.push_back(shapeKey(e.shape));
-    tree_ = std::make_unique<KdTree>(std::move(keys));
-    dirty_ = false;
-}
-
-std::optional<PerfEntry>
-PerfDatabase::lookup(const FcShape &shape) const
-{
-    if (entries_.empty())
-        return std::nullopt;
-    if (dirty_ || !tree_)
-        rebuild();
-    return entries_[tree_->nearest(shapeKey(shape))];
-}
-
-std::vector<PerfEntry>
-PerfDatabase::lookupK(const FcShape &shape, std::size_t k) const
-{
-    if (entries_.empty() || k == 0)
-        return {};
-    if (dirty_ || !tree_)
-        rebuild();
-    std::vector<PerfEntry> out;
-    for (std::size_t idx : tree_->nearestK(shapeKey(shape), k))
-        out.push_back(entries_[idx]);
-    return out;
-}
-
 std::string
 GemmVariant::name() const
 {
@@ -187,15 +146,17 @@ GemmVariant::name() const
            std::to_string(blocking.nc);
 }
 
+template <typename Entry>
 void
-GemmVariantDatabase::insert(GemmPerfEntry entry)
+ShapeDatabase<Entry>::insert(Entry entry)
 {
     entries_.push_back(std::move(entry));
     dirty_ = true;
 }
 
+template <typename Entry>
 void
-GemmVariantDatabase::rebuild() const
+ShapeDatabase<Entry>::rebuild() const
 {
     std::vector<ShapeKey> keys;
     keys.reserve(entries_.size());
@@ -205,8 +166,9 @@ GemmVariantDatabase::rebuild() const
     dirty_ = false;
 }
 
-std::optional<GemmPerfEntry>
-GemmVariantDatabase::lookup(const FcShape &shape) const
+template <typename Entry>
+std::optional<Entry>
+ShapeDatabase<Entry>::lookup(const FcShape &shape) const
 {
     if (entries_.empty())
         return std::nullopt;
@@ -215,17 +177,21 @@ GemmVariantDatabase::lookup(const FcShape &shape) const
     return entries_[tree_->nearest(shapeKey(shape))];
 }
 
-std::vector<GemmPerfEntry>
-GemmVariantDatabase::lookupK(const FcShape &shape, std::size_t k) const
+template <typename Entry>
+std::vector<Entry>
+ShapeDatabase<Entry>::lookupK(const FcShape &shape, std::size_t k) const
 {
     if (entries_.empty() || k == 0)
         return {};
     if (dirty_ || !tree_)
         rebuild();
-    std::vector<GemmPerfEntry> out;
+    std::vector<Entry> out;
     for (std::size_t idx : tree_->nearestK(shapeKey(shape), k))
         out.push_back(entries_[idx]);
     return out;
 }
+
+template class ShapeDatabase<PerfEntry>;
+template class ShapeDatabase<GemmPerfEntry>;
 
 } // namespace mtia

@@ -87,6 +87,37 @@ class KdTree
     int root_ = -1;
 };
 
+/**
+ * Tuned-shape database with ANN lookup: entries of any type with an
+ * FcShape `shape` member, keyed by shapeKey() in a KdTree rebuilt
+ * lazily after inserts.
+ */
+template <typename Entry>
+class ShapeDatabase
+{
+  public:
+    void insert(Entry entry);
+
+    /** Nearest neighbour of @p shape (nullopt when empty). */
+    std::optional<Entry> lookup(const FcShape &shape) const;
+
+    /**
+     * The (up to) @p k nearest entries, closest first with
+     * deterministic (distance, insertion-order) tie-breaking; empty
+     * when the database is. Surrogate warm-start path.
+     */
+    std::vector<Entry> lookupK(const FcShape &shape, std::size_t k) const;
+
+    std::size_t size() const { return entries_.size(); }
+
+  private:
+    void rebuild() const;
+
+    std::vector<Entry> entries_;
+    mutable std::unique_ptr<KdTree> tree_;
+    mutable bool dirty_ = false;
+};
+
 /** One tuned entry: the best variant found for a shape. */
 struct PerfEntry
 {
@@ -95,32 +126,8 @@ struct PerfEntry
     Tick best_time = 0;
 };
 
-/** The tuned-kernel database with ANN lookup. */
-class PerfDatabase
-{
-  public:
-    void insert(PerfEntry entry);
-
-    /** Nearest tuned neighbour of @p shape (nullopt when empty). */
-    std::optional<PerfEntry> lookup(const FcShape &shape) const;
-
-    /**
-     * The (up to) @p k nearest tuned entries, closest first with
-     * deterministic (distance, insertion-order) tie-breaking; empty
-     * when the database is. Surrogate warm-start path.
-     */
-    std::vector<PerfEntry> lookupK(const FcShape &shape,
-                                   std::size_t k) const;
-
-    std::size_t size() const { return entries_.size(); }
-
-  private:
-    void rebuild() const;
-
-    std::vector<PerfEntry> entries_;
-    mutable std::unique_ptr<KdTree> tree_;
-    mutable bool dirty_ = false;
-};
+/** The tuned-kernel database of modeled FC variants. */
+using PerfDatabase = ShapeDatabase<PerfEntry>;
 
 /**
  * One functional-GEMM kernel variant: runtime dispatch tier ×
@@ -145,30 +152,8 @@ struct GemmPerfEntry
     double best_gflops = 0.0;
 };
 
-/** ANN database over measured GEMM variants (same KD-tree/log-shape
- *  idiom as PerfDatabase). */
-class GemmVariantDatabase
-{
-  public:
-    void insert(GemmPerfEntry entry);
-
-    /** Nearest measured neighbour of @p shape (nullopt when empty). */
-    std::optional<GemmPerfEntry> lookup(const FcShape &shape) const;
-
-    /** The (up to) @p k nearest measured entries, closest first with
-     *  deterministic tie-breaking (surrogate warm-start path). */
-    std::vector<GemmPerfEntry> lookupK(const FcShape &shape,
-                                       std::size_t k) const;
-
-    std::size_t size() const { return entries_.size(); }
-
-  private:
-    void rebuild() const;
-
-    std::vector<GemmPerfEntry> entries_;
-    mutable std::unique_ptr<KdTree> tree_;
-    mutable bool dirty_ = false;
-};
+/** ANN database over measured GEMM variants. */
+using GemmVariantDatabase = ShapeDatabase<GemmPerfEntry>;
 
 } // namespace mtia
 

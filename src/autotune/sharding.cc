@@ -1,7 +1,6 @@
 #include "autotune/sharding.h"
 
 #include "core/check.h"
-#include "sim/logging.h"
 
 namespace mtia {
 
@@ -10,9 +9,8 @@ ShardingPlanner::shardsNeeded(Bytes embedding_bytes,
                               Bytes runtime_bytes) const
 {
     const Bytes capacity = chip_.lpddr.capacity;
-    if (runtime_bytes >= capacity)
-        MTIA_FATAL("ShardingPlanner: runtime buffers alone exceed "
-                   "device DRAM");
+    MTIA_CHECK_LT(runtime_bytes, capacity)
+        << ": ShardingPlanner: runtime buffers alone exceed device DRAM";
     const Bytes usable = capacity - runtime_bytes;
     return static_cast<unsigned>((embedding_bytes + usable - 1) /
                                  usable);

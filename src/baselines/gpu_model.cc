@@ -5,7 +5,6 @@
 #include "graph/liveness.h"
 #include "ops/dense_ops.h"
 #include "ops/sparse_ops.h"
-#include "sim/logging.h"
 
 namespace mtia {
 

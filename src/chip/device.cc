@@ -1,8 +1,9 @@
 #include "chip/device.h"
 
 #include <algorithm>
+#include <cmath>
 
-#include "sim/logging.h"
+#include "core/check.h"
 #include "telemetry/metrics.h"
 
 namespace mtia {
@@ -38,8 +39,10 @@ Device::cloneConfigured() const
 void
 Device::setFrequencyGhz(double ghz)
 {
-    if (ghz <= 0.0)
-        MTIA_FATAL("Device::setFrequencyGhz: invalid frequency ", ghz);
+    MTIA_CHECK(std::isfinite(ghz))
+        << ": Device::setFrequencyGhz: frequency must be finite";
+    MTIA_CHECK_GT(ghz, 0.0)
+        << ": Device::setFrequencyGhz: frequency must be positive";
     frequency_ghz_ = ghz;
 }
 

@@ -13,6 +13,13 @@
  * throwing handler (ScopedCheckThrow) to assert that a contract fires
  * without killing the test binary.
  *
+ * MTIA_CHECK is the only failure path in the tree. Besides internal
+ * invariants it covers rejected configs (a non-positive or non-finite
+ * frequency, bandwidth or qps; an unsupported PCIe generation) and
+ * failed file exports (trace, metrics and bench report files), so
+ * every one of them is testable in-process. Config checks use the
+ * comparison forms (MTIA_CHECK_GT(ghz, 0.0)), which NaN fails.
+ *
  * Conventions:
  *  - MTIA_CHECK*   — preconditions and invariants that guard the
  *                    correctness of results; enabled in all builds.

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "core/parallel.h"
-#include "sim/logging.h"
 
 namespace mtia {
 

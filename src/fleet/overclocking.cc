@@ -1,7 +1,6 @@
 #include "fleet/overclocking.h"
 
 #include "core/parallel.h"
-#include "sim/logging.h"
 
 namespace mtia {
 

@@ -3,10 +3,28 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/check.h"
 #include "core/parallel.h"
-#include "sim/stats.h"
 
 namespace mtia {
+
+namespace {
+
+/** Nearest-rank P90 (rank = ceil(0.9 n)) of @p samples; reorders them. */
+double
+nearestRankP90(std::vector<double> &samples)
+{
+    MTIA_CHECK(!samples.empty()) << ": P90 of no samples";
+    const std::size_t n = samples.size();
+    const auto rank = std::clamp<std::size_t>(
+        static_cast<std::size_t>(std::ceil(0.9 * static_cast<double>(n))),
+        1, n);
+    const auto nth = samples.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+    std::nth_element(samples.begin(), nth, samples.end());
+    return *nth;
+}
+
+} // namespace
 
 PowerBudgetReport
 PowerProvisioningStudy::run(unsigned servers, unsigned days)
@@ -27,18 +45,15 @@ PowerProvisioningStudy::run(unsigned servers, unsigned days)
     // Even the P90 peak stays well below full utilization because
     // serving reserves buffer capacity for load spikes (Section 5.4).
     // Each server draws from its own substream (Rng::fork) and the
-    // per-server values are folded into the histogram in server order,
-    // so both methods are byte-identical at any MTIA_THREADS.
+    // per-server values are gathered in server order, so both methods
+    // are byte-identical at any MTIA_THREADS.
     const Rng peak_base(rng_.next());
-    Histogram peak_util;
-    const std::vector<double> peaks = parallelMap(
+    std::vector<double> peaks = parallelMap(
         servers, [&](std::size_t s) {
             Rng rng = peak_base.fork(s);
             return std::clamp(rng.gaussian(0.62, 0.08), 0.3, 0.95);
         });
-    for (double p : peaks)
-        peak_util.add(p);
-    const double p90_peak = peak_util.percentile(90);
+    const double p90_peak = nearestRankP90(peaks);
     rep.experiment_budget_w =
         params_.accelerators * dev_.powerWatts(p90_peak) +
         params_.host_measured_watts;
@@ -46,7 +61,6 @@ PowerProvisioningStudy::run(unsigned servers, unsigned days)
     // --- Method (b): P90 power of fully-utilized production servers
     // over the observation window (hourly samples, diurnal load).
     const Rng power_base(rng_.next());
-    Histogram server_power;
     const std::vector<std::vector<double>> hourly = parallelMap(
         servers, [&](std::size_t s) {
             Rng rng = power_base.fork(s);
@@ -67,10 +81,12 @@ PowerProvisioningStudy::run(unsigned servers, unsigned days)
             }
             return samples;
         });
+    std::vector<double> server_power;
+    server_power.reserve(static_cast<std::size_t>(servers) * days * 24);
     for (const auto &samples : hourly)
-        for (double watts : samples)
-            server_power.add(watts);
-    rep.analysis_budget_w = server_power.percentile(90);
+        server_power.insert(server_power.end(), samples.begin(),
+                            samples.end());
+    rep.analysis_budget_w = nearestRankP90(server_power);
 
     rep.final_budget_w =
         std::max(rep.experiment_budget_w, rep.analysis_budget_w);

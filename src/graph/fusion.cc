@@ -4,7 +4,6 @@
 
 #include "ops/attention_ops.h"
 #include "ops/dense_ops.h"
-#include "sim/logging.h"
 
 namespace mtia {
 

@@ -4,7 +4,6 @@
 
 #include "ops/dense_ops.h"
 #include "ops/sparse_ops.h"
-#include "sim/logging.h"
 
 namespace mtia {
 

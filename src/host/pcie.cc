@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "sim/logging.h"
+#include "core/check.h"
 #include "telemetry/metrics.h"
 
 namespace mtia {
@@ -12,13 +12,9 @@ PcieConfig::bandwidth() const
 {
     // Usable per-lane rates after encoding/protocol: Gen4 ~2 GB/s,
     // Gen5 ~4 GB/s.
-    double per_lane = 0.0;
-    switch (generation) {
-      case 4: per_lane = 2.0; break;
-      case 5: per_lane = 4.0; break;
-      default:
-        MTIA_FATAL("PcieConfig: unsupported generation ", generation);
-    }
+    MTIA_CHECK(generation == 4 || generation == 5)
+        << ": PcieConfig: unsupported generation " << generation;
+    const double per_lane = generation == 4 ? 2.0 : 4.0;
     return gbPerSec(per_lane * lanes);
 }
 

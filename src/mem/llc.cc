@@ -2,15 +2,16 @@
 
 #include <cmath>
 
-#include "sim/logging.h"
+#include "core/check.h"
 #include "telemetry/metrics.h"
 
 namespace mtia {
 
 LlcModel::LlcModel(LlcConfig cfg) : cfg_(cfg)
 {
-    if (cfg_.line_size == 0 || cfg_.associativity == 0)
-        MTIA_FATAL("LlcModel: line size and associativity must be > 0");
+    MTIA_CHECK_GT(cfg_.line_size, 0u) << ": LlcModel: zero line size";
+    MTIA_CHECK_GT(cfg_.associativity, 0u)
+        << ": LlcModel: zero associativity";
     const std::uint64_t lines = cfg_.capacity / cfg_.line_size;
     num_sets_ = lines / cfg_.associativity;
     if (num_sets_ == 0)

@@ -1,14 +1,18 @@
 #include "mem/lpddr.h"
 
-#include "sim/logging.h"
+#include <cmath>
+
+#include "core/check.h"
 #include "telemetry/metrics.h"
 
 namespace mtia {
 
 LpddrChannel::LpddrChannel(LpddrConfig cfg) : cfg_(cfg)
 {
-    if (cfg_.peak_bandwidth <= 0.0)
-        MTIA_FATAL("LpddrChannel: peak bandwidth must be positive");
+    MTIA_CHECK(std::isfinite(cfg_.peak_bandwidth))
+        << ": LpddrChannel: peak bandwidth must be finite";
+    MTIA_CHECK_GT(cfg_.peak_bandwidth, 0.0)
+        << ": LpddrChannel: peak bandwidth must be positive";
 }
 
 BytesPerSec

@@ -3,17 +3,14 @@
 #include <sstream>
 
 #include "core/check.h"
-#include "sim/logging.h"
 
 namespace mtia {
 
 SramPartition::SramPartition(const SramConfig &cfg, unsigned lls_regions)
     : cfg_(cfg), lls_regions_(lls_regions)
 {
-    if (lls_regions_ > totalRegions())
-        MTIA_FATAL("SramPartition: ", lls_regions_,
-                   " LLS regions exceed the ", totalRegions(),
-                   " available");
+    MTIA_CHECK_LE(lls_regions_, totalRegions())
+        << ": SramPartition: more LLS regions than the SRAM holds";
 }
 
 bool
@@ -61,8 +58,8 @@ SramPartition::toString() const
 LlsAllocator::LlsAllocator(Bytes capacity, Bytes alignment)
     : capacity_(capacity), alignment_(alignment)
 {
-    if (alignment_ == 0)
-        MTIA_FATAL("LlsAllocator: alignment must be positive");
+    MTIA_CHECK_GT(alignment_, 0u)
+        << ": LlsAllocator: alignment must be positive";
 }
 
 std::int64_t

@@ -4,15 +4,16 @@
 #include <cmath>
 #include <map>
 
-#include "sim/logging.h"
+#include "core/check.h"
 
 namespace mtia {
 
 std::vector<Request>
 generateTrace(Rng &rng, const TrafficParams &p)
 {
-    if (p.qps <= 0.0)
-        MTIA_FATAL("generateTrace: qps must be positive");
+    MTIA_CHECK(std::isfinite(p.qps))
+        << ": generateTrace: qps must be finite";
+    MTIA_CHECK_GT(p.qps, 0.0) << ": generateTrace: qps must be positive";
     std::vector<Request> trace;
     trace.reserve(static_cast<std::size_t>(
         p.qps * toSeconds(p.duration) * 1.2));

@@ -10,8 +10,8 @@
  * MetricRegistry is what long serving runs and the bench reports use:
  * constant memory per series, labels for per-device /
  * per-request-class breakdowns, and machine-readable output that can
- * be diffed run-over-run. (sim/stats.h Histogram, which keeps every
- * sample for exact percentiles, remains for small fleet studies.)
+ * be diffed run-over-run. It is the only histogram in the tree; a
+ * study that needs an exact percentile keeps its samples in a vector.
  *
  * All values fed to these metrics must be derived from simulated state
  * (DES ticks, byte counts); nothing here may read the wall clock, so
@@ -63,8 +63,8 @@ class MetricGauge
  * subdivisions per octave, so quantile estimates carry a bounded
  * relative error of at most 2^(1/sub_buckets) - 1 (~2.2% at the
  * default 32) while the footprint stays a fixed few tens of KiB no
- * matter how many samples are added — unlike sim/stats.h Histogram,
- * which retains every sample. Exact count/sum/min/max are tracked on
+ * matter how many samples are added — unlike an exact percentile,
+ * which needs every sample. Exact count/sum/min/max are tracked on
  * the side, and percentile() clamps into [min, max], so p0 and p100
  * are exact.
  */

@@ -1,60 +1,10 @@
 #include "telemetry/telemetry.h"
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
+#include "core/check.h"
+
 namespace mtia::telemetry {
-
-namespace {
-
-[[noreturn]] void
-abortingTelemetryHandler(const std::string &what)
-{
-    std::fprintf(stderr, "telemetry export failed: %s\n", what.c_str());
-    std::abort();
-}
-
-std::atomic<TelemetryErrorHandler> g_handler{&abortingTelemetryHandler};
-
-} // namespace
-
-TelemetryErrorHandler
-setTelemetryErrorHandler(TelemetryErrorHandler handler)
-{
-    if (handler == nullptr)
-        handler = &abortingTelemetryHandler;
-    return g_handler.exchange(handler);
-}
-
-TelemetryErrorHandler
-getTelemetryErrorHandler()
-{
-    return g_handler.load();
-}
-
-void
-exportError(const std::string &what)
-{
-    g_handler.load()(what);
-    // A conforming handler throws or terminates; refuse to continue
-    // past a failed export regardless.
-    std::fprintf(stderr,
-                 "telemetry error handler returned; aborting (%s)\n",
-                 what.c_str());
-    std::abort();
-}
-
-namespace detail {
-
-void
-throwingTelemetryHandler(const std::string &what)
-{
-    throw TelemetryError(what);
-}
-
-} // namespace detail
 
 void
 Telemetry::exportFiles(const std::string &stem) const
@@ -63,14 +13,12 @@ Telemetry::exportFiles(const std::string &stem) const
 
     const std::string metrics_path = stem + ".metrics.json";
     std::ofstream out(metrics_path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        exportError("cannot open metrics file \"" + metrics_path +
-                    "\" for writing");
+    MTIA_CHECK(out) << ": cannot open metrics file \"" << metrics_path
+                    << "\" for writing";
     metrics.writeJson(out);
     out.flush();
-    if (!out)
-        exportError("failed writing metrics file \"" + metrics_path +
-                    "\"");
+    MTIA_CHECK(out) << ": failed writing metrics file \"" << metrics_path
+                    << "\"";
 }
 
 } // namespace mtia::telemetry

@@ -9,80 +9,18 @@
  * Components accept a nullable Telemetry* and record only when one is
  * attached, so the default path stays free of telemetry work.
  *
- * Export failures (unwritable trace/metric files) go through a
- * swappable error handler, mirroring core/check.h: the default handler
- * reports and aborts; tests install ScopedTelemetryThrow to assert the
- * failure path without killing the binary.
+ * Export failures (unwritable trace/metric files) are MTIA_CHECK
+ * failures: the default handler reports and aborts; tests install
+ * ScopedCheckThrow to assert the failure path without killing the
+ * binary.
  */
 
-#include <stdexcept>
 #include <string>
 
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace mtia::telemetry {
-
-/** Thrown by the handler ScopedTelemetryThrow installs. */
-class TelemetryError : public std::runtime_error
-{
-  public:
-    explicit TelemetryError(const std::string &what)
-        : std::runtime_error(what) {}
-};
-
-/**
- * Called on a telemetry export failure. Must not return normally: it
- * either throws (test handlers) or terminates the process.
- */
-using TelemetryErrorHandler = void (*)(const std::string &what);
-
-/** Install @p handler; returns the previously installed handler. */
-TelemetryErrorHandler setTelemetryErrorHandler(TelemetryErrorHandler handler);
-
-/** The currently installed handler. */
-TelemetryErrorHandler getTelemetryErrorHandler();
-
-/**
- * Report an export failure through the installed handler. Never
- * returns: the handler throws or terminates; if it returns anyway the
- * process aborts.
- */
-[[noreturn]] void exportError(const std::string &what);
-
-/** RAII: install an error handler for one scope. */
-class ScopedTelemetryErrorHandler
-{
-  public:
-    explicit ScopedTelemetryErrorHandler(TelemetryErrorHandler handler)
-        : prev_(setTelemetryErrorHandler(handler)) {}
-    ~ScopedTelemetryErrorHandler() { setTelemetryErrorHandler(prev_); }
-
-    ScopedTelemetryErrorHandler(const ScopedTelemetryErrorHandler &) = delete;
-    ScopedTelemetryErrorHandler &
-    operator=(const ScopedTelemetryErrorHandler &) = delete;
-
-  private:
-    TelemetryErrorHandler prev_;
-};
-
-namespace detail {
-
-/** Handler that throws TelemetryError (what ScopedTelemetryThrow uses). */
-[[noreturn]] void throwingTelemetryHandler(const std::string &what);
-
-} // namespace detail
-
-/**
- * RAII for tests: while alive, an export failure throws TelemetryError
- * instead of aborting, so EXPECT_THROW can assert it.
- */
-class ScopedTelemetryThrow : public ScopedTelemetryErrorHandler
-{
-  public:
-    ScopedTelemetryThrow()
-        : ScopedTelemetryErrorHandler(&detail::throwingTelemetryHandler) {}
-};
 
 /** The per-run observability context. */
 class Telemetry
@@ -96,7 +34,7 @@ class Telemetry
 
     /**
      * Write trace and metric snapshots as <stem>.trace.json and
-     * <stem>.metrics.json. Failures go through the error handler.
+     * <stem>.metrics.json. An unwritable file fails an MTIA_CHECK.
      */
     void exportFiles(const std::string &stem) const;
 };

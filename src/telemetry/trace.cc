@@ -5,7 +5,6 @@
 
 #include "core/check.h"
 #include "telemetry/json.h"
-#include "telemetry/telemetry.h"
 
 namespace mtia::telemetry {
 
@@ -172,14 +171,11 @@ void
 TraceRecorder::writeFile(const std::string &path) const
 {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        exportError("cannot open trace file \"" + path + "\" for writing");
-        return;
-    }
+    MTIA_CHECK(out) << ": cannot open trace file \"" << path
+                    << "\" for writing";
     writeJson(out);
     out.flush();
-    if (!out)
-        exportError("failed writing trace file \"" + path + "\"");
+    MTIA_CHECK(out) << ": failed writing trace file \"" << path << "\"";
 }
 
 } // namespace mtia::telemetry

@@ -90,8 +90,8 @@ class TraceRecorder
     std::string json() const;
 
     /**
-     * Write the JSON to @p path. On I/O failure invokes the telemetry
-     * error handler (ScopedTelemetryThrow makes it assertable).
+     * Write the JSON to @p path. An I/O failure fails an MTIA_CHECK
+     * (ScopedCheckThrow makes it assertable).
      */
     void writeFile(const std::string &path) const;
 

@@ -11,13 +11,20 @@
 #include <vector>
 
 #include "autotune/kernel_tuner.h"
+#include "autotune/sharding.h"
+#include "chip/device.h"
 #include "cluster/cluster_sim.h"
 #include "core/check.h"
 #include "core/simd.h"
 #include "fleet/firmware.h"
 #include "graph/graph.h"
 #include "host/compression.h"
+#include "host/pcie.h"
 #include "mem/ecc.h"
+#include "mem/llc.h"
+#include "mem/lpddr.h"
+#include "mem/sram.h"
+#include "models/workload.h"
 #include "noc/noc.h"
 #include "ops/dense_ops.h"
 #include "pe/command_processor.h"
@@ -26,12 +33,16 @@
 #include "serving/coalescer.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
-#include "sim/stats.h"
 #include "tensor/quantize.h"
 #include "tensor/tensor.h"
 
 namespace mtia {
 namespace {
+
+/** Values every positive, finite config field must reject. */
+constexpr double kNonPositiveOrNonFinite[] = {
+    0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+    std::numeric_limits<double>::infinity()};
 
 // ---------------------------------------------------------------- sim
 
@@ -91,36 +102,6 @@ TEST(ContractsSim, DiscreteSamplerRejectsNegativeWeight)
 {
     ScopedCheckThrow guard;
     EXPECT_THROW(DiscreteSampler({1.0, -0.5, 2.0}), CheckFailedError);
-}
-
-TEST(ContractsSim, HistogramPercentileRejectsEmptyAndOutOfRange)
-{
-    ScopedCheckThrow guard;
-    Histogram h;
-    EXPECT_THROW(h.percentile(50.0), CheckFailedError);
-    h.add(1.0);
-    EXPECT_THROW(h.percentile(101.0), CheckFailedError);
-    EXPECT_THROW(h.percentile(-0.5), CheckFailedError);
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_THROW(h.percentile(nan), CheckFailedError);
-}
-
-TEST(ContractsSim, HistogramPercentileEdgeBehavior)
-{
-    Histogram h;
-    h.add(7.0);
-    // Single sample: every percentile is that sample.
-    EXPECT_DOUBLE_EQ(h.percentile(0.0), 7.0);
-    EXPECT_DOUBLE_EQ(h.percentile(50.0), 7.0);
-    EXPECT_DOUBLE_EQ(h.percentile(100.0), 7.0);
-
-    h.add(3.0);
-    h.add(11.0);
-    // p=0 is the minimum, p=100 the maximum, exactly.
-    EXPECT_DOUBLE_EQ(h.percentile(0.0), 3.0);
-    EXPECT_DOUBLE_EQ(h.percentile(100.0), 11.0);
-    // Tiny but nonzero p never falls below the minimum.
-    EXPECT_DOUBLE_EQ(h.percentile(1e-9), 3.0);
 }
 
 // ------------------------------------------------------------- tensor
@@ -213,6 +194,41 @@ TEST(ContractsMem, EccFlipBitRejectsIndexPast72)
     EXPECT_THROW(cw.flipBit(72), CheckFailedError);
 }
 
+TEST(ContractsMem, LlcModelRejectsZeroLineSizeOrAssociativity)
+{
+    ScopedCheckThrow guard;
+    LlcConfig no_line;
+    no_line.line_size = 0;
+    EXPECT_THROW(LlcModel{no_line}, CheckFailedError);
+    LlcConfig no_ways;
+    no_ways.associativity = 0;
+    EXPECT_THROW(LlcModel{no_ways}, CheckFailedError);
+}
+
+TEST(ContractsMem, SramPartitionRejectsMoreLlsRegionsThanSram)
+{
+    ScopedCheckThrow guard;
+    const SramConfig cfg; // 256 MiB in 32 MiB regions: 8 regions
+    EXPECT_NO_THROW(SramPartition(cfg, 8));
+    EXPECT_THROW(SramPartition(cfg, 9), CheckFailedError);
+}
+
+TEST(ContractsMem, LlsAllocatorRejectsZeroAlignment)
+{
+    ScopedCheckThrow guard;
+    EXPECT_THROW(LlsAllocator(1_MiB, 0), CheckFailedError);
+}
+
+TEST(ContractsMem, LpddrChannelRejectsZeroAndNonFiniteBandwidth)
+{
+    ScopedCheckThrow guard;
+    for (const double bw : kNonPositiveOrNonFinite) {
+        LpddrConfig cfg;
+        cfg.peak_bandwidth = bw;
+        EXPECT_THROW(LpddrChannel{cfg}, CheckFailedError) << bw;
+    }
+}
+
 // ---------------------------------------------------------------- noc
 
 TEST(ContractsNoc, NocModelRejectsNonPositiveBisectionBandwidth)
@@ -221,6 +237,31 @@ TEST(ContractsNoc, NocModelRejectsNonPositiveBisectionBandwidth)
     NocConfig cfg;
     cfg.bisection_bandwidth = 0.0;
     EXPECT_THROW(NocModel{cfg}, CheckFailedError);
+}
+
+// --------------------------------------------------------------- chip
+
+TEST(ContractsChip, DeviceRejectsZeroAndNonFiniteFrequency)
+{
+    ScopedCheckThrow guard;
+    Device dev(ChipConfig::mtia2i());
+    const double ref = dev.frequencyGhz();
+    for (const double ghz : kNonPositiveOrNonFinite)
+        EXPECT_THROW(dev.setFrequencyGhz(ghz), CheckFailedError) << ghz;
+    EXPECT_EQ(dev.frequencyGhz(), ref);
+}
+
+// ------------------------------------------------------------- models
+
+TEST(ContractsModels, GenerateTraceRejectsZeroAndNonFiniteQps)
+{
+    ScopedCheckThrow guard;
+    for (const double qps : kNonPositiveOrNonFinite) {
+        Rng rng(7);
+        TrafficParams p;
+        p.qps = qps;
+        EXPECT_THROW(generateTrace(rng, p), CheckFailedError) << qps;
+    }
 }
 
 // ----------------------------------------------------------------- pe
@@ -384,6 +425,19 @@ TEST(ContractsAutotune, GemmKernelTunerRejectsZeroReps)
     EXPECT_THROW(GemmKernelTuner(-1), CheckFailedError);
 }
 
+TEST(ContractsAutotune, ShardingPlannerRejectsRuntimeBuffersFillingDram)
+{
+    ScopedCheckThrow guard;
+    const ChipConfig chip = ChipConfig::mtia2i();
+    const ShardingPlanner planner(chip);
+    const Bytes dram = chip.lpddr.capacity;
+    EXPECT_EQ(planner.shardsNeeded(dram, dram / 2), 2u);
+    EXPECT_THROW(planner.shardsNeeded(1_GiB, dram), CheckFailedError);
+    EXPECT_THROW(planner.plan(1_GiB, dram + 1,
+                              std::vector<bool>(64, false)),
+                 CheckFailedError);
+}
+
 // -------------------------------------------------------------- graph
 
 TEST(ContractsGraph, GraphAddRejectsNullOp)
@@ -400,6 +454,16 @@ TEST(ContractsHost, RansDecompressRejectsTruncatedStream)
     ScopedCheckThrow guard;
     ByteBuffer truncated = {0x01, 0x02};
     EXPECT_THROW(RansCodec::decompress(truncated), CheckFailedError);
+}
+
+TEST(ContractsHost, PcieConfigRejectsUnsupportedGeneration)
+{
+    ScopedCheckThrow guard;
+    PcieConfig cfg;
+    cfg.generation = 4;
+    EXPECT_NO_THROW(cfg.bandwidth());
+    cfg.generation = 3;
+    EXPECT_THROW(cfg.bandwidth(), CheckFailedError);
 }
 
 // ------------------------------------------------------------- macros

@@ -27,7 +27,7 @@ violations()
     std::random_device rd;
     std::mt19937 gen;
 
-    // raw-output: console output outside sim/logging.
+    // raw-output: console output in src/ (use MTIA_CHECK or telemetry).
     printf("%d\n", r);
 
     // heap-top-copy: copying a priority-queue top before pop

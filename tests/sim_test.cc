@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit and property tests for the simulation foundation: tick math,
- * RNG distributions, Zipf sampling, stats, and the event queue.
+ * RNG distributions, Zipf sampling, and the event queue.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "sim/event_queue.h"
 #include "sim/parallel_des.h"
 #include "sim/random.h"
-#include "sim/stats.h"
 #include "sim/types.h"
 #include "telemetry/metrics.h"
 
@@ -150,31 +149,6 @@ TEST(DiscreteSampler, MatchesWeights)
     EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.01);
     EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.2, 0.01);
     EXPECT_NEAR(counts[2] / static_cast<double>(n), 0.7, 0.01);
-}
-
-TEST(Histogram, PercentilesExact)
-{
-    Histogram h;
-    for (int i = 1; i <= 100; ++i)
-        h.add(static_cast<double>(i));
-    EXPECT_DOUBLE_EQ(h.percentile(50), 50.0);
-    EXPECT_DOUBLE_EQ(h.percentile(99), 99.0);
-    EXPECT_DOUBLE_EQ(h.percentile(100), 100.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0), 1.0);
-    EXPECT_DOUBLE_EQ(h.mean(), 50.5);
-    EXPECT_DOUBLE_EQ(h.min(), 1.0);
-    EXPECT_DOUBLE_EQ(h.max(), 100.0);
-}
-
-TEST(Histogram, InterleavedAddAndQuery)
-{
-    Histogram h;
-    h.add(5.0);
-    EXPECT_DOUBLE_EQ(h.percentile(50), 5.0);
-    h.add(1.0);
-    h.add(9.0);
-    EXPECT_DOUBLE_EQ(h.percentile(50), 5.0);
-    EXPECT_DOUBLE_EQ(h.max(), 9.0);
 }
 
 TEST(EventQueue, RunsInTimeOrder)

@@ -27,7 +27,6 @@ namespace {
 using telemetry::LogHistogram;
 using telemetry::MetricRegistry;
 using telemetry::Telemetry;
-using telemetry::TelemetryError;
 using telemetry::TraceRecorder;
 using telemetry::TrackId;
 
@@ -131,12 +130,12 @@ TEST(Trace, CompleteRejectsInvertedSpan)
     EXPECT_THROW(rec.complete(t, "a", "c", 10, 9), CheckFailedError);
 }
 
-TEST(Trace, WriteFileFailureThrowsUnderScopedTelemetryThrow)
+TEST(Trace, WriteFileFailureThrowsUnderScopedCheckThrow)
 {
-    telemetry::ScopedTelemetryThrow guard;
+    ScopedCheckThrow guard;
     const TraceRecorder rec = buildSmallTrace();
     EXPECT_THROW(rec.writeFile("/nonexistent-dir/trace.json"),
-                 TelemetryError);
+                 CheckFailedError);
 }
 
 // ------------------------------------------------------------ metrics
@@ -338,9 +337,9 @@ TEST(ServingTelemetry, ExportFilesWritesTraceAndMetrics)
     buf << metrics.rdbuf();
     EXPECT_EQ(buf.str(), tel.metrics.json());
 
-    telemetry::ScopedTelemetryThrow guard;
+    ScopedCheckThrow guard;
     EXPECT_THROW(tel.exportFiles("/nonexistent-dir/stem"),
-                 TelemetryError);
+                 CheckFailedError);
 }
 
 // ------------------------------------------------------ bench report
@@ -401,14 +400,14 @@ TEST(BenchReport, WritesFileUnderReportDirEnv)
               std::string::npos);
 }
 
-TEST(BenchReport, WriteFailureThrowsUnderScopedTelemetryThrow)
+TEST(BenchReport, WriteFailureThrowsUnderScopedCheckThrow)
 {
-    telemetry::ScopedTelemetryThrow guard;
+    ScopedCheckThrow guard;
     ASSERT_EQ(setenv("MTIA_BENCH_REPORT_DIR", "/nonexistent-dir", 1),
               0);
     bench::Report report("bad_dir");
     report.metric("v", 1.0);
-    EXPECT_THROW(report.write(), TelemetryError);
+    EXPECT_THROW(report.write(), CheckFailedError);
     unsetenv("MTIA_BENCH_REPORT_DIR");
 }
 

@@ -189,14 +189,14 @@ RuleRunner::unseededRng()
 void
 RuleRunner::rawOutput()
 {
-    if (!ctx_.in_src || ctx_.logging_exempt)
+    if (!ctx_.in_src)
         return;
     for (std::size_t i = 0; i < t_.size(); ++i) {
         if (isIdent(t_, i, "std") && isPunct(t_, i + 1, "::") &&
             anyIdent(t_, i + 2, {"cout", "cerr"})) {
             report(t_[i].line, "raw-output",
-                   "direct console output in src/; use sim/logging "
-                   "(warn/inform)");
+                   "direct console output in src/; report through "
+                   "MTIA_CHECK or telemetry");
             continue;
         }
         if (qualOf(t_, i) != Qual::None)
@@ -208,8 +208,8 @@ RuleRunner::rawOutput()
              isIdent(t_, i + 2, "stdout"));
         if (hit)
             report(t_[i].line, "raw-output",
-                   "direct console output in src/; use sim/logging "
-                   "(warn/inform)");
+                   "direct console output in src/; report through "
+                   "MTIA_CHECK or telemetry");
     }
 }
 
@@ -746,7 +746,6 @@ fileContext(const std::string &rel, bool treat_as_src)
     const std::string ext = std::filesystem::path(rel).extension();
     FileContext ctx;
     ctx.in_src = under("src/") || treat_as_src;
-    ctx.logging_exempt = under("src/sim/logging");
     ctx.telemetry = under("src/telemetry/") || treat_as_src;
     ctx.sim_core = under("src/sim/") || treat_as_src;
     ctx.dtype_kernel = under("src/tensor/dtype.");

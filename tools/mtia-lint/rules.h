@@ -32,7 +32,6 @@ struct Finding
 struct FileContext
 {
     bool in_src = false;        ///< raw-output + new determinism rules
-    bool logging_exempt = false;///< src/sim/logging may print
     bool telemetry = false;     ///< telemetry-wall-clock applies
     bool sim_core = false;      ///< heap-top-copy applies
     bool dtype_kernel = false;  ///< scalar-hot-loop exempt
