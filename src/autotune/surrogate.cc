@@ -120,6 +120,20 @@ CostSurrogate::predict(const FeatureVec &x) const
     return acc;
 }
 
+std::vector<double>
+CostSurrogate::predictAll(const std::vector<FeatureVec> &xs) const
+{
+    // Stumps outer, candidates inner: each candidate still adds base_
+    // and then every stump in order, so out[i] == predict(xs[i]) bit
+    // for bit.
+    std::vector<double> out(xs.size(), base_);
+    for (const Stump &s : stumps_) {
+        for (std::size_t i = 0; i < xs.size(); ++i)
+            out[i] += xs[i][s.feature] < s.threshold ? s.left : s.right;
+    }
+    return out;
+}
+
 std::string
 CostSurrogate::describe() const
 {
@@ -242,11 +256,13 @@ surrogateArgmin(std::size_t n,
     CostSurrogate model;
     model.fit(tx, ty);
 
-    // 3. Predict the whole grid (pure per index: lane-invariant).
-    // Ranking uses the raw asinh-space outputs; `predicted` is
-    // published back in cost units.
-    const std::vector<double> pred_raw = parallelMap(
-        n, [&](std::size_t i) { return model.predict(feature(i)); });
+    // 3. Predict the whole grid in one serial batch. Ranking uses the
+    // raw asinh-space outputs; `predicted` is published back in cost
+    // units.
+    std::vector<FeatureVec> grid(n);
+    for (std::size_t i = 0; i < n; ++i)
+        grid[i] = feature(i);
+    const std::vector<double> pred_raw = model.predictAll(grid);
     r.predicted.resize(n);
     for (std::size_t i = 0; i < n; ++i)
         r.predicted[i] = std::sinh(pred_raw[i]);

@@ -20,10 +20,12 @@
  * Determinism rules (the same contract as core/parallel.h): training
  * and prediction are serial double-precision arithmetic with a fixed
  * iteration order — same samples give a byte-identical model and
- * byte-identical predictions at any MTIA_THREADS. The explore ->
- * predict -> verify loop below only ever touches the lane pool
- * through parallelMap with per-index pure evaluators, so its outputs
- * are byte-identical at any lane count too.
+ * byte-identical predictions at any MTIA_THREADS. In the explore ->
+ * predict -> verify loop below, feature extraction and prediction run
+ * serially on the calling thread; only the real evaluations of the
+ * seed and verify batches touch the lane pool, through parallelMap
+ * with per-index pure evaluators, so its outputs are byte-identical
+ * at any lane count too.
  *
  * Grids no larger than seed_count + top_k are swept exhaustively —
  * every candidate evaluated for real, bit-identically to a plain
@@ -60,6 +62,10 @@ class CostSurrogate
 
     /** Predicted cost at @p x. @pre fit() has run. */
     double predict(const FeatureVec &x) const;
+
+    /** predict() of every row of @p xs, bit-equal to calling it per
+     *  row, in one pass per stump. @pre fit() has run. */
+    std::vector<double> predictAll(const std::vector<FeatureVec> &xs) const;
 
     /**
      * Deterministic dump of every fitted parameter (hex-float text):

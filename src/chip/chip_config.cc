@@ -11,13 +11,6 @@ ChipConfig::peakGemmFlops(DType dtype, bool sparse_24) const
         peCount();
 }
 
-double
-ChipConfig::peakSimdOps() const
-{
-    SimdEngine engine(simd);
-    return engine.opsPerSec(reference_frequency_ghz) * peCount();
-}
-
 ChipConfig
 ChipConfig::mtia2i()
 {

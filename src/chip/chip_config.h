@@ -70,9 +70,6 @@ struct ChipConfig
     /** Chip-wide peak GEMM FLOPS at the reference frequency. */
     double peakGemmFlops(DType dtype, bool sparse_24 = false) const;
 
-    /** Chip-wide SIMD-engine elementwise ops/sec at reference clock. */
-    double peakSimdOps() const;
-
     /** The production MTIA 2i configuration (Table 2). */
     static ChipConfig mtia2i();
 

@@ -1,12 +1,22 @@
 #include "graph/liveness.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 
 #include "core/check.h"
 
 namespace mtia {
+
+namespace {
+
+/** Vector slot of node @p id: ids are dense indices into the graph. */
+std::size_t
+slot(int id)
+{
+    return static_cast<std::size_t>(id);
+}
+
+} // namespace
 
 Bytes
 activationBytes(const Graph &g, int node_id)
@@ -20,34 +30,37 @@ analyzeLiveness(const Graph &g, const std::vector<int> &order)
     LivenessReport rep;
     rep.order = order;
 
-    // Last use position of each node's output within the order.
-    std::map<int, std::size_t> position;
+    // Per id: the step of its last occurrence in the order, then the
+    // last step that reads it, which is at least its own step.
+    const std::size_t n = g.size();
+    std::vector<std::size_t> position(n, 0);
     for (std::size_t i = 0; i < order.size(); ++i)
-        position[order[i]] = i;
-    std::map<int, std::size_t> last_use;
+        position[slot(g.node(order[i]).id)] = i;
+    std::vector<std::size_t> last_use(n, 0);
     for (int id : order) {
-        last_use[id] = position[id]; // at least its own step
-        for (int in : g.node(id).inputs)
-            last_use[in] = std::max(last_use[in], position[id]);
+        const std::size_t at = position[slot(id)];
+        last_use[slot(id)] = std::max(last_use[slot(id)], at);
+        for (int in : g.node(id).inputs) {
+            if (slot(in) < n)
+                last_use[slot(in)] = std::max(last_use[slot(in)], at);
+        }
+    }
+
+    // Bytes freed after each step: every scheduled tensor once, at
+    // the step its last consumer runs (its own step if nobody reads it).
+    std::vector<Bytes> freed(order.size(), 0);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        if (position[slot(order[i])] == i)
+            freed[last_use[slot(order[i])]] += activationBytes(g, order[i]);
     }
 
     Bytes live = 0;
     rep.profile.reserve(order.size());
     for (std::size_t i = 0; i < order.size(); ++i) {
-        const int id = order[i];
-        live += activationBytes(g, id);
+        live += activationBytes(g, order[i]);
         // The output exists at least transiently even if unread.
         rep.peak_bytes = std::max(rep.peak_bytes, live);
-        // Free tensors whose last consumer just ran (including the
-        // node's own output if nobody reads it).
-        for (int candidate : order) {
-            auto it = last_use.find(candidate);
-            if (it != last_use.end() && it->second == i &&
-                position[candidate] <= i) {
-                live -= activationBytes(g, candidate);
-                last_use.erase(it);
-            }
-        }
+        live -= freed[i];
         rep.profile.push_back(live);
     }
     return rep;
@@ -62,42 +75,44 @@ naiveOrder(const Graph &g)
 std::vector<int>
 memoryAwareOrder(const Graph &g)
 {
+    const std::size_t n = g.size();
     const std::vector<int> all = g.topoOrder();
-    std::set<int> remaining(all.begin(), all.end());
-    std::map<int, std::size_t> pending_consumers;
-    for (int id : all)
-        pending_consumers[id] = g.consumers(id).size();
+    std::vector<Bytes> bytes(n, 0);
+    std::vector<std::vector<int>> readers(n); // one entry per input edge
+    std::vector<std::size_t> uses_left(n, 0); // distinct live consumers
+    std::vector<std::size_t> unscheduled_inputs(n, 0);
+    std::set<int> ready;
+    for (int id : all) {
+        const std::vector<int> &ins = g.node(id).inputs;
+        bytes[slot(id)] = activationBytes(g, id);
+        unscheduled_inputs[slot(id)] = ins.size();
+        for (auto it = ins.begin(); it != ins.end(); ++it) {
+            if (slot(*it) >= n)
+                continue; // never scheduled: id never becomes ready
+            readers[slot(*it)].push_back(id);
+            if (std::find(ins.begin(), it, *it) == it)
+                ++uses_left[slot(*it)];
+        }
+        if (ins.empty())
+            ready.insert(id);
+    }
 
-    std::set<int> scheduled;
     std::vector<int> order;
     order.reserve(all.size());
-
-    auto ready = [&](int id) {
-        for (int in : g.node(id).inputs) {
-            if (!scheduled.count(in))
-                return false;
-        }
-        return true;
-    };
-
-    std::map<int, std::size_t> uses_left = pending_consumers;
-    while (!remaining.empty()) {
+    while (order.size() < all.size()) {
         int best = -1;
         std::int64_t best_delta = 0;
-        for (int id : remaining) {
-            if (!ready(id))
-                continue;
+        for (int id : ready) {
             // Delta live bytes if we schedule id now: its output goes
-            // live; any input whose final use this is goes free.
-            std::int64_t delta =
-                static_cast<std::int64_t>(activationBytes(g, id));
-            if (g.consumers(id).empty())
-                delta = 0; // output is immediately dead
+            // live unless nobody reads it; any input whose final use
+            // this is goes free. uses_left drops once per input edge,
+            // so a node reading one tensor twice overshoots it.
+            std::int64_t delta = readers[slot(id)].empty()
+                ? 0
+                : static_cast<std::int64_t>(bytes[slot(id)]);
             for (int in : g.node(id).inputs) {
-                if (uses_left[in] == 1) {
-                    delta -= static_cast<std::int64_t>(
-                        activationBytes(g, in));
-                }
+                if (uses_left[slot(in)] == 1)
+                    delta -= static_cast<std::int64_t>(bytes[slot(in)]);
             }
             if (best < 0 || delta < best_delta ||
                 (delta == best_delta && id < best)) {
@@ -108,10 +123,13 @@ memoryAwareOrder(const Graph &g)
         MTIA_CHECK_GE(best, 0)
             << ": memoryAwareOrder found no ready node (cycle?)";
         order.push_back(best);
-        scheduled.insert(best);
-        remaining.erase(best);
+        ready.erase(best);
         for (int in : g.node(best).inputs)
-            --uses_left[in];
+            --uses_left[slot(in)];
+        for (int r : readers[slot(best)]) {
+            if (--unscheduled_inputs[slot(r)] == 0)
+                ready.insert(r);
+        }
     }
     return order;
 }

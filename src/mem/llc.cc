@@ -1,8 +1,11 @@
 #include "mem/llc.h"
 
+#include <bit>
 #include <cmath>
+#include <tuple>
 
 #include "core/check.h"
+#include "core/pure_memo.h"
 #include "telemetry/metrics.h"
 
 namespace mtia {
@@ -77,9 +80,10 @@ LlcModel::reset()
     stamp_ = 0;
 }
 
+namespace {
+
 double
-zipfLruHitRate(std::uint64_t cache_items, std::uint64_t n_items,
-               double alpha)
+cheHitRate(std::uint64_t cache_items, std::uint64_t n_items, double alpha)
 {
     if (n_items == 0)
         return 0.0;
@@ -142,6 +146,21 @@ zipfLruHitRate(std::uint64_t cache_items, std::uint64_t n_items,
     for (std::size_t i = 0; i < p.size(); ++i)
         hit += count[i] * p[i] * (1.0 - std::exp(-p[i] * t));
     return hit;
+}
+
+} // namespace
+
+double
+zipfLruHitRate(std::uint64_t cache_items, std::uint64_t n_items,
+               double alpha)
+{
+    // Keyed on alpha's bit pattern, so a NaN cannot break the map's
+    // ordering.
+    using Key = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
+    static PureMemo<Key, double> memo;
+    return memo.get(
+        Key{cache_items, n_items, std::bit_cast<std::uint64_t>(alpha)},
+        [&] { return cheHitRate(cache_items, n_items, alpha); });
 }
 
 void

@@ -109,6 +109,9 @@ class LlcModel
  * Che's approximation of the hit rate of an LRU cache holding
  * @p cache_items out of @p n_items accessed with Zipf(alpha)
  * popularity. Accurate to a few percent for the regimes used here.
+ * Memoized process-wide on its exact arguments in a PureMemo
+ * (core/pure_memo.h): the cost model asks the same question at every
+ * design point of a sweep.
  */
 double zipfLruHitRate(std::uint64_t cache_items, std::uint64_t n_items,
                       double alpha);

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/check.h"
+#include "core/pure_memo.h"
 
 namespace mtia {
 
@@ -71,14 +72,20 @@ LookupTable::evaluate(float x) const
     return table_[idx] + frac * (table_[idx + 1] - table_[idx]);
 }
 
-SimdEngine::SimdEngine(SimdConfig cfg) : cfg_(cfg)
+namespace {
+
+using LutSet = std::vector<LookupTable>;
+
+std::shared_ptr<const LutSet>
+buildLuts(unsigned entries)
 {
     // One LUT per nonlinearity over a range wide enough that the
     // clamped tails carry negligible mass.
+    auto luts = std::make_shared<LutSet>();
     auto build = [&](Nonlinearity f, float lo, float hi) {
-        tables_.emplace_back(
+        luts->emplace_back(
             [f](float x) { return nonlinearityExact(f, x); }, lo, hi,
-            cfg_.lut_entries);
+            entries);
     };
     build(Nonlinearity::Relu, -8.0f, 8.0f);
     build(Nonlinearity::Sigmoid, -12.0f, 12.0f);
@@ -87,12 +94,28 @@ SimdEngine::SimdEngine(SimdConfig cfg) : cfg_(cfg)
     build(Nonlinearity::Exp, -20.0f, 10.0f);
     build(Nonlinearity::Rsqrt, 1e-4f, 16.0f);
     build(Nonlinearity::Silu, -12.0f, 12.0f);
+    return luts;
+}
+
+/** The process-wide LUT set for @p entries, built on first use. */
+std::shared_ptr<const LutSet>
+sharedLuts(unsigned entries)
+{
+    static PureMemo<unsigned, std::shared_ptr<const LutSet>> cache;
+    return cache.get(entries, [&] { return buildLuts(entries); });
+}
+
+} // namespace
+
+SimdEngine::SimdEngine(SimdConfig cfg)
+    : cfg_(cfg), tables_(sharedLuts(cfg_.lut_entries))
+{
 }
 
 const LookupTable &
 SimdEngine::tableFor(Nonlinearity f) const
 {
-    return tables_[static_cast<std::size_t>(f)];
+    return (*tables_)[static_cast<std::size_t>(f)];
 }
 
 Tensor

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -81,7 +82,14 @@ struct SimdConfig
     unsigned lut_entries = 1024;
 };
 
-/** The per-PE vector unit. */
+/**
+ * The per-PE vector unit. Its LUTs are a pure function of
+ * lut_entries, so every engine with the same lut_entries shares one
+ * immutable set from a process-wide PureMemo (core/pure_memo.h): the
+ * first construction builds it, and later ones (the
+ * Device::cloneConfigured() copies of a tuning loop, say) take a
+ * reference, from any lane.
+ */
 class SimdEngine
 {
   public:
@@ -113,7 +121,8 @@ class SimdEngine
     const LookupTable &tableFor(Nonlinearity f) const;
 
     SimdConfig cfg_;
-    std::vector<LookupTable> tables_;
+    /** One LUT per Nonlinearity, indexed by its value. */
+    std::shared_ptr<const std::vector<LookupTable>> tables_;
 };
 
 } // namespace mtia

@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 
@@ -445,6 +447,38 @@ TEST(SurrogateTest, TrainingIsByteIdenticalAcrossLaneCounts)
         // Byte-identical model (hex-float dump) and predictions.
         EXPECT_EQ(model.describe(), ref_dump) << "at " << lanes << " lanes";
         EXPECT_EQ(pred, ref_pred);
+    }
+}
+
+TEST(SurrogateTest, PredictAllIsBitEqualToPerRowPredict)
+{
+    std::vector<FeatureVec> x;
+    std::vector<double> y;
+    for (std::size_t i = 0; i < 48; ++i) {
+        x.push_back(syntheticFeatures(i * 7));
+        y.push_back(syntheticCost(i * 7));
+    }
+    CostSurrogate fitted;
+    fitted.fit(x, y);
+    // A constant target converges before its first stump.
+    CostSurrogate flat;
+    flat.fit(x, std::vector<double>(x.size(), 3.5));
+    ASSERT_EQ(flat.describe().find('['), std::string::npos)
+        << flat.describe();
+
+    std::vector<FeatureVec> grid = x;
+    for (std::size_t i = 0; i < 400; ++i)
+        grid.push_back(syntheticFeatures(i));
+    for (const CostSurrogate *model : {&fitted, &flat}) {
+        EXPECT_TRUE(model->predictAll({}).empty());
+        const std::vector<double> all = model->predictAll(grid);
+        ASSERT_EQ(all.size(), grid.size());
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(all[i]),
+                      std::bit_cast<std::uint64_t>(
+                          model->predict(grid[i])))
+                << "row " << i;
+        }
     }
 }
 

@@ -280,6 +280,16 @@ TEST(ContractsPe, LookupTableRejectsEmptyRange)
         CheckFailedError);
 }
 
+TEST(ContractsPe, SimdEngineRejectsOneLutEntryAndCachesNothing)
+{
+    ScopedCheckThrow guard;
+    const SimdConfig cfg{.lanes = 64, .lut_entries = 1};
+    EXPECT_THROW(SimdEngine{cfg}, CheckFailedError);
+    // The failed build left no shared table set behind: the second
+    // engine fails the same check instead of reusing one.
+    EXPECT_THROW(SimdEngine{cfg}, CheckFailedError);
+}
+
 TEST(ContractsPe, MluConcatRejectsMixedDtypes)
 {
     ScopedCheckThrow guard;

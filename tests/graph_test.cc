@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "copy_executor.h"
 #include "graph/executor.h"
@@ -18,6 +21,8 @@
 #include "ops/attention_ops.h"
 #include "models/model_zoo.h"
 #include "ops/dense_ops.h"
+#include "quadratic_liveness.h"
+#include "sim/random.h"
 
 namespace mtia {
 namespace {
@@ -419,6 +424,131 @@ TEST(GraphCostTest, Int8ThresholdQuantizesOnlyLargeLayers)
     gcm.evaluate(g, 512, opt);
     EXPECT_TRUE(gcm.lastContexts().at(1).dynamic_int8);  // 8 MB layer
     EXPECT_FALSE(gcm.lastContexts().at(2).dynamic_int8); // 32 KB layer
+}
+
+// ------------------------------------ liveness vs quadratic reference
+
+void
+expectSameLiveness(const Graph &g, const std::vector<int> &order,
+                   const std::string &what)
+{
+    const LivenessReport got = analyzeLiveness(g, order);
+    const LivenessReport want = reference::analyzeLiveness(g, order);
+    EXPECT_EQ(got.order, want.order) << what;
+    EXPECT_EQ(got.profile, want.profile) << what;
+    EXPECT_EQ(got.peak_bytes, want.peak_bytes) << what;
+}
+
+void
+expectSameSchedule(const Graph &g, const std::string &what)
+{
+    const std::vector<int> order = memoryAwareOrder(g);
+    EXPECT_EQ(order, reference::memoryAwareOrder(g)) << what;
+    expectSameLiveness(g, order, what + " memory-aware");
+    expectSameLiveness(g, naiveOrder(g), what + " naive");
+}
+
+TEST(LivenessOracle, ZooGraphsMatchQuadraticReference)
+{
+    std::vector<ModelInfo> zoo = figure6Models();
+    zoo.push_back(buildRetrievalModel());
+    zoo.push_back(buildEarlyStageModel());
+    zoo.push_back(buildLateStageModel());
+    zoo.push_back(buildHstuModel());
+    zoo.push_back(buildRankingModel(RankingModelParams{}));
+    for (ModelInfo &m : zoo) {
+        expectSameSchedule(m.graph, m.name);
+        // Fusion leaves dead nodes behind in the middle of the graph.
+        if (optimizeGraph(m.graph) > 0)
+            expectSameSchedule(m.graph, m.name + " optimized");
+    }
+}
+
+/**
+ * A seeded random DAG of [4, w] activations: inputs, FCs that reset
+ * the width, activations, and concats of 2-3 earlier nodes that may
+ * read one node twice. Some consumer-free nodes are then killed.
+ */
+Graph
+randomDag(Rng &rng)
+{
+    Graph g;
+    const int n = 8 + static_cast<int>(rng.below(48));
+    std::vector<std::int64_t> width;
+    auto add = [&](OpPtr op, std::vector<int> ins) {
+        g.add(std::move(op), std::move(ins));
+        width.push_back(g.shapeOf(static_cast<int>(width.size())).dim(1));
+    };
+    for (int id = 0; id < n; ++id) {
+        const auto w = static_cast<std::int64_t>(1 + rng.below(64));
+        const std::uint64_t pick = id < 3 ? 0 : rng.below(10);
+        const int a = id == 0 ? 0 : static_cast<int>(rng.below(id));
+        if (pick < 2) {
+            add(std::make_shared<InputOp>("x", Shape{4, w}), {});
+        } else if (pick < 5) {
+            add(std::make_shared<FullyConnectedOp>(4, width[a], w,
+                                                   DType::FP16),
+                {a});
+        } else if (pick < 7) {
+            add(std::make_shared<ActivationOp>(Shape{4, width[a]},
+                                               Nonlinearity::Relu),
+                {a});
+        } else {
+            std::vector<int> ins{a};
+            const std::uint64_t arity = 2 + rng.below(2);
+            while (ins.size() < arity) {
+                // One in four reads the previous input again.
+                ins.push_back(rng.below(4) == 0
+                                  ? ins.back()
+                                  : static_cast<int>(rng.below(id)));
+            }
+            std::vector<Shape> shapes;
+            for (int in : ins)
+                shapes.push_back(Shape{4, width[in]});
+            add(std::make_shared<ConcatOp>(shapes, 1), ins);
+        }
+    }
+    for (int id = n - 1; id >= 0; --id) {
+        if (g.consumers(id).empty() && rng.below(4) == 0)
+            g.markDead(id);
+    }
+    return g;
+}
+
+/** The integers of @p v in an order drawn from @p rng. */
+std::vector<int>
+shuffled(std::vector<int> v, Rng &rng)
+{
+    for (std::size_t j = v.size(); j > 1; --j)
+        std::swap(v[j - 1], v[rng.below(j)]);
+    return v;
+}
+
+TEST(LivenessOracle, RandomDagsMatchQuadraticReference)
+{
+    Rng rng(2024);
+    for (int trial = 0; trial < 200; ++trial) {
+        const Graph g = randomDag(rng);
+        g.validate();
+        const std::string what = "trial " + std::to_string(trial);
+        expectSameSchedule(g, what);
+
+        // Orders the scheduler never emits: a permutation of the live
+        // nodes, every id including dead ones, a subset, and repeats.
+        const std::vector<int> live = g.topoOrder();
+        std::vector<int> every(g.size());
+        std::iota(every.begin(), every.end(), 0);
+        std::vector<int> subset = shuffled(live, rng);
+        subset.resize(subset.size() / 2);
+        std::vector<int> repeats = shuffled(live, rng);
+        repeats.insert(repeats.end(), live.begin(),
+                       live.begin() + static_cast<std::ptrdiff_t>(
+                                          live.size() / 3));
+        expectSameLiveness(g, shuffled(live, rng), what + " permuted");
+        expectSameLiveness(g, shuffled(every, rng), what + " with dead");
+        expectSameLiveness(g, subset, what + " subset");
+        expectSameLiveness(g, shuffled(repeats, rng), what + " repeats");
+    }
 }
 
 } // namespace

@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <vector>
 
 #include "mem/ecc.h"
 #include "mem/error_injector.h"
@@ -206,6 +210,40 @@ TEST(LlcZipfAnalytic, BoundsAndMonotonicity)
     EXPECT_LT(h2, h3);
     EXPECT_GT(h1, 0.0);
     EXPECT_LT(h3, 1.0);
+}
+
+TEST(LlcZipfAnalytic, MemoizedCallsAreBitEqualToFirstCalls)
+{
+    // Argument sets no other test uses, so every first call computes.
+    // All first calls run before any repeat, so a memo that let one
+    // key answer for another would show.
+    struct Args
+    {
+        std::uint64_t cache_items;
+        std::uint64_t n_items;
+        double alpha;
+    };
+    const Args sets[] = {
+        {123, 4567, 0.83},                       // exact per-rank sums
+        {123, 4567, std::nextafter(0.83, 1.0)},  // adjacent alpha bits
+        {124, 4567, 0.83},
+        {123, 4568, 0.83},
+        {50000, 3000000, 1.05},                  // bucketed ranks
+        {50000, 3000001, 1.05},
+        {4567, 123, 0.83},                       // cache holds all
+        {100, 1000, std::nan("")},
+    };
+    std::vector<double> first;
+    for (const Args &a : sets)
+        first.push_back(zipfLruHitRate(a.cache_items, a.n_items, a.alpha));
+    EXPECT_NE(first[0], first[1]);
+    for (std::size_t i = 0; i < std::size(sets); ++i) {
+        const Args &a = sets[i];
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      zipfLruHitRate(a.cache_items, a.n_items, a.alpha)),
+                  std::bit_cast<std::uint64_t>(first[i]))
+            << "set " << i;
+    }
 }
 
 TEST(Sram, PartitionGranularity)

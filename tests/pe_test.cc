@@ -8,8 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "core/parallel.h"
 #include "pe/command_processor.h"
 #include "pe/dpe.h"
 #include "pe/fabric_interface.h"
@@ -185,6 +189,63 @@ TEST(Simd, LutMemoryFitsTheSmallBudget)
     LookupTable lut([](float x) { return x; }, 0.0f, 1.0f,
                     se.config().lut_entries);
     EXPECT_LE(lut.sizeBytes(), 4096u);
+}
+
+/** applyOne of @p se at every point of a dense sweep, as bit patterns. */
+std::vector<std::uint32_t>
+denseSweep(const SimdEngine &se, Nonlinearity f)
+{
+    std::vector<std::uint32_t> bits;
+    for (int i = -25000; i <= 25000; ++i) {
+        bits.push_back(std::bit_cast<std::uint32_t>(
+            se.applyOne(f, static_cast<float>(i) * 1e-3f)));
+    }
+    return bits;
+}
+
+constexpr Nonlinearity kAllNonlinearities[] = {
+    Nonlinearity::Relu, Nonlinearity::Sigmoid, Nonlinearity::Tanh,
+    Nonlinearity::Gelu, Nonlinearity::Exp,     Nonlinearity::Rsqrt,
+    Nonlinearity::Silu};
+
+TEST(SimdLutCache, SameLutEntriesGiveBitEqualResults)
+{
+    const SimdEngine a(SimdConfig{.lanes = 64, .lut_entries = 257});
+    const SimdEngine b(SimdConfig{.lanes = 8, .lut_entries = 257});
+    const SimdEngine other(SimdConfig{.lanes = 64, .lut_entries = 258});
+    for (Nonlinearity f : kAllNonlinearities) {
+        EXPECT_EQ(denseSweep(a, f), denseSweep(b, f)) << nonlinearityName(f);
+        // A different lut_entries must get its own tables.
+        if (f != Nonlinearity::Relu) {
+            EXPECT_NE(denseSweep(a, f), denseSweep(other, f))
+                << nonlinearityName(f);
+        }
+    }
+}
+
+TEST(SimdLutCache, ParallelFirstTouchMatchesSerial)
+{
+    // A lut_entries no other test uses, so its tables are first built
+    // inside the 8-lane fan-out.
+    const SimdConfig cfg{.lanes = 64, .lut_entries = 333};
+    constexpr std::size_t kTasks = 64;
+    std::vector<float> got(kTasks);
+    {
+        const ScopedParallelism lanes(8);
+        parallelFor(kTasks, [&](std::size_t i) {
+            const SimdEngine se(cfg);
+            got[i] = se.applyOne(Nonlinearity::Gelu,
+                                 -4.0f + 0.125f * static_cast<float>(i));
+        });
+    }
+    const SimdEngine serial(cfg);
+    for (std::size_t i = 0; i < kTasks; ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                  std::bit_cast<std::uint32_t>(serial.applyOne(
+                      Nonlinearity::Gelu,
+                      -4.0f + 0.125f * static_cast<float>(i))))
+            << "task " << i;
+    }
 }
 
 TEST(Reduction, AccumulateAndReduceAll)
