@@ -29,7 +29,7 @@ main()
         mgr.build("fw-2024.09", ControlMemLocation::HostMemory);
     const StressTestResult bad = mgr.stressTest(buggy, 2000);
     ControlCore cc_bad(
-        ControlCoreConfig{4, ControlMemLocation::HostMemory});
+        ControlCoreConfig{.working_mem = ControlMemLocation::HostMemory});
     const auto cycle = cc_bad.buildHighLoadScenario().findCycle();
     std::printf("  wait-for cycle under the buggy firmware:\n    ");
     for (std::size_t i = 0; i < cycle.size(); ++i)

@@ -63,7 +63,8 @@ main()
     std::printf("    stress suite: %.2f%% of servers lose PCIe under "
                 "100%% PE load.\n",
                 bad.pcie_loss_fraction * 100.0);
-    ControlCore cc(ControlCoreConfig{4, ControlMemLocation::HostMemory});
+    ControlCore cc(
+        ControlCoreConfig{.working_mem = ControlMemLocation::HostMemory});
     std::printf("    wait-for analysis: deadlock %s\n",
                 cc.buildHighLoadScenario().hasDeadlock()
                     ? "CONFIRMED (Control Core <-> PCIe ordering "

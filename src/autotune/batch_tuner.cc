@@ -114,26 +114,4 @@ BatchSizeTuner::tuneSurrogate(const ModelBuilder &builder,
     return r;
 }
 
-BatchCandidate
-BatchSizeTuner::tuneWithPlacementFallback(const ModelBuilder &builder,
-                                          std::int64_t batch,
-                                          Tick slo) const
-{
-    BatchCandidate current = evalOne(builder, batch, slo);
-    if (current.cost.activations_fit_lls)
-        return current;
-    // Walk down to the nearest power-of-two batch whose activations
-    // fit, then keep the faster option (Section 4.1).
-    std::int64_t lower = batch / 2;
-    while (lower >= 1) {
-        BatchCandidate candidate = evalOne(builder, lower, slo);
-        if (candidate.cost.activations_fit_lls) {
-            return candidate.cost.qps >= current.cost.qps ? candidate
-                                                          : current;
-        }
-        lower /= 2;
-    }
-    return current;
-}
-
 } // namespace mtia

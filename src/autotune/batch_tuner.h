@@ -6,10 +6,10 @@
  * Batch-size autotuning (Section 4.1): build model snapshots at
  * candidate batch sizes, evaluate each with the cost model (the
  * offline traffic-replay test), and pick the batch that maximizes
- * throughput subject to the latency SLO — including the paper's
- * data-placement fallback rule: when activations stop fitting in LLS,
- * compare the nearest lower batch that fits against the current batch
- * with spilled activations, and keep the winner.
+ * throughput subject to the latency SLO. The paper's data-placement
+ * rule (activations that stop fitting in the LLS spill, and a lower
+ * batch that fits may win) is priced inside each snapshot's ModelCost,
+ * so the sweep compares spilled and fitting batches directly.
  */
 
 #include <functional>
@@ -54,15 +54,6 @@ class BatchSizeTuner
     evaluate(const ModelBuilder &builder,
              const std::vector<std::int64_t> &candidates, Tick slo,
              std::size_t &winner) const;
-
-    /**
-     * The paper's placement fallback: starting from @p batch, if
-     * activations spill, also evaluate the largest power-of-two batch
-     * whose activations fit, and return the faster of the two.
-     */
-    BatchCandidate tuneWithPlacementFallback(const ModelBuilder &builder,
-                                             std::int64_t batch,
-                                             Tick slo) const;
 
     /**
      * Surrogate-guided sweep over a dense candidate grid (the

@@ -3,9 +3,18 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/check.h"
 #include "core/parallel.h"
 
 namespace mtia {
+
+CoalescingTuner::CoalescingTuner(Tick max_wait) : max_wait_(max_wait)
+{
+    // A zero budget would score every waiting candidate 0 and leave
+    // the ranking in grid order.
+    MTIA_CHECK_GT(max_wait_, 0u)
+        << ": CoalescingTuner needs a positive wait budget";
+}
 
 CoalescingCandidate
 CoalescingTuner::evalCell(const std::vector<Request> &trace,

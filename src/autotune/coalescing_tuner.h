@@ -40,9 +40,9 @@ class CoalescingTuner
     /**
      * @param max_wait Wait budget: mean coalescing delay must stay
      *        below this slice of the latency SLO.
+     * @pre max_wait > 0
      */
-    explicit CoalescingTuner(Tick max_wait = fromMillis(10.0))
-        : max_wait_(max_wait) {}
+    explicit CoalescingTuner(Tick max_wait = fromMillis(10.0));
 
     /**
      * Sweep windows x parallel-window counts over the trace; returns

@@ -16,15 +16,12 @@ ChipConfig::mtia2i()
 {
     ChipConfig cfg;
     cfg.name = "MTIA 2i";
-    cfg.process = "TSMC 5nm";
     cfg.reference_frequency_ghz = 1.35;
-    cfg.design_frequency_ghz = 1.1;
     cfg.pe_rows = 8;
     cfg.pe_cols = 8;
     cfg.local_memory_per_pe = 384_KiB;
     cfg.local_memory_bandwidth = gbPerSec(1000.0);
     cfg.tdp_watts = 85.0;
-    cfg.typical_watts = 65.0;
     cfg.idle_watts = 18.0;
 
     // DPE: 2 tiles x 512 MACs/cycle x 64 PEs x 1.35 GHz x 2
@@ -33,7 +30,6 @@ ChipConfig::mtia2i()
     cfg.simd = SimdConfig{.lanes = 64, .lut_entries = 1024};
     cfg.isa = IsaFeatures{};          // all new instructions present
     cfg.work_queue = WorkQueueConfig{};
-    cfg.fabric = FabricInterfaceConfig{};
 
     cfg.sram = SramConfig{.capacity = 256_MiB,
                           .region_granularity = 32_MiB,
@@ -42,14 +38,10 @@ ChipConfig::mtia2i()
                             .peak_bandwidth = gbPerSec(204.8),
                             .ecc = EccMode::Controller};
     cfg.noc = NocConfig{.bisection_bandwidth = gbPerSec(2700.0),
-                        .fragmenter = PacketFragmenter{},
                         .broadcast_reads = true,
                         .start_latency = fromNanos(50.0)};
     cfg.pcie = PcieConfig{.generation = 5, .lanes = 8};
-    cfg.control = ControlCoreConfig{.cores = 4};
-    cfg.decompress_rate = gbPerSec(25.0);
     cfg.supports_sparsity_24 = true;
-    cfg.supports_dynamic_int8 = true;
     return cfg;
 }
 
@@ -58,15 +50,12 @@ ChipConfig::mtia1()
 {
     ChipConfig cfg;
     cfg.name = "MTIA 1";
-    cfg.process = "TSMC 7nm";
     cfg.reference_frequency_ghz = 0.8;
-    cfg.design_frequency_ghz = 0.8;
     cfg.pe_rows = 8;
     cfg.pe_cols = 8;
     cfg.local_memory_per_pe = 128_KiB;
     cfg.local_memory_bandwidth = gbPerSec(400.0);
     cfg.tdp_watts = 35.0;
-    cfg.typical_watts = 25.0;
     cfg.idle_watts = 8.0;
 
     // 51.2 TFLOPS FP16 / 64 PEs / 0.8 GHz / 2 = 500 MACs per cycle.
@@ -77,10 +66,6 @@ ChipConfig::mtia1()
     cfg.simd = SimdConfig{.lanes = 64, .lut_entries = 512};
     cfg.isa = IsaFeatures::mtia1();
     cfg.work_queue = WorkQueueConfig::mtia1();
-    cfg.fabric = FabricInterfaceConfig{
-        .noc_bandwidth = gbPerSec(21.0),
-        .descriptor_latency = fromNanos(60.0),
-        .prefetch = false};
 
     cfg.sram = SramConfig{.capacity = 128_MiB,
                           .region_granularity = 32_MiB,
@@ -89,14 +74,10 @@ ChipConfig::mtia1()
                             .peak_bandwidth = gbPerSec(176.0),
                             .ecc = EccMode::Controller};
     cfg.noc = NocConfig{.bisection_bandwidth = gbPerSec(818.0),
-                        .fragmenter = PacketFragmenter{},
                         .broadcast_reads = false,
                         .start_latency = fromNanos(70.0)};
     cfg.pcie = PcieConfig{.generation = 4, .lanes = 8};
-    cfg.control = ControlCoreConfig{.cores = 1};
-    cfg.decompress_rate = 0.0; // no decompression engine
     cfg.supports_sparsity_24 = false;
-    cfg.supports_dynamic_int8 = false;
     return cfg;
 }
 

@@ -9,17 +9,14 @@
  * ones when the clock moves (the Section 5.2 overclocking study).
  */
 
-#include <cstdint>
 #include <string>
 
-#include "host/control_core.h"
 #include "host/pcie.h"
 #include "mem/lpddr.h"
 #include "mem/sram.h"
 #include "noc/noc.h"
 #include "pe/command_processor.h"
 #include "pe/dpe.h"
-#include "pe/fabric_interface.h"
 #include "pe/simd_engine.h"
 #include "pe/work_queue_engine.h"
 #include "sim/types.h"
@@ -30,12 +27,9 @@ namespace mtia {
 struct ChipConfig
 {
     std::string name;
-    std::string process;          ///< e.g. "TSMC 5nm"
 
-    // Clocking. Reference frequency is what the quoted bandwidths and
-    // FLOPS assume; design frequency is the pre-overclocking spec.
+    // Clocking: the frequency the quoted bandwidths and FLOPS assume.
     double reference_frequency_ghz = 1.35;
-    double design_frequency_ghz = 1.1;
 
     // PE grid.
     unsigned pe_rows = 8;
@@ -45,7 +39,6 @@ struct ChipConfig
 
     // Power.
     double tdp_watts = 85.0;
-    double typical_watts = 65.0;
     double idle_watts = 18.0;
 
     // Subsystem configurations.
@@ -53,17 +46,12 @@ struct ChipConfig
     SimdConfig simd;
     IsaFeatures isa;
     WorkQueueConfig work_queue;
-    FabricInterfaceConfig fabric;
     SramConfig sram;
     LpddrConfig lpddr;
     NocConfig noc;
     PcieConfig pcie;
-    ControlCoreConfig control;
 
-    // Host-to-accelerator decompression engine (0 = absent).
-    BytesPerSec decompress_rate = gbPerSec(25.0);
     bool supports_sparsity_24 = true;
-    bool supports_dynamic_int8 = true;
 
     unsigned peCount() const { return pe_rows * pe_cols; }
 

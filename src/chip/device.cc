@@ -17,8 +17,6 @@ Device::Device(ChipConfig cfg)
       simd_(cfg_.simd),
       cp_(cfg_.isa),
       wqe_(cfg_.work_queue),
-      fi_(cfg_.fabric),
-      control_(cfg_.control),
       partition_(cfg_.sram,
                  /*lls_regions=*/static_cast<unsigned>(
                      cfg_.sram.capacity /

@@ -15,13 +15,11 @@
 #include <string>
 
 #include "chip/chip_config.h"
-#include "host/control_core.h"
 #include "mem/lpddr.h"
 #include "mem/sram.h"
 #include "noc/noc.h"
 #include "pe/command_processor.h"
 #include "pe/dpe.h"
-#include "pe/fabric_interface.h"
 #include "pe/simd_engine.h"
 #include "pe/work_queue_engine.h"
 
@@ -55,9 +53,6 @@ class Device
     const DotProductEngine &dpe() const { return dpe_; }
     const SimdEngine &simd() const { return simd_; }
     const CommandProcessor &commandProcessor() const { return cp_; }
-    const WorkQueueEngine &workQueue() const { return wqe_; }
-    const FabricInterface &fabric() const { return fi_; }
-    ControlCore &controlCore() { return control_; }
 
     /** Current SRAM split between LLS and LLC. */
     const SramPartition &sramPartition() const { return partition_; }
@@ -106,8 +101,6 @@ class Device
     SimdEngine simd_;
     CommandProcessor cp_;
     WorkQueueEngine wqe_;
-    FabricInterface fi_;
-    ControlCore control_;
     SramPartition partition_;
 };
 

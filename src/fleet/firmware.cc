@@ -34,7 +34,7 @@ FirmwareManager::stressTest(const FirmwareBundle &bundle,
     }
     // Build the high-load scenario under this firmware's Control-
     // Core memory placement and check for the wait-for cycle.
-    ControlCore cc(ControlCoreConfig{4, bundle.control_mem});
+    ControlCore cc(ControlCoreConfig{.working_mem = bundle.control_mem});
     const bool deadlock_possible =
         cc.buildHighLoadScenario().hasDeadlock();
 

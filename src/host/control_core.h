@@ -4,10 +4,11 @@
 /**
  * @file
  * Control Core: the quad-core RISC-V processor coordinating the 64
- * PEs. Models the two behaviours the paper's productionization story
- * needs: work-queue descriptor broadcast for eager mode, and the
- * placement of its working memory (host memory vs device SRAM), which
- * decides whether the Section 5.5 PCIe-ordering deadlock can form.
+ * PEs. Models the placement of its working memory (host memory vs
+ * device SRAM), which decides whether the Section 5.5 PCIe-ordering
+ * deadlock can form. Its part in eager-mode job launch (descriptor
+ * broadcast, split across WorkQueueConfig::control_cores) is the
+ * WorkQueueEngine's model.
  */
 
 #include <cstdint>
@@ -26,7 +27,6 @@ enum class ControlMemLocation : std::uint8_t {
 /** Static Control Core configuration. */
 struct ControlCoreConfig
 {
-    unsigned cores = 4;
     ControlMemLocation working_mem = ControlMemLocation::HostMemory;
 };
 

@@ -55,41 +55,4 @@ SramPartition::toString() const
     return os.str();
 }
 
-LlsAllocator::LlsAllocator(Bytes capacity, Bytes alignment)
-    : capacity_(capacity), alignment_(alignment)
-{
-    MTIA_CHECK_GT(alignment_, 0u)
-        << ": LlsAllocator: alignment must be positive";
-}
-
-std::int64_t
-LlsAllocator::allocate(Bytes bytes)
-{
-    const Bytes aligned =
-        (bytes + alignment_ - 1) / alignment_ * alignment_;
-    if (used_ + aligned > capacity_)
-        return -1;
-    const Bytes off = used_;
-    used_ += aligned;
-    if (used_ > peak_)
-        peak_ = used_;
-    return static_cast<std::int64_t>(off);
-}
-
-void
-LlsAllocator::release(Bytes mark)
-{
-    MTIA_CHECK_LE(mark, used_)
-        << ": LlsAllocator::release mark above the allocation watermark";
-    used_ = mark;
-}
-
-bool
-LlsAllocator::fits(Bytes bytes) const
-{
-    const Bytes aligned =
-        (bytes + alignment_ - 1) / alignment_ * alignment_;
-    return used_ + aligned <= capacity_;
-}
-
 } // namespace mtia

@@ -7,12 +7,11 @@
  * cache (LLC) and software-managed scratch (LLS). Partitioning happens
  * at 32 MB region granularity; the autotuner's data-placement pass
  * picks the split (Section 4.1: size the LLS to the activation buffer,
- * give the rest to the LLC).
+ * give the rest to the LLC). Only the split is modelled: what the LLS
+ * holds is the size the placement pass gave it.
  */
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sim/types.h"
 
@@ -51,46 +50,6 @@ class SramPartition
   private:
     SramConfig cfg_;
     unsigned lls_regions_;
-};
-
-/**
- * Bump allocator over the LLS scratch region. Tensors pinned in LLS
- * are never evicted by hardware; the allocator exposes exactly the
- * fit/doesn't-fit decision the autotuner reasons about, plus a
- * checkpoint/rollback facility for liveness-scoped buffers.
- */
-class LlsAllocator
-{
-  public:
-    explicit LlsAllocator(Bytes capacity, Bytes alignment = 64);
-
-    /**
-     * Allocate @p bytes; returns the offset or -1 if it does not fit.
-     */
-    std::int64_t allocate(Bytes bytes);
-
-    /** Current watermark for later rollback. */
-    Bytes mark() const { return used_; }
-
-    /** Roll back to a previous watermark (frees everything above). */
-    void release(Bytes mark);
-
-    /** Free everything. */
-    void reset() { used_ = 0; }
-
-    Bytes used() const { return used_; }
-    Bytes capacity() const { return capacity_; }
-    Bytes free() const { return capacity_ - used_; }
-    bool fits(Bytes bytes) const;
-
-    /** Peak watermark observed since construction/reset. */
-    Bytes peak() const { return peak_; }
-
-  private:
-    Bytes capacity_;
-    Bytes alignment_;
-    Bytes used_ = 0;
-    Bytes peak_ = 0;
 };
 
 } // namespace mtia

@@ -5,6 +5,22 @@
 
 namespace mtia {
 
+namespace {
+
+constexpr Bytes kPacketPayload = 256;
+constexpr Bytes kPacketHeader = 16;
+
+/** Bytes on the wire for a @p bytes message: payload plus one header
+ * per (possibly partial) packet. */
+Bytes
+wireBytes(Bytes bytes)
+{
+    return bytes + (bytes + kPacketPayload - 1) / kPacketPayload *
+        kPacketHeader;
+}
+
+} // namespace
+
 NocModel::NocModel(NocConfig cfg) : cfg_(cfg)
 {
     MTIA_CHECK_GT(cfg_.bisection_bandwidth, 0.0)
@@ -14,9 +30,7 @@ NocModel::NocModel(NocConfig cfg) : cfg_(cfg)
 Tick
 NocModel::transferTime(Bytes bytes)
 {
-    const Bytes wire = cfg_.fragmenter.wireBytes(bytes);
-    // Packetization only ever adds header bytes on the wire.
-    MTIA_DCHECK_GE(wire, bytes) << ": fragmenter shrank a transfer";
+    const Bytes wire = wireBytes(bytes);
     ++stats_.transfers;
     stats_.payload_bytes += bytes;
     stats_.wire_bytes += wire;
@@ -35,7 +49,7 @@ NocModel::broadcastReadTime(Bytes bytes, unsigned readers)
     }
     // Each reader fetches its own copy; the copies serialize on the
     // shared source port.
-    const Bytes wire = cfg_.fragmenter.wireBytes(bytes);
+    const Bytes wire = wireBytes(bytes);
     stats_.transfers += readers;
     stats_.payload_bytes += bytes * readers;
     stats_.wire_bytes += wire * readers;

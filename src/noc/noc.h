@@ -8,13 +8,14 @@
  * (a) aggregate bandwidth between PEs and the SRAM/memory-controller
  * edge, (b) redundant-read amplification when many PEs fetch the same
  * weight tile (eliminated by hardware broadcast reads, Section 4.2),
- * and (c) serialization overhead from packetization.
+ * and (c) serialization overhead from packetization: every transfer
+ * is cut into 256-byte packets that each carry a 16-byte header,
+ * which both chips share.
  */
 
 #include <cstdint>
 #include <string>
 
-#include "noc/traffic_shaper.h"
 #include "sim/types.h"
 
 namespace mtia::telemetry {
@@ -29,8 +30,6 @@ struct NocConfig
     /** Aggregate PE<->SRAM/MC bandwidth. MTIA 2i delivers 3.3x the
      * MTIA 1 fabric. */
     BytesPerSec bisection_bandwidth = gbPerSec(2700.0);
-    /** Per-hop/packet overhead folded into wire bytes. */
-    PacketFragmenter fragmenter{};
     /** Hardware support for one-to-many broadcast reads. */
     bool broadcast_reads = true;
     /** Fixed transfer startup latency. */

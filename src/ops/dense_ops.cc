@@ -211,39 +211,6 @@ LayerNormOp::cost(const KernelCostModel &km, const CostContext &ctx) const
                         ctx.activations);
 }
 
-Tensor
-SoftmaxOp::run(const std::vector<Tensor> &inputs, OpContext &ctx) const
-{
-    const Tensor &x = inputs[0];
-    Tensor out(x.shape(), DType::FP32);
-    for (std::int64_t r = 0; r < rows_; ++r) {
-        float mx = x.at2(r, 0);
-        for (std::int64_t c = 1; c < cols_; ++c)
-            mx = std::max(mx, x.at2(r, c));
-        // exp through the (LUT) SIMD path on the shifted values.
-        Tensor shifted(Shape{cols_}, DType::FP32);
-        for (std::int64_t c = 0; c < cols_; ++c)
-            shifted.set(c, x.at2(r, c) - mx);
-        const Tensor e =
-            applyNonlinearity(Nonlinearity::Exp, shifted,
-                              ctx.use_lut_simd);
-        double sum = 0.0;
-        for (std::int64_t c = 0; c < cols_; ++c)
-            sum += static_cast<double>(e.at(c));
-        for (std::int64_t c = 0; c < cols_; ++c)
-            out.set2(r, c,
-                     static_cast<float>(
-                         static_cast<double>(e.at(c)) / sum));
-    }
-    return out;
-}
-
-KernelTime
-SoftmaxOp::cost(const KernelCostModel &km, const CostContext &ctx) const
-{
-    return km.softmax(rows_, cols_, !ctx.fused, ctx.activations);
-}
-
 Shape
 ElementwiseOp::outputShape(const std::vector<Shape> &inputs) const
 {
@@ -350,43 +317,6 @@ BroadcastOp::cost(const KernelCostModel &km, const CostContext &ctx) const
     return km.simdOp(0, 0.0,
                      static_cast<Bytes>(n) * (1 + factor_) * 2,
                      !ctx.fused, ctx.activations);
-}
-
-Tensor
-InteractionOp::run(const std::vector<Tensor> &inputs, OpContext &) const
-{
-    const Tensor &x = inputs[0]; // [B, F, D]
-    Tensor out(Shape{batch_, features_ * (features_ - 1) / 2},
-               DType::FP32);
-    for (std::int64_t b = 0; b < batch_; ++b) {
-        std::int64_t slot = 0;
-        for (std::int64_t i = 0; i < features_; ++i) {
-            for (std::int64_t j = i + 1; j < features_; ++j) {
-                double dot = 0.0;
-                for (std::int64_t d = 0; d < dim_; ++d) {
-                    dot += static_cast<double>(
-                               x.at((b * features_ + i) * dim_ + d)) *
-                        static_cast<double>(
-                            x.at((b * features_ + j) * dim_ + d));
-                }
-                out.set2(b, slot++, static_cast<float>(dot));
-            }
-        }
-    }
-    return out;
-}
-
-KernelTime
-InteractionOp::cost(const KernelCostModel &km, const CostContext &ctx) const
-{
-    // Implemented as a batched X * X^T GEMM on the DPE.
-    FcOptions opt;
-    opt.weights = Placement::Lls; // the "weights" are activations here
-    opt.activations = ctx.activations;
-    opt.output = ctx.output;
-    opt.include_launch = !ctx.fused;
-    const FcShape shape{batch_ * features_, features_, dim_};
-    return km.fc(shape, opt);
 }
 
 FusedTransposeFcOp::FusedTransposeFcOp(Shape input,

@@ -5,8 +5,7 @@
  * @file
  * Dense operators: inputs, fully-connected layers (with optional fused
  * activation and dynamic INT8), layer norm (with horizontal batching),
- * softmax, elementwise math, layout ops, in-batch broadcast, and the
- * DLRM pairwise-interaction operator.
+ * elementwise math, layout ops, and in-batch broadcast.
  */
 
 #include <cstdint>
@@ -171,34 +170,6 @@ class LayerNormOp : public Op
     std::int64_t instances_;
 };
 
-/** Softmax over the last dimension of a rank-2 tensor. */
-class SoftmaxOp : public Op
-{
-  public:
-    SoftmaxOp(std::int64_t rows, std::int64_t cols)
-        : rows_(rows), cols_(cols) {}
-
-    std::string kind() const override { return "softmax"; }
-    std::size_t arity() const override { return 1; }
-    Shape outputShape(const std::vector<Shape> &) const override
-    {
-        return Shape{rows_, cols_};
-    }
-    Tensor run(const std::vector<Tensor> &inputs,
-               OpContext &ctx) const override;
-    KernelTime cost(const KernelCostModel &km,
-                    const CostContext &ctx) const override;
-    double flops() const override
-    {
-        return 5.0 * static_cast<double>(rows_) *
-               static_cast<double>(cols_);
-    }
-
-  private:
-    std::int64_t rows_;
-    std::int64_t cols_;
-};
-
 /** Elementwise binary op (add/mul of two inputs of the op's shape). */
 class ElementwiseOp : public Op
 {
@@ -298,42 +269,6 @@ class BroadcastOp : public Op
   private:
     Shape in_;
     std::int64_t factor_;
-};
-
-/**
- * DLRM pairwise feature interaction: given [B, F, D] stacked feature
- * vectors, emit the upper triangle of the F x F dot-product matrix
- * per batch item: output [B, F*(F-1)/2].
- */
-class InteractionOp : public Op
-{
-  public:
-    InteractionOp(std::int64_t batch, std::int64_t features,
-                  std::int64_t dim)
-        : batch_(batch), features_(features), dim_(dim) {}
-
-    std::string kind() const override { return "interaction"; }
-    std::size_t arity() const override { return 1; }
-    Shape outputShape(const std::vector<Shape> &) const override
-    {
-        return Shape{batch_, features_ * (features_ - 1) / 2};
-    }
-    Tensor run(const std::vector<Tensor> &inputs,
-               OpContext &ctx) const override;
-    KernelTime cost(const KernelCostModel &km,
-                    const CostContext &ctx) const override;
-    double flops() const override
-    {
-        return 2.0 * static_cast<double>(batch_) *
-               static_cast<double>(features_) *
-               static_cast<double>(features_) *
-               static_cast<double>(dim_) / 2.0;
-    }
-
-  private:
-    std::int64_t batch_;
-    std::int64_t features_;
-    std::int64_t dim_;
 };
 
 /**

@@ -5,37 +5,6 @@
 
 namespace mtia {
 
-CircularBuffer::CircularBuffer(unsigned slots, Bytes slot_bytes)
-    : slots_(slots), slot_bytes_(slot_bytes)
-{
-    MTIA_CHECK_GT(slots_, 0u)
-        << ": CircularBuffer needs at least one slot";
-}
-
-bool
-CircularBuffer::push()
-{
-    if (full()) {
-        ++producer_stalls_;
-        return false;
-    }
-    head_ = (head_ + 1) % slots_;
-    ++occupied_;
-    return true;
-}
-
-bool
-CircularBuffer::pop()
-{
-    if (empty()) {
-        ++consumer_stalls_;
-        return false;
-    }
-    tail_ = (tail_ + 1) % slots_;
-    --occupied_;
-    return true;
-}
-
 std::uint64_t
 CommandProcessor::gemmInstructions(std::int64_t m, std::int64_t n,
                                    std::int64_t k) const

@@ -3,12 +3,11 @@
 
 /**
  * @file
- * Command Processor: orchestrates the fixed-function units. Exposes
- * the hardware-managed Circular Buffer abstraction over Local Memory
- * and models the custom-instruction issue path whose bottleneck
- * motivated the Section 3.3 ISA additions (multi-context GEMM
- * instructions, auto-increment offsets, indexed DMA_IN, and 128-row
- * SIMD accumulation).
+ * Command Processor: orchestrates the fixed-function units. Models
+ * the custom-instruction issue path whose bottleneck motivated the
+ * Section 3.3 ISA additions (multi-context GEMM instructions,
+ * auto-increment offsets, indexed DMA_IN, and 128-row SIMD
+ * accumulation).
  */
 
 #include <cstdint>
@@ -21,43 +20,6 @@ class MetricRegistry;
 } // namespace mtia::telemetry
 
 namespace mtia {
-
-/**
- * The hardware circular-buffer abstraction: a ring of fixed-size
- * slots in Local Memory whose producer/consumer credits the CP tracks
- * on behalf of the programmer.
- */
-class CircularBuffer
-{
-  public:
-    CircularBuffer(unsigned slots, Bytes slot_bytes);
-
-    unsigned slots() const { return slots_; }
-    Bytes slotBytes() const { return slot_bytes_; }
-    Bytes footprint() const { return slots_ * slot_bytes_; }
-
-    unsigned occupied() const { return occupied_; }
-    bool full() const { return occupied_ == slots_; }
-    bool empty() const { return occupied_ == 0; }
-
-    /** Producer pushes one slot; returns false (stall) when full. */
-    bool push();
-
-    /** Consumer pops one slot; returns false (stall) when empty. */
-    bool pop();
-
-    std::uint64_t producerStalls() const { return producer_stalls_; }
-    std::uint64_t consumerStalls() const { return consumer_stalls_; }
-
-  private:
-    unsigned slots_;
-    Bytes slot_bytes_;
-    unsigned occupied_ = 0;
-    unsigned head_ = 0;
-    unsigned tail_ = 0;
-    std::uint64_t producer_stalls_ = 0;
-    std::uint64_t consumer_stalls_ = 0;
-};
 
 /** ISA feature set of the custom-instruction path. MTIA 1 lacks all
  * of these; MTIA 2i adds them to unblock the issue bottleneck. */

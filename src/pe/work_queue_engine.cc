@@ -1,6 +1,14 @@
 #include "pe/work_queue_engine.h"
 
+#include "core/check.h"
+
 namespace mtia {
+
+WorkQueueEngine::WorkQueueEngine(WorkQueueConfig cfg) : cfg_(cfg)
+{
+    MTIA_CHECK_GT(cfg_.control_cores, 0u)
+        << ": WorkQueueEngine needs at least one control core";
+}
 
 Tick
 WorkQueueEngine::launchTime(unsigned num_pes) const

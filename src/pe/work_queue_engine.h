@@ -8,13 +8,12 @@
  * descriptors one at a time; MTIA 2i's quad-core Control Core
  * broadcasts Work Queue descriptors and each PE's WQE DMAs its
  * request, cutting launch time by as much as 80% — under 1 us to
- * launch and under 0.5 us to replace a job (Section 3.3).
+ * launch and under 0.5 us to replace a job (Section 3.3). The times
+ * are closed-form; KernelCostModel charges them per launch through
+ * Device::jobLaunchTime(). WorkQueueConfig::control_cores is the
+ * chip's one Control Core count.
  */
 
-#include <cstdint>
-#include <utility>
-
-#include "sim/event_queue.h"
 #include "sim/types.h"
 
 namespace mtia {
@@ -24,7 +23,7 @@ struct WorkQueueConfig
 {
     bool broadcast = true;        ///< Control Core WQ broadcast support
     bool pe_wqe = true;           ///< per-PE Work Queue Engine DMA
-    unsigned control_cores = 4;   ///< Control Core core count
+    unsigned control_cores = 4;   ///< Control Core core count (> 0)
     /** Time to compose and post one WQ descriptor. */
     Tick descriptor_cost = fromNanos(60.0);
     /** Per-PE WQE DMA pull cost (overlapped across PEs). */
@@ -46,7 +45,8 @@ struct WorkQueueConfig
 class WorkQueueEngine
 {
   public:
-    explicit WorkQueueEngine(WorkQueueConfig cfg = {}) : cfg_(cfg) {}
+    /** @pre cfg.control_cores > 0 */
+    explicit WorkQueueEngine(WorkQueueConfig cfg = {});
 
     const WorkQueueConfig &config() const { return cfg_; }
 
@@ -58,33 +58,6 @@ class WorkQueueEngine
      * pre-staged; only the swap broadcast remains).
      */
     Tick replaceTime(unsigned num_pes) const;
-
-    /**
-     * Event-driven launch: schedule @p on_launched on @p eq at the
-     * moment a fresh job lands on @p num_pes PEs. The callable goes
-     * into the queue as-is (no wrapper closure), so move-only,
-     * inline-sized completions ride the queue's no-allocation fast
-     * path; read eq.now() inside the callback for the completion time.
-     * Returns the scheduled completion tick.
-     */
-    template <typename Fn>
-    Tick
-    launchAsync(EventQueue &eq, unsigned num_pes, Fn &&on_launched) const
-    {
-        const Tick done = eq.now() + launchTime(num_pes);
-        eq.schedule(done, std::forward<Fn>(on_launched));
-        return done;
-    }
-
-    /** Event-driven job replacement; see launchAsync. */
-    template <typename Fn>
-    Tick
-    replaceAsync(EventQueue &eq, unsigned num_pes, Fn &&on_replaced) const
-    {
-        const Tick done = eq.now() + replaceTime(num_pes);
-        eq.schedule(done, std::forward<Fn>(on_replaced));
-        return done;
-    }
 
   private:
     WorkQueueConfig cfg_;

@@ -10,6 +10,7 @@
 #include <limits>
 #include <vector>
 
+#include "autotune/coalescing_tuner.h"
 #include "autotune/kernel_tuner.h"
 #include "autotune/sharding.h"
 #include "chip/device.h"
@@ -27,9 +28,9 @@
 #include "models/workload.h"
 #include "noc/noc.h"
 #include "ops/dense_ops.h"
-#include "pe/command_processor.h"
 #include "pe/mlu.h"
 #include "pe/simd_engine.h"
+#include "pe/work_queue_engine.h"
 #include "serving/coalescer.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
@@ -213,12 +214,6 @@ TEST(ContractsMem, SramPartitionRejectsMoreLlsRegionsThanSram)
     EXPECT_THROW(SramPartition(cfg, 9), CheckFailedError);
 }
 
-TEST(ContractsMem, LlsAllocatorRejectsZeroAlignment)
-{
-    ScopedCheckThrow guard;
-    EXPECT_THROW(LlsAllocator(1_MiB, 0), CheckFailedError);
-}
-
 TEST(ContractsMem, LpddrChannelRejectsZeroAndNonFiniteBandwidth)
 {
     ScopedCheckThrow guard;
@@ -266,10 +261,17 @@ TEST(ContractsModels, GenerateTraceRejectsZeroAndNonFiniteQps)
 
 // ----------------------------------------------------------------- pe
 
-TEST(ContractsPe, CircularBufferRejectsZeroSlots)
+TEST(ContractsPe, WorkQueueEngineRejectsZeroControlCores)
 {
     ScopedCheckThrow guard;
-    EXPECT_THROW(CircularBuffer(0, 256), CheckFailedError);
+    WorkQueueConfig cfg;
+    cfg.control_cores = 0;
+    EXPECT_THROW(WorkQueueEngine{cfg}, CheckFailedError);
+    // A chip built with that launch path fails at construction, not
+    // with a division by zero on its first launch-charged kernel.
+    ChipConfig chip = ChipConfig::mtia2i();
+    chip.work_queue.control_cores = 0;
+    EXPECT_THROW(Device{chip}, CheckFailedError);
 }
 
 TEST(ContractsPe, LookupTableRejectsEmptyRange)
@@ -433,6 +435,13 @@ TEST(ContractsAutotune, GemmKernelTunerRejectsZeroReps)
     ScopedCheckThrow guard;
     EXPECT_THROW(GemmKernelTuner(0), CheckFailedError);
     EXPECT_THROW(GemmKernelTuner(-1), CheckFailedError);
+}
+
+TEST(ContractsAutotune, CoalescingTunerRejectsZeroMaxWait)
+{
+    ScopedCheckThrow guard;
+    EXPECT_THROW(CoalescingTuner(0), CheckFailedError);
+    EXPECT_NO_THROW(CoalescingTuner(1));
 }
 
 TEST(ContractsAutotune, ShardingPlannerRejectsRuntimeBuffersFillingDram)

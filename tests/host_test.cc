@@ -233,8 +233,8 @@ TEST(Sha, SingleBitChangeChangesDigest)
 
 TEST(ControlCoreTest, DeadlockExistsOnlyWithHostWorkingMemory)
 {
-    ControlCore cc(ControlCoreConfig{
-        .cores = 4, .working_mem = ControlMemLocation::HostMemory});
+    ControlCore cc(
+        ControlCoreConfig{.working_mem = ControlMemLocation::HostMemory});
     EXPECT_TRUE(cc.buildHighLoadScenario().hasDeadlock());
 
     cc.relocateWorkingMem(ControlMemLocation::DeviceSram);

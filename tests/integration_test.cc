@@ -219,7 +219,7 @@ TEST(Integration, FirmwareLifecycleEndToEnd)
         fix, FirmwareManager::emergencyPlan(false), 400);
     EXPECT_TRUE(rollout.completed);
 
-    ControlCore cc(ControlCoreConfig{4, fix.control_mem});
+    ControlCore cc(ControlCoreConfig{.working_mem = fix.control_mem});
     EXPECT_FALSE(cc.buildHighLoadScenario().hasDeadlock());
 }
 

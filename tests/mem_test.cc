@@ -2,8 +2,8 @@
  * @file
  * Tests for the memory substrates: SECDED ECC codec (exhaustive
  * single-bit property sweep), LPDDR bandwidth/error model, LLC model
- * vs Che's approximation, SRAM partitioning, LLS allocator, and the
- * memory-error injector.
+ * vs Che's approximation, SRAM partitioning, and the memory-error
+ * injector.
  */
 
 #include <gtest/gtest.h>
@@ -265,21 +265,6 @@ TEST(Sram, FitLlsRoundsUpToRegions)
     EXPECT_EQ(p.llsRegions(), 8u);
     EXPECT_EQ(p.llcBytes(), 0u);
     EXPECT_FALSE(SramPartition::fitLls(cfg, 257_MiB, p));
-}
-
-TEST(Lls, AllocatorFitAndRollback)
-{
-    LlsAllocator a(1024, 64);
-    EXPECT_EQ(a.allocate(100), 0);  // rounds to 128
-    EXPECT_EQ(a.used(), 128u);
-    const Bytes m = a.mark();
-    EXPECT_EQ(a.allocate(512), 128);
-    EXPECT_EQ(a.allocate(512), -1); // would exceed 1024
-    a.release(m);
-    EXPECT_EQ(a.used(), 128u);
-    EXPECT_EQ(a.peak(), 640u);
-    EXPECT_TRUE(a.fits(896));
-    EXPECT_FALSE(a.fits(897));
 }
 
 TEST(Injector, ExponentBitFlipsInFloatWeightsCauseLargeErrors)

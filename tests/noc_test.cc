@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the NoC substrate: leaky-bucket shaping, packet
- * fragmentation, broadcast-read amplification, and wait-for-graph
- * deadlock detection (randomized against a brute-force cycle oracle).
+ * Tests for the NoC substrate: packet overhead, broadcast-read
+ * amplification, and wait-for-graph deadlock detection (randomized
+ * against a brute-force cycle oracle).
  */
 
 #include <gtest/gtest.h>
@@ -13,59 +13,22 @@
 
 #include "noc/deadlock.h"
 #include "noc/noc.h"
-#include "noc/traffic_shaper.h"
 #include "sim/random.h"
 
 namespace mtia {
 namespace {
 
-TEST(Shaper, BurstPassesImmediately)
+TEST(Noc, TransferChargesOneHeaderPerPacket)
 {
-    TrafficShaper s(gbPerSec(1.0), 4096);
-    EXPECT_EQ(s.offer(0, 4096), 0u);
-}
-
-TEST(Shaper, SustainedRateIsEnforced)
-{
-    TrafficShaper s(gbPerSec(1.0), 1024);
-    Tick t = 0;
-    // Send 10 MB in 1 KB chunks starting at time 0; the last chunk
-    // cannot start before (10MB - burst) / rate.
-    for (int i = 0; i < 10240; ++i)
-        t = s.offer(0, 1024);
-    const double expected_s = (10240.0 * 1024.0 - 1024.0) / 1e9;
-    EXPECT_NEAR(toSeconds(t), expected_s, 1e-6);
-}
-
-TEST(Shaper, TokensRefillOverTime)
-{
-    TrafficShaper s(gbPerSec(1.0), 2048);
-    s.offer(0, 2048); // drain the bucket
-    EXPECT_NEAR(s.tokensAt(fromMicros(1.0)), 1000.0, 1.0);
-    EXPECT_NEAR(s.tokensAt(fromMicros(10.0)), 2048.0, 1.0); // capped
-}
-
-TEST(Shaper, IdleDoesNotAccumulateBeyondBurst)
-{
-    TrafficShaper s(gbPerSec(10.0), 1024);
-    // After a long idle the bucket holds exactly one burst.
-    EXPECT_EQ(s.offer(fromMillis(100.0), 1024), fromMillis(100.0));
-    // And an immediate second burst must wait.
-    EXPECT_GT(s.offer(fromMillis(100.0), 1024), fromMillis(100.0));
-}
-
-TEST(Fragmenter, CountsAndWireBytes)
-{
-    PacketFragmenter f{.max_payload = 256, .header_bytes = 16};
-    EXPECT_EQ(f.packetCount(0), 0u);
-    EXPECT_EQ(f.packetCount(1), 1u);
-    EXPECT_EQ(f.packetCount(256), 1u);
-    EXPECT_EQ(f.packetCount(257), 2u);
-    EXPECT_EQ(f.wireBytes(1024), 1024u + 4 * 16u);
-    const auto frags = f.fragment(600);
-    ASSERT_EQ(frags.size(), 3u);
-    EXPECT_EQ(frags[0], 256u);
-    EXPECT_EQ(frags[2], 88u);
+    // 256-byte packets, 16-byte header each: 0 + 1 + 1 + 2 + 4 packets.
+    NocModel noc(NocConfig{});
+    Bytes payload = 0;
+    for (Bytes bytes : {0u, 1u, 256u, 257u, 1024u}) {
+        noc.transferTime(bytes);
+        payload += bytes;
+    }
+    EXPECT_EQ(noc.stats().payload_bytes, payload);
+    EXPECT_EQ(noc.stats().wire_bytes, payload + 8 * 16u);
 }
 
 TEST(Noc, BroadcastEliminatesRedundantTraffic)
@@ -172,22 +135,6 @@ TEST(Deadlock, RandomGraphsAgreeWithOracle)
         }
         EXPECT_EQ(g.hasDeadlock(), oracle) << "trial " << trial;
     }
-}
-
-TEST(Shaper, EventDrivenSendFiresAtDepartureTime)
-{
-    TrafficShaper s(gbPerSec(1.0), 2048);
-    EventQueue eq;
-    std::vector<Tick> departures;
-    // First packet drains the bucket and departs immediately; the
-    // second must wait for refill.
-    const Tick d0 = s.send(eq, 2048, [&] { departures.push_back(eq.now()); });
-    const Tick d1 = s.send(eq, 1024, [&] { departures.push_back(eq.now()); });
-    EXPECT_EQ(d0, 0u);
-    EXPECT_GT(d1, d0);
-    eq.run();
-    EXPECT_EQ(departures, (std::vector<Tick>{d0, d1}));
-    EXPECT_EQ(eq.now(), d1);
 }
 
 } // namespace

@@ -116,23 +116,6 @@ TEST_F(OpsTest, BatchedLayerNormMatchesIndividuals)
     EXPECT_LT(one, two);
 }
 
-TEST_F(OpsTest, SoftmaxRowsSumToOne)
-{
-    ctx_.rng = &rng_;
-    SoftmaxOp sm(8, 16);
-    Tensor x(Shape{8, 16}, DType::FP32);
-    x.fillGaussian(rng_, 0.0f, 3.0f);
-    const Tensor y = sm.run({x}, ctx_);
-    for (std::int64_t r = 0; r < 8; ++r) {
-        double sum = 0.0;
-        for (std::int64_t c = 0; c < 16; ++c) {
-            sum += y.at2(r, c);
-            EXPECT_GE(y.at2(r, c), 0.0f);
-        }
-        EXPECT_NEAR(sum, 1.0, 1e-3); // LUT exp is approximate
-    }
-}
-
 TEST_F(OpsTest, BroadcastTilesRows)
 {
     ctx_.rng = &rng_;
@@ -143,22 +126,6 @@ TEST_F(OpsTest, BroadcastTilesRows)
     EXPECT_EQ(y.shape(), (Shape{6, 3}));
     EXPECT_FLOAT_EQ(y.at2(0, 1), y.at2(2, 1));
     EXPECT_FLOAT_EQ(y.at2(1, 2), y.at2(5, 2));
-}
-
-TEST_F(OpsTest, InteractionComputesPairwiseDots)
-{
-    ctx_.rng = &rng_;
-    InteractionOp inter(2, 3, 4);
-    Tensor x(Shape{2, 3, 4}, DType::FP32);
-    x.fillGaussian(rng_);
-    const Tensor y = inter.run({x}, ctx_);
-    EXPECT_EQ(y.shape(), (Shape{2, 3}));
-    // Pair (0, 1) of batch 0.
-    double expect = 0.0;
-    for (std::int64_t d = 0; d < 4; ++d)
-        expect += static_cast<double>(x.at(0 * 12 + 0 * 4 + d)) *
-            x.at(0 * 12 + 1 * 4 + d);
-    EXPECT_NEAR(y.at2(0, 0), expect, 1e-4);
 }
 
 TEST_F(OpsTest, TbeOutputBoundedByPooling)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the processing-element units: DPE functional GEMM and
- * utilization model, SIMD LUT approximation, reduction engine, MLU
- * layout ops, command-processor instruction accounting, circular
- * buffers, fabric interface, and the eager-mode work-queue engine.
+ * utilization model, SIMD LUT approximation, MLU layout ops,
+ * command-processor instruction accounting, and the eager-mode
+ * work-queue engine.
  */
 
 #include <gtest/gtest.h>
@@ -16,9 +16,7 @@
 #include "core/parallel.h"
 #include "pe/command_processor.h"
 #include "pe/dpe.h"
-#include "pe/fabric_interface.h"
 #include "pe/mlu.h"
-#include "pe/reduction_engine.h"
 #include "pe/simd_engine.h"
 #include "pe/work_queue_engine.h"
 #include "sim/random.h"
@@ -248,42 +246,6 @@ TEST(SimdLutCache, ParallelFirstTouchMatchesSerial)
     }
 }
 
-TEST(Reduction, AccumulateAndReduceAll)
-{
-    Tensor a(Shape{2, 2}, DType::FP32);
-    a.fill(1.0f);
-    Tensor b(Shape{2, 2}, DType::FP32);
-    b.fill(2.5f);
-    ReductionEngine::accumulate(a, b);
-    EXPECT_FLOAT_EQ(a.at(0), 3.5f);
-
-    std::vector<Tensor> parts;
-    for (int i = 0; i < 8; ++i) {
-        Tensor t(Shape{2, 2}, DType::FP32);
-        t.fill(1.0f);
-        parts.push_back(t);
-    }
-    const Tensor sum = ReductionEngine::reduceAll(parts);
-    EXPECT_FLOAT_EQ(sum.at(3), 8.0f);
-}
-
-TEST(Reduction, RowMinMaxFeedsSymmetricScale)
-{
-    Tensor t(Shape{2, 3}, DType::FP32);
-    t.set2(0, 0, -4.0f);
-    t.set2(0, 1, 1.0f);
-    t.set2(0, 2, 2.0f);
-    t.set2(1, 0, 0.5f);
-    t.set2(1, 1, -0.25f);
-    t.set2(1, 2, 0.125f);
-    const auto mm = ReductionEngine::rowMinMax(t);
-    ASSERT_EQ(mm.size(), 2u);
-    EXPECT_FLOAT_EQ(mm[0].min, -4.0f);
-    EXPECT_FLOAT_EQ(mm[0].max, 2.0f);
-    EXPECT_FLOAT_EQ(mm[0].symmetricScale(), 4.0f / 127.0f);
-    EXPECT_FLOAT_EQ(mm[1].symmetricScale(), 0.5f / 127.0f);
-}
-
 TEST(Mlu, TransposeInvolution)
 {
     Rng rng(6);
@@ -335,22 +297,6 @@ TEST(Mlu, ReshapePreservesData)
     EXPECT_FLOAT_EQ(r.at(13), t.at(13));
 }
 
-TEST(CircularBufferTest, CreditsAndStalls)
-{
-    CircularBuffer cb(4, 1024);
-    EXPECT_EQ(cb.footprint(), 4096u);
-    EXPECT_TRUE(cb.empty());
-    EXPECT_FALSE(cb.pop()); // consumer stall
-    for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(cb.push());
-    EXPECT_TRUE(cb.full());
-    EXPECT_FALSE(cb.push()); // producer stall
-    EXPECT_TRUE(cb.pop());
-    EXPECT_TRUE(cb.push());
-    EXPECT_EQ(cb.producerStalls(), 1u);
-    EXPECT_EQ(cb.consumerStalls(), 1u);
-}
-
 TEST(CommandProc, FeatureBitsReduceGemmInstructions)
 {
     CommandProcessor modern{IsaFeatures{}};
@@ -381,27 +327,6 @@ TEST(CommandProc, IssueTimeScalesWithClock)
     EXPECT_NEAR(static_cast<double>(slow) / fast, 1.35 / 1.1, 0.01);
 }
 
-TEST(Fabric, PrefetchOverlapsDramLatency)
-{
-    FabricInterfaceConfig with;
-    with.prefetch = true;
-    FabricInterfaceConfig without = with;
-    without.prefetch = false;
-    FabricInterface fi_with(with);
-    FabricInterface fi_without(without);
-    // Per-PE view: this PE's share of DRAM bandwidth is ~2.8 GB/s
-    // (182 GB/s across 64 PEs); the SRAM hop runs at the FI's 42 GB/s
-    // port rate.
-    const Bytes bytes = 16_MiB;
-    const Tick t1 =
-        fi_with.dramReadTime(bytes, gbPerSec(2.8), gbPerSec(42.0));
-    const Tick t2 =
-        fi_without.dramReadTime(bytes, gbPerSec(2.8), gbPerSec(42.0));
-    EXPECT_LT(t1, t2);
-    // With prefetch the DRAM leg alone bounds the time.
-    EXPECT_EQ(t1, transferTicks(bytes, gbPerSec(2.8)));
-}
-
 TEST(Wqe, EagerLaunchMeetsPaperBudgets)
 {
     WorkQueueEngine modern{WorkQueueConfig{}};
@@ -415,38 +340,6 @@ TEST(Wqe, EagerLaunchMeetsPaperBudgets)
     const double reduction =
         1.0 - static_cast<double>(launch) / old_launch;
     EXPECT_GE(reduction, 0.75);
-}
-
-TEST(Wqe, AsyncLaunchFiresCompletionAtLaunchTime)
-{
-    WorkQueueEngine wqe{WorkQueueConfig{}};
-    EventQueue eq;
-    Tick fired_at = 0;
-    int fired = 0;
-    const Tick done = wqe.launchAsync(eq, 64, [&] {
-        fired_at = eq.now();
-        ++fired;
-    });
-    EXPECT_EQ(done, wqe.launchTime(64));
-    EXPECT_EQ(fired, 0);
-    eq.run();
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(fired_at, done);
-}
-
-TEST(Wqe, AsyncReplaceChainsFromCompletion)
-{
-    // Launch, then replace from inside the completion callback — the
-    // event-driven shape the serving simulator uses.
-    WorkQueueEngine wqe{WorkQueueConfig{}};
-    EventQueue eq;
-    Tick replaced_at = 0;
-    wqe.launchAsync(eq, 64, [&] {
-        wqe.replaceAsync(eq, 64, [&] { replaced_at = eq.now(); });
-    });
-    eq.run();
-    EXPECT_EQ(replaced_at, wqe.launchTime(64) + wqe.replaceTime(64));
-    EXPECT_EQ(eq.executed(), 2u);
 }
 
 } // namespace
