@@ -15,11 +15,11 @@
 namespace mtia::bench {
 
 /**
- * Wall-clock stopwatch for the serial-vs-parallel speedup harness.
- * This is the one sanctioned wall-clock use in the repo: the measured
- * ratio feeds Report::wallClockSpeedup, which is explicitly excluded
- * from byte-identical report guarantees. Simulated results must never
- * depend on it.
+ * Wall-clock stopwatch for host timings: bench rows and perfbench's
+ * run deadlines. A bench records what it measures only through
+ * Report::wallClock, so the values land only in the report's
+ * `wall_clock` array, which the byte-identical golden check drops.
+ * Simulated results must never depend on it.
  */
 class WallTimer
 {

@@ -1,7 +1,6 @@
 #include "autotune/kernel_tuner.h"
 
 #include <algorithm>
-#include <chrono> // sim-lint: allow(wall-clock) — measured GEMM variant tuning (see GemmKernelTuner)
 #include <cmath>
 #include <vector>
 
@@ -28,26 +27,6 @@ log2Positive(std::int64_t v)
 {
     return std::log2(static_cast<double>(std::max<std::int64_t>(1, v)));
 }
-
-/**
- * Deterministic synthetic GEMM operands for timing a shape; values
- * only have to be non-degenerate, timing does not depend on them.
- */
-struct GemmOperands
-{
-    std::vector<float> a, b, c;
-
-    explicit GemmOperands(const FcShape &s)
-        : a(static_cast<std::size_t>(s.m * s.k)),
-          b(static_cast<std::size_t>(s.k * s.n)),
-          c(static_cast<std::size_t>(s.m * s.n))
-    {
-        for (std::size_t i = 0; i < a.size(); ++i)
-            a[i] = static_cast<float>(static_cast<int>(i % 251) - 125) * 0.01f;
-        for (std::size_t i = 0; i < b.size(); ++i)
-            b[i] = static_cast<float>(static_cast<int>(i % 241) - 120) * 0.01f;
-    }
-};
 
 } // namespace
 
@@ -260,190 +239,6 @@ KernelTuner::buildDatabase(const std::vector<FcShape> &corpus) const
     for (std::size_t i = 0; i < corpus.size(); ++i)
         db.insert(PerfEntry{corpus[i], results[i].variant,
                             results[i].kernel_time});
-    return db;
-}
-
-// --------------------------------------------- measured GEMM tuning
-
-GemmKernelTuner::GemmKernelTuner(int reps) : reps_(reps)
-{
-    MTIA_CHECK_GE(reps, 1) << ": GemmKernelTuner needs at least one rep";
-}
-
-std::vector<GemmVariant>
-GemmKernelTuner::variantSpace()
-{
-    // Scalar first, then ascending vector width: first-minimum
-    // tie-breaking therefore prefers the reference when timings tie.
-    static constexpr simd::SimdIsa kTiers[] = {
-        simd::SimdIsa::Scalar, simd::SimdIsa::Sse2, simd::SimdIsa::Neon,
-        simd::SimdIsa::Avx2, simd::SimdIsa::Avx512};
-    static constexpr simd::GemmBlocking kBlockings[] = {
-        {64, 256, 512}, {32, 128, 1024}, {128, 512, 256}};
-    std::vector<GemmVariant> space;
-    for (simd::SimdIsa isa : kTiers) {
-        if (!simd::isaSupported(isa))
-            continue;
-        for (const simd::GemmBlocking &blk : kBlockings)
-            space.push_back(GemmVariant{isa, blk});
-    }
-    return space;
-}
-
-std::vector<GemmVariant>
-GemmKernelTuner::extendedVariantSpace()
-{
-    static constexpr simd::SimdIsa kTiers[] = {
-        simd::SimdIsa::Scalar, simd::SimdIsa::Sse2, simd::SimdIsa::Neon,
-        simd::SimdIsa::Avx2, simd::SimdIsa::Avx512};
-    static constexpr std::int64_t kMc[] = {32, 64, 128, 256};
-    static constexpr std::int64_t kKc[] = {128, 256, 512, 1024};
-    static constexpr std::int64_t kNc[] = {256, 512, 1024};
-    std::vector<GemmVariant> space;
-    for (simd::SimdIsa isa : kTiers) {
-        if (!simd::isaSupported(isa))
-            continue;
-        for (std::int64_t mc : kMc)
-            for (std::int64_t kc : kKc)
-                for (std::int64_t nc : kNc)
-                    space.push_back(
-                        GemmVariant{isa, simd::GemmBlocking{mc, kc, nc}});
-    }
-    return space;
-}
-
-FeatureVec
-GemmKernelTuner::variantFeatures(const FcShape &shape,
-                                 const GemmVariant &v)
-{
-    FeatureVec f{};
-    f[0] = log2Positive(shape.m);
-    f[1] = log2Positive(shape.n);
-    f[2] = log2Positive(shape.k);
-    f[3] = static_cast<double>(v.isa);
-    f[4] = log2Positive(v.blocking.mc);
-    f[5] = log2Positive(v.blocking.kc);
-    f[6] = log2Positive(v.blocking.nc);
-    return f;
-}
-
-GemmSurrogateResult
-GemmKernelTuner::tuneSurrogate(const FcShape &shape,
-                               const GemmVariantDatabase *warm,
-                               const SurrogateSweepOptions &opts) const
-{
-    MTIA_CHECK(shape.m > 0 && shape.n > 0 && shape.k > 0)
-        << ": GemmKernelTuner needs a positive shape, got "
-        << shape.toString();
-    const std::vector<GemmVariant> space = extendedVariantSpace();
-    MTIA_CHECK(!space.empty()) << ": empty GEMM variant space";
-
-    GemmOperands ops(shape);
-
-    SurrogateSweepOptions o = opts;
-    // Timing-based evaluator: samples must not run concurrently.
-    o.serial_eval = true;
-    if (warm != nullptr) {
-        for (const GemmPerfEntry &e :
-             warm->lookupK(shape, kWarmNeighbors)) {
-            o.warm_features.push_back(
-                variantFeatures(e.shape, e.best_variant));
-            o.warm_costs.push_back(e.best_seconds);
-        }
-    }
-
-    const SurrogateSweepResult loop = surrogateArgmin(
-        space.size(),
-        [&](std::size_t i) { return variantFeatures(shape, space[i]); },
-        [&](std::size_t i) {
-            return measureVariant(space[i], ops.a.data(), ops.b.data(),
-                                  ops.c.data(), shape);
-        },
-        o);
-
-    GemmSurrogateResult r;
-    r.result.variant = space[loop.best_index];
-    r.result.seconds = loop.best_cost;
-    r.result.gflops = shape.flops() / loop.best_cost / 1e9;
-    r.loop = loop;
-    r.grid_size = space.size();
-    return r;
-}
-
-double
-GemmKernelTuner::measureVariant(const GemmVariant &v, const float *a,
-                                const float *b, float *c,
-                                const FcShape &s) const
-{
-    double best = 0.0;
-    for (int rep = 0; rep < reps_; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now(); // sim-lint: allow(wall-clock) — measured variant tuning times real kernels by design
-        simd::gemmF32(a, b, c, s.m, s.n, s.k, v.isa, v.blocking);
-        const auto t1 = std::chrono::steady_clock::now(); // sim-lint: allow(wall-clock) — measured variant tuning times real kernels by design
-        const double secs = std::chrono::duration<double>(t1 - t0).count();
-        if (rep == 0 || secs < best)
-            best = secs;
-    }
-    return best;
-}
-
-GemmTuneResult
-GemmKernelTuner::tuneMeasured(const FcShape &shape) const
-{
-    MTIA_CHECK(shape.m > 0 && shape.n > 0 && shape.k > 0)
-        << ": GemmKernelTuner needs a positive shape, got "
-        << shape.toString();
-    GemmOperands ops(shape);
-
-    const std::vector<GemmVariant> space = variantSpace();
-    MTIA_CHECK(!space.empty()) << ": empty GEMM variant space";
-    GemmTuneResult result;
-    bool first = true;
-    for (const GemmVariant &v : space) {
-        const double secs =
-            measureVariant(v, ops.a.data(), ops.b.data(), ops.c.data(),
-                           shape);
-        // Strict less-than: the earliest variant in space order wins
-        // ties, mirroring tuneExhaustive's deterministic reduction.
-        if (first || secs < result.seconds) {
-            result.variant = v;
-            result.seconds = secs;
-            first = false;
-        }
-    }
-    result.gflops = shape.flops() / result.seconds / 1e9;
-    return result;
-}
-
-GemmTuneResult
-GemmKernelTuner::tuneApproximate(const FcShape &shape,
-                                 GemmVariantDatabase &db) const
-{
-    if (const auto hit = db.lookup(shape)) {
-        GemmOperands ops(shape);
-        GemmTuneResult result;
-        result.variant = hit->best_variant;
-        result.seconds = measureVariant(result.variant, ops.a.data(),
-                                        ops.b.data(), ops.c.data(), shape);
-        result.gflops = shape.flops() / result.seconds / 1e9;
-        return result;
-    }
-    const GemmTuneResult result = tuneMeasured(shape);
-    db.insert(GemmPerfEntry{shape, result.variant, result.seconds,
-                            result.gflops});
-    return result;
-}
-
-GemmVariantDatabase
-GemmKernelTuner::buildDatabase(const std::vector<FcShape> &corpus) const
-{
-    // Serial on purpose: concurrent timing runs would contend for the
-    // lane pool and cores, skewing every sample.
-    GemmVariantDatabase db;
-    for (const FcShape &shape : corpus) {
-        const GemmTuneResult r = tuneMeasured(shape);
-        db.insert(GemmPerfEntry{shape, r.variant, r.seconds, r.gflops});
-    }
     return db;
 }
 

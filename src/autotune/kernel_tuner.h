@@ -112,90 +112,6 @@ class KernelTuner
     Tick replay_cost_;
 };
 
-/** Result of measured-GEMM tuning for one shape. */
-struct GemmTuneResult
-{
-    GemmVariant variant;
-    double seconds = 0.0; ///< best-of-reps wall clock of the winner
-    double gflops = 0.0;
-};
-
-/** Result of surrogate-guided measured-GEMM tuning. */
-struct GemmSurrogateResult
-{
-    GemmTuneResult result;
-    SurrogateSweepResult loop;
-    std::size_t grid_size = 0; ///< extended-grid candidate count
-};
-
-/**
- * Measured tuner for the functional GEMM kernel layer: unlike
- * KernelTuner (analytic cost model), this one executes every
- * supported dispatch tier × blocking config on the real
- * core/simd_gemm kernels and picks the fastest from best-of-reps
- * wall-clock samples (ties break to the earliest variant in
- * variantSpace order, mirroring tuneExhaustive). Selection is
- * timing-based by design — the NeuroScalar/agentic-operator
- * direction of measuring real variants instead of estimating them —
- * so it is the one sanctioned wall-clock consumer in src/.
- */
-class GemmKernelTuner
-{
-  public:
-    /** @param reps timed samples per variant (best-of); at least 1. */
-    explicit GemmKernelTuner(int reps = 3);
-
-    /** Supported tiers (scalar always included) × blocking configs. */
-    static std::vector<GemmVariant> variantSpace();
-
-    /**
-     * The extended tier x blocking grid for surrogate tuning: every
-     * supported tier x mc {32,64,128,256} x kc {128,256,512,1024} x
-     * nc {256,512,1024} — 48 blockings per tier vs the legacy 3.
-     */
-    static std::vector<GemmVariant> extendedVariantSpace();
-
-    /** Surrogate feature encoding of one (shape, variant) point. */
-    static FeatureVec variantFeatures(const FcShape &shape,
-                                      const GemmVariant &v);
-
-    /** Run and time every variant on @p shape; pick the fastest. */
-    GemmTuneResult tuneMeasured(const FcShape &shape) const;
-
-    /**
-     * Surrogate-guided measured tuning over extendedVariantSpace().
-     * Seed and verify batches run serially on the calling thread
-     * (concurrent timing samples would skew each other); the
-     * surrogate trains on best-of-reps seconds, warm-started from
-     * @p warm's k nearest measured shapes when given. Timing-based by
-     * design, so — unlike the analytic tuners — the chosen variant is
-     * not bit-reproducible across machines; the loop accounting
-     * (grid size, eval counts) is.
-     */
-    GemmSurrogateResult
-    tuneSurrogate(const FcShape &shape,
-                  const GemmVariantDatabase *warm = nullptr,
-                  const SurrogateSweepOptions &opts = {}) const;
-
-    /**
-     * ANN tuning: adopt the nearest measured shape's variant from
-     * @p db (one confirmation timing for the reported numbers).
-     * Falls back to tuneMeasured (and records the result) on a miss.
-     */
-    GemmTuneResult tuneApproximate(const FcShape &shape,
-                                   GemmVariantDatabase &db) const;
-
-    /** Measure a corpus into a database. */
-    GemmVariantDatabase
-    buildDatabase(const std::vector<FcShape> &corpus) const;
-
-  private:
-    double measureVariant(const GemmVariant &v, const float *a,
-                          const float *b, float *c, const FcShape &s) const;
-
-    int reps_;
-};
-
 } // namespace mtia
 
 #endif // MTIA_AUTOTUNE_KERNEL_TUNER_H_

@@ -137,26 +137,15 @@ KdTree::nearestK(const ShapeKey &q, std::size_t k) const
     return out;
 }
 
-std::string
-GemmVariant::name() const
-{
-    return std::string(simd::isaName(isa)) + "/mc" +
-           std::to_string(blocking.mc) + ".kc" +
-           std::to_string(blocking.kc) + ".nc" +
-           std::to_string(blocking.nc);
-}
-
-template <typename Entry>
 void
-ShapeDatabase<Entry>::insert(Entry entry)
+PerfDatabase::insert(PerfEntry entry)
 {
     entries_.push_back(std::move(entry));
     dirty_ = true;
 }
 
-template <typename Entry>
 void
-ShapeDatabase<Entry>::rebuild() const
+PerfDatabase::rebuild() const
 {
     std::vector<ShapeKey> keys;
     keys.reserve(entries_.size());
@@ -166,9 +155,8 @@ ShapeDatabase<Entry>::rebuild() const
     dirty_ = false;
 }
 
-template <typename Entry>
-std::optional<Entry>
-ShapeDatabase<Entry>::lookup(const FcShape &shape) const
+std::optional<PerfEntry>
+PerfDatabase::lookup(const FcShape &shape) const
 {
     if (entries_.empty())
         return std::nullopt;
@@ -177,21 +165,17 @@ ShapeDatabase<Entry>::lookup(const FcShape &shape) const
     return entries_[tree_->nearest(shapeKey(shape))];
 }
 
-template <typename Entry>
-std::vector<Entry>
-ShapeDatabase<Entry>::lookupK(const FcShape &shape, std::size_t k) const
+std::vector<PerfEntry>
+PerfDatabase::lookupK(const FcShape &shape, std::size_t k) const
 {
     if (entries_.empty() || k == 0)
         return {};
     if (dirty_ || !tree_)
         rebuild();
-    std::vector<Entry> out;
+    std::vector<PerfEntry> out;
     for (std::size_t idx : tree_->nearestK(shapeKey(shape), k))
         out.push_back(entries_[idx]);
     return out;
 }
-
-template class ShapeDatabase<PerfEntry>;
-template class ShapeDatabase<GemmPerfEntry>;
 
 } // namespace mtia

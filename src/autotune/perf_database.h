@@ -13,12 +13,10 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "chip/kernel_cost_model.h"
-#include "core/simd_gemm.h"
 
 namespace mtia {
 
@@ -87,37 +85,6 @@ class KdTree
     int root_ = -1;
 };
 
-/**
- * Tuned-shape database with ANN lookup: entries of any type with an
- * FcShape `shape` member, keyed by shapeKey() in a KdTree rebuilt
- * lazily after inserts.
- */
-template <typename Entry>
-class ShapeDatabase
-{
-  public:
-    void insert(Entry entry);
-
-    /** Nearest neighbour of @p shape (nullopt when empty). */
-    std::optional<Entry> lookup(const FcShape &shape) const;
-
-    /**
-     * The (up to) @p k nearest entries, closest first with
-     * deterministic (distance, insertion-order) tie-breaking; empty
-     * when the database is. Surrogate warm-start path.
-     */
-    std::vector<Entry> lookupK(const FcShape &shape, std::size_t k) const;
-
-    std::size_t size() const { return entries_.size(); }
-
-  private:
-    void rebuild() const;
-
-    std::vector<Entry> entries_;
-    mutable std::unique_ptr<KdTree> tree_;
-    mutable bool dirty_ = false;
-};
-
 /** One tuned entry: the best variant found for a shape. */
 struct PerfEntry
 {
@@ -126,34 +93,36 @@ struct PerfEntry
     Tick best_time = 0;
 };
 
-/** The tuned-kernel database of modeled FC variants. */
-using PerfDatabase = ShapeDatabase<PerfEntry>;
-
 /**
- * One functional-GEMM kernel variant: runtime dispatch tier ×
- * cache-blocking config. Unlike FcOptions (modeled variants), these
- * are executed and timed for real by GemmKernelTuner.
+ * The tuned-kernel database of modeled FC variants with ANN lookup:
+ * entries keyed by shapeKey() in a KdTree rebuilt lazily after
+ * inserts.
  */
-struct GemmVariant
+class PerfDatabase
 {
-    simd::SimdIsa isa = simd::SimdIsa::Scalar;
-    simd::GemmBlocking blocking;
+  public:
+    void insert(PerfEntry entry);
 
-    /** e.g. "avx2/mc64.kc256.nc512" for reports and logs. */
-    std::string name() const;
+    /** Nearest neighbour of @p shape (nullopt when empty). */
+    std::optional<PerfEntry> lookup(const FcShape &shape) const;
+
+    /**
+     * The (up to) @p k nearest entries, closest first with
+     * deterministic (distance, insertion-order) tie-breaking; empty
+     * when the database is. Surrogate warm-start path.
+     */
+    std::vector<PerfEntry> lookupK(const FcShape &shape,
+                                   std::size_t k) const;
+
+    std::size_t size() const { return entries_.size(); }
+
+  private:
+    void rebuild() const;
+
+    std::vector<PerfEntry> entries_;
+    mutable std::unique_ptr<KdTree> tree_;
+    mutable bool dirty_ = false;
 };
-
-/** One measured entry: the fastest variant found for a shape. */
-struct GemmPerfEntry
-{
-    FcShape shape;
-    GemmVariant best_variant;
-    double best_seconds = 0.0; ///< best-of-reps wall clock
-    double best_gflops = 0.0;
-};
-
-/** ANN database over measured GEMM variants. */
-using GemmVariantDatabase = ShapeDatabase<GemmPerfEntry>;
 
 } // namespace mtia
 

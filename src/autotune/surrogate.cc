@@ -156,19 +156,11 @@ CostSurrogate::describe() const
 
 namespace {
 
-/** Really evaluate @p idx; through the lane pool unless the caller's
- *  evaluator is timing-based (serial_eval). */
+/** Really evaluate @p idx through the lane pool. */
 std::vector<double>
 evalBatch(const std::vector<std::size_t> &idx,
-          const std::function<double(std::size_t)> &real_cost,
-          bool serial_eval)
+          const std::function<double(std::size_t)> &real_cost)
 {
-    if (serial_eval) {
-        std::vector<double> out(idx.size());
-        for (std::size_t i = 0; i < idx.size(); ++i)
-            out[i] = real_cost(idx[i]);
-        return out;
-    }
     return parallelMap(idx.size(), [&](std::size_t i) {
         return real_cost(idx[i]);
     });
@@ -210,8 +202,7 @@ surrogateArgmin(std::size_t n,
         // bit-identical to a plain parallelMap sweep.
         std::vector<std::size_t> all(n);
         std::iota(all.begin(), all.end(), std::size_t{0});
-        std::vector<double> cost =
-            evalBatch(all, real_cost, opts.serial_eval);
+        std::vector<double> cost = evalBatch(all, real_cost);
         const std::size_t best = argminSlot(cost);
         r.best_index = best;
         r.best_cost = cost[best];
@@ -233,8 +224,7 @@ surrogateArgmin(std::size_t n,
         if (seeds.empty() || seeds.back() != idx)
             seeds.push_back(idx);
     }
-    const std::vector<double> seed_cost =
-        evalBatch(seeds, real_cost, opts.serial_eval);
+    const std::vector<double> seed_cost = evalBatch(seeds, real_cost);
 
     // 2. Train on warm-start rows (KD-tree neighbours) then seeds, in
     // that fixed order. Targets are trained in asinh space: tuner
@@ -285,8 +275,7 @@ surrogateArgmin(std::size_t n,
             verify.push_back(c);
     }
     std::sort(verify.begin(), verify.end());
-    const std::vector<double> verify_cost =
-        evalBatch(verify, real_cost, opts.serial_eval);
+    const std::vector<double> verify_cost = evalBatch(verify, real_cost);
 
     double abs_err = 0.0;
     for (std::size_t i = 0; i < verify.size(); ++i)

@@ -7,9 +7,9 @@
  * direction): a deterministic, dependency-free regression model
  * trained online from the sweep's own (feature -> measured cost)
  * samples, so a tuner can *predict* the cost of every point in a
- * 100-1000x larger candidate grid and pay the real analytic/DES/
- * measured evaluation only for a small seed batch plus the top-k
- * predicted candidates.
+ * 100-1000x larger candidate grid and pay the real analytic or DES
+ * evaluation only for a small seed batch plus the top-k predicted
+ * candidates.
  *
  * The model is an additive ensemble of gradient-boosted depth-1
  * regression trees (stumps) fitted to residuals. Thresholds are
@@ -99,19 +99,12 @@ struct SurrogateSweepOptions
     std::size_t top_k = 8;
     /**
      * Warm-start samples (typically k-nearest entries from a
-     * PerfDatabase/GemmVariantDatabase KD-tree): extra training rows
-     * prepended to the seed batch. They never count as real
-     * evaluations of this grid and are never selection candidates.
+     * PerfDatabase KD-tree): extra training rows prepended to the
+     * seed batch. They never count as real evaluations of this grid
+     * and are never selection candidates.
      */
     std::vector<FeatureVec> warm_features{};
     std::vector<double> warm_costs{};
-    /**
-     * Evaluate seed/verify batches serially on the calling thread
-     * instead of through the lane pool. Timing-based evaluators
-     * (GemmKernelTuner) set this so concurrent samples cannot skew
-     * each other.
-     */
-    bool serial_eval = false;
 };
 
 /** What one explore -> predict -> verify sweep did and found. */

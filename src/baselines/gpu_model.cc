@@ -25,7 +25,7 @@ GpuModel::opTime(const Graph &g, int id) const
     for (int in : nd.inputs)
         traffic += static_cast<Bytes>(g.shapeOf(in).numel()) * 2;
     traffic += static_cast<Bytes>(g.shapeOf(id).numel()) * 2;
-    if (kind == "tbe" || kind == "sequence-tbe") {
+    if (kind == "tbe") {
         // Embedding fetches touch only the gathered rows, not the
         // whole table; approximate with the op's pooled traffic.
         const auto *tbe = dynamic_cast<const TbeOp *>(nd.op.get());
@@ -39,7 +39,7 @@ GpuModel::opTime(const Graph &g, int id) const
         }
     }
     BytesPerSec bw = cfg_.hbm_bandwidth;
-    if (kind == "tbe" || kind == "sequence-tbe")
+    if (kind == "tbe")
         bw *= cfg_.gather_efficiency;
     const Tick memory = transferTicks(traffic, bw);
 

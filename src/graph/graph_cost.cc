@@ -39,20 +39,16 @@ GraphCostModel::evaluate(const Graph &g, double batch,
     std::vector<std::pair<Bytes, int>> weighted_nodes;
     for (int id : cost.order) {
         const Bytes w = g.node(id).op->weightBytes();
-        if (w > 0 && g.node(id).op->kind() != "tbe" &&
-            g.node(id).op->kind() != "sequence-tbe") {
+        if (w > 0 && g.node(id).op->kind() != "tbe")
             weighted_nodes.emplace_back(w, id);
-        }
     }
     std::sort(weighted_nodes.begin(), weighted_nodes.end());
     std::map<int, Placement> weight_placement;
     // Embedding traffic competes for LLC; reserve a share for it when
     // the model has TBEs.
     bool has_tbe = false;
-    for (int id : cost.order) {
-        const auto &kind = g.node(id).op->kind();
-        has_tbe |= (kind == "tbe" || kind == "sequence-tbe");
-    }
+    for (int id : cost.order)
+        has_tbe |= g.node(id).op->kind() == "tbe";
     Bytes llc_budget = has_tbe ? llc_bytes / 2 : llc_bytes;
     for (const auto &[w, id] : weighted_nodes) {
         if (cost.activations_fit_lls && w <= llc_budget) {

@@ -211,39 +211,6 @@ buildLateStageModel(std::int64_t batch)
     return buildRankingModel(p);
 }
 
-ModelInfo
-buildHstuModel(std::int64_t batch, double mean_history,
-               std::int64_t max_history)
-{
-    ModelInfo info;
-    info.name = "hstu-ranking";
-    info.batch = batch;
-    info.host_overhead_fraction = 0.1;
-    info.latency_slo = fromMillis(200.0);
-
-    Graph &g = info.graph;
-    const std::int64_t dim = 256;
-    const TbeTableSpec seq_spec{.tables = 1,
-                                .rows_per_table = 512 << 20,
-                                .dim = dim,
-                                .dtype = DType::FP16,
-                                .zipf_alpha = 0.8};
-    info.embedding_bytes = seq_spec.totalBytes(); // ~256 GB/shard class
-
-    const int hist = g.add(
-        std::make_shared<SequenceTbeOp>(seq_spec, batch, mean_history,
-                                        max_history),
-        {}, "sequence-embeddings");
-    int x = hist;
-    for (int layer = 0; layer < 4; ++layer) {
-        x = g.add(std::make_shared<RaggedAttentionOp>(
-                      batch, mean_history, max_history, dim, 4),
-                  {x}, "ragged-attention");
-    }
-    g.validate();
-    return info;
-}
-
 std::vector<ModelInfo>
 figure6Models()
 {

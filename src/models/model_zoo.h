@@ -70,11 +70,6 @@ ModelInfo buildRetrievalModel(std::int64_t batch = 4096);
 ModelInfo buildEarlyStageModel(std::int64_t batch = 2048);
 ModelInfo buildLateStageModel(std::int64_t batch = 512);
 
-/** HSTU-style generative recommender (ragged attention). */
-ModelInfo buildHstuModel(std::int64_t batch = 64,
-                         double mean_history = 256.0,
-                         std::int64_t max_history = 2048);
-
 /** The nine production models of Figure 6 (LC1..LC5, HC1..HC4). */
 std::vector<ModelInfo> figure6Models();
 

@@ -178,156 +178,4 @@ MhaOp::flops() const
     return proj + attn;
 }
 
-RaggedAttentionOp::RaggedAttentionOp(std::int64_t batch,
-                                     double mean_history,
-                                     std::int64_t max_history,
-                                     std::int64_t dim,
-                                     std::int64_t heads,
-                                     std::int64_t bias_buckets,
-                                     std::uint64_t seed)
-    : batch_(batch),
-      mean_history_(mean_history),
-      max_history_(max_history),
-      dim_(dim),
-      heads_(heads),
-      bias_buckets_(bias_buckets),
-      seed_(seed)
-{
-    MTIA_CHECK_GT(heads_, 0) << ": RaggedAttentionOp head count";
-    MTIA_CHECK_EQ(dim_ % heads_, 0)
-        << ": RaggedAttentionOp dim must divide into heads";
-}
-
-float
-RaggedAttentionOp::biasFor(std::int64_t distance) const
-{
-    if (bias_table_.empty()) {
-        Rng rng(seed_);
-        bias_table_.resize(static_cast<std::size_t>(bias_buckets_));
-        for (auto &b : bias_table_)
-            b = static_cast<float>(rng.gaussian(0.0, 0.1));
-    }
-    // Logarithmic distance bucketing, as positional-bias tables use.
-    std::int64_t bucket = 0;
-    if (distance > 0) {
-        bucket = static_cast<std::int64_t>(
-            std::log2(static_cast<double>(distance)) * 8.0);
-    }
-    bucket = std::min(bucket, bias_buckets_ - 1);
-    return bias_table_[static_cast<std::size_t>(bucket)];
-}
-
-Tensor
-RaggedAttentionOp::run(const std::vector<Tensor> &inputs,
-                       OpContext &ctx) const
-{
-    // Input: [B, L, D] padded histories; causal ragged attention with
-    // a gathered relative-position bias, SiLU-gated as in HSTU.
-    const Tensor &x = inputs[0];
-    const std::int64_t l = x.shape().dim(1);
-    Tensor out(x.shape(), DType::FP32);
-    const std::int64_t dh = dim_ / heads_;
-    const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(dh));
-    SimdEngine se;
-
-    for (std::int64_t b = 0; b < batch_; ++b) {
-        for (std::int64_t h = 0; h < heads_; ++h) {
-            for (std::int64_t i = 0; i < l; ++i) {
-                // Causal window: keys 0..i.
-                std::vector<float> score(
-                    static_cast<std::size_t>(i) + 1);
-                for (std::int64_t j = 0; j <= i; ++j) {
-                    double dot = 0.0;
-                    for (std::int64_t d = 0; d < dh; ++d) {
-                        dot += static_cast<double>(x.at(
-                                   (b * l + i) * dim_ + h * dh + d)) *
-                            static_cast<double>(
-                                x.at((b * l + j) * dim_ + h * dh + d));
-                    }
-                    score[static_cast<std::size_t>(j)] =
-                        static_cast<float>(dot) * inv_sqrt +
-                        biasFor(i - j);
-                }
-                // HSTU uses a pointwise SiLU gate rather than softmax.
-                for (auto &s : score) {
-                    s = ctx.use_lut_simd
-                        ? se.apply(Nonlinearity::Silu,
-                                   Tensor::fromFloats({s}, Shape{1}))
-                              .at(0)
-                        : nonlinearityExact(Nonlinearity::Silu, s);
-                }
-                for (std::int64_t d = 0; d < dh; ++d) {
-                    double acc = 0.0;
-                    for (std::int64_t j = 0; j <= i; ++j) {
-                        acc += static_cast<double>(
-                                   score[static_cast<std::size_t>(j)]) *
-                            static_cast<double>(
-                                x.at((b * l + j) * dim_ + h * dh + d));
-                    }
-                    out.set((b * l + i) * dim_ + h * dh + d,
-                            static_cast<float>(
-                                acc / static_cast<double>(i + 1)));
-                }
-            }
-        }
-    }
-    return out;
-}
-
-KernelTime
-RaggedAttentionOp::cost(const KernelCostModel &km,
-                        const CostContext &ctx) const
-{
-    // Ragged execution works on true history lengths (expected value
-    // E), not the padded maximum: that is the point of jagged tensors.
-    const auto e = static_cast<std::int64_t>(mean_history_);
-    const std::int64_t dh = dim_ / heads_;
-    FcOptions fc_opt;
-    fc_opt.weights = Placement::Lls;
-    fc_opt.activations = ctx.activations;
-    fc_opt.output = ctx.output;
-    fc_opt.include_launch = false;
-
-    KernelTime total;
-    total.launch = ctx.fused ? 0 : km.device().jobLaunchTime();
-    Tick sum = total.launch;
-
-    // Q*K^T and (gated scores)*V over causal windows: ~E^2/2 each.
-    const KernelTime qk = km.fc(
-        FcShape{batch_ * heads_ * e, e / 2 + 1, dh}, fc_opt);
-    sum += 2 * qk.total;
-
-    // Bias: index computation on the RISC-V vector core plus the
-    // piecewise LUT gather. The limited LUT memory forces the bias
-    // table in segments: charge 3 SIMD ops per score plus a reload
-    // pass of traffic.
-    const std::int64_t scores = batch_ * heads_ * e * (e / 2 + 1);
-    sum += km.simdOp(scores, 3.0, static_cast<Bytes>(scores) * 2,
-                     false)
-               .total;
-
-    // SiLU gating of the scores.
-    sum += km.simdOp(scores, 1.0, 0, false).total;
-
-    total.total = sum;
-    total.compute = sum - total.launch;
-    total.bottleneck = "composite";
-    return total;
-}
-
-Bytes
-RaggedAttentionOp::weightBytes() const
-{
-    return static_cast<Bytes>(bias_buckets_) * 4;
-}
-
-double
-RaggedAttentionOp::flops() const
-{
-    const double e = mean_history_;
-    return 2.0 * 2.0 * static_cast<double>(batch_) *
-        static_cast<double>(heads_) * e * (e / 2.0) *
-        static_cast<double>(dim_ / heads_);
-}
-
 } // namespace mtia

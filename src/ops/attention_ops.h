@@ -3,16 +3,13 @@
 
 /**
  * @file
- * Attention operators: classic multi-headed attention (the MHA blocks
- * that entered the Section 6 case-study model) and HSTU's fused
- * ragged attention with its positional/timestamp bias gathered
- * piecewise through the SIMD engine's lookup tables (Section 4.3).
+ * Attention operator: classic multi-headed attention (the MHA blocks
+ * that entered the Section 6 case-study model).
  */
 
 #include <cstdint>
 
 #include "ops/op.h"
-#include "tensor/jagged.h"
 
 namespace mtia {
 
@@ -63,49 +60,6 @@ class MhaOp : public Op
     std::uint64_t weight_seed_;
     bool custom_transpose_ = false;
     mutable std::vector<Tensor> proj_; // Wq, Wk, Wv, Wo
-};
-
-/**
- * HSTU fused ragged attention: jagged user-history sequences with a
- * relative-position/timestamp bias whose entries are gathered from
- * bias tables. On MTIA 2i the gather runs piecewise through the
- * SIMD-engine LUT (limited LUT memory) and the index arithmetic runs
- * on the RISC-V vector core.
- */
-class RaggedAttentionOp : public Op
-{
-  public:
-    RaggedAttentionOp(std::int64_t batch, double mean_history,
-                      std::int64_t max_history, std::int64_t dim,
-                      std::int64_t heads,
-                      std::int64_t bias_buckets = 128,
-                      std::uint64_t seed = 404);
-
-    std::string kind() const override { return "ragged-attention"; }
-    std::size_t arity() const override { return 1; }
-    Shape outputShape(const std::vector<Shape> &inputs) const override
-    {
-        return inputs.at(0);
-    }
-    Tensor run(const std::vector<Tensor> &inputs,
-               OpContext &ctx) const override;
-    KernelTime cost(const KernelCostModel &km,
-                    const CostContext &ctx) const override;
-    Bytes weightBytes() const override;
-    double flops() const override;
-
-    /** Relative-position bias for a (query, key) distance. */
-    float biasFor(std::int64_t distance) const;
-
-  private:
-    std::int64_t batch_;
-    double mean_history_;
-    std::int64_t max_history_;
-    std::int64_t dim_;
-    std::int64_t heads_;
-    std::int64_t bias_buckets_;
-    std::uint64_t seed_;
-    mutable std::vector<float> bias_table_;
 };
 
 } // namespace mtia

@@ -250,44 +250,4 @@ TbeOp::toString() const
         std::to_string(spec_.dim);
 }
 
-SequenceTbeOp::SequenceTbeOp(TbeTableSpec spec, std::int64_t batch,
-                             double mean_history,
-                             std::int64_t max_history,
-                             std::uint64_t seed)
-    : spec_(spec),
-      batch_(batch),
-      mean_history_(mean_history),
-      max_history_(max_history),
-      seed_(seed)
-{
-}
-
-Tensor
-SequenceTbeOp::run(const std::vector<Tensor> &, OpContext &ctx) const
-{
-    MTIA_CHECK(ctx.rng != nullptr) << ": SequenceTbeOp::run needs an rng";
-    const JaggedTensor hist = JaggedTensor::randomHistory(
-        *ctx.rng, batch_, spec_.dim, mean_history_, max_history_);
-    return hist.toDense(max_history_);
-}
-
-KernelTime
-SequenceTbeOp::cost(const KernelCostModel &km,
-                    const CostContext &ctx) const
-{
-    // Expected events: mean history per item, one row each, no pool.
-    TbeShape shape;
-    shape.tables = 1;
-    shape.batch = batch_;
-    shape.pooling =
-        std::max<std::int64_t>(1,
-                               static_cast<std::int64_t>(mean_history_));
-    shape.dim = spec_.dim;
-    shape.dtype = spec_.dtype;
-    TbeOptions opt;
-    opt.sram_hit_rate = ctx.tbe_hit_rate;
-    opt.include_launch = !ctx.fused;
-    return km.tbe(shape, opt);
-}
-
 } // namespace mtia

@@ -3,10 +3,10 @@
 
 /**
  * @file
- * Sparse-network operators: Table Batched Embedding (pooled, weighted
- * or unweighted) and sequence embedding lookups that produce jagged
- * tensors. TBE indices follow a Zipf popularity distribution, which
- * is what gives the LLC its 40-60% hit rate on embedding traffic.
+ * Sparse-network operator: Table Batched Embedding (pooled, weighted
+ * or unweighted). TBE indices follow a Zipf popularity distribution,
+ * which is what gives the LLC its 40-60% hit rate on embedding
+ * traffic.
  */
 
 #include <cstdint>
@@ -14,7 +14,6 @@
 
 #include "core/simd.h"
 #include "ops/op.h"
-#include "tensor/jagged.h"
 
 namespace mtia {
 
@@ -103,41 +102,6 @@ class TbeOp : public Op
     std::int64_t pooling_;
     bool weighted_;
     std::uint64_t table_seed_;
-};
-
-/**
- * Sequence embedding lookup: emits one embedding row per history
- * event, producing a jagged [total_events, dim] value buffer
- * (materialized densely padded for graph plumbing).
- */
-class SequenceTbeOp : public Op
-{
-  public:
-    SequenceTbeOp(TbeTableSpec spec, std::int64_t batch,
-                  double mean_history, std::int64_t max_history,
-                  std::uint64_t seed = 202);
-
-    std::string kind() const override { return "sequence-tbe"; }
-    std::size_t arity() const override { return 0; }
-    Shape outputShape(const std::vector<Shape> &) const override
-    {
-        return Shape{batch_, max_history_, spec_.dim};
-    }
-    Tensor run(const std::vector<Tensor> &inputs,
-               OpContext &ctx) const override;
-    KernelTime cost(const KernelCostModel &km,
-                    const CostContext &ctx) const override;
-    Bytes weightBytes() const override { return spec_.totalBytes(); }
-    double flops() const override { return 0.0; }
-
-    double meanHistory() const { return mean_history_; }
-
-  private:
-    TbeTableSpec spec_;
-    std::int64_t batch_;
-    double mean_history_;
-    std::int64_t max_history_;
-    std::uint64_t seed_;
 };
 
 } // namespace mtia

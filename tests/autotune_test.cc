@@ -2,12 +2,13 @@
  * @file
  * Tests for the autotuning framework: KD-tree ANN vs brute force
  * (property sweep), k-nearest queries with deterministic tie-breaks,
- * kernel tuning (1000x cheaper within 5%), batch tuning with the
- * placement fallback, coalescing tuning (>95% fill), NUMA-aware
- * sharding, and the surrogate-guided explore -> predict -> verify
- * loop: training determinism across lane counts, monotone-feature
- * sanity, warm-start equivalence, held-out accuracy, and the
- * exhaustive fallback a full verify budget (top_k = grid size) takes.
+ * kernel tuning (1000x cheaper within 5%, and the streaming fallback
+ * for an adopted variant too big for the LLC), batch tuning,
+ * coalescing tuning (>95% fill), NUMA-aware sharding, and the
+ * surrogate-guided explore -> predict -> verify loop: training
+ * determinism across lane counts, monotone-feature sanity, warm-start
+ * equivalence, held-out accuracy, and the exhaustive fallback a full
+ * verify budget (top_k = grid size) takes.
  */
 
 #include <gtest/gtest.h>
@@ -221,6 +222,21 @@ TEST_F(KernelTunerTest, HugeWeightsForceStreamingVariant)
     EXPECT_TRUE(r.variant.coordinated_loading);
 }
 
+TEST_F(KernelTunerTest, ApproximateStreamsWeightsTooBigForTheLlc)
+{
+    // The database's only entry is an LLC-resident winner; a ~1 GB
+    // query adopts it and must fall back to streaming its weights.
+    PerfDatabase db = tuner_.buildDatabase({FcShape{512, 512, 512}});
+    ASSERT_EQ(db.lookup(FcShape{512, 512, 512})->best_variant.weights,
+              Placement::Llc);
+    const FcShape shape{512, 26592, 20480};
+    const TuneResult r = tuner_.tuneApproximate(shape, db);
+    EXPECT_EQ(r.variant.weights, Placement::Dram);
+    EXPECT_EQ(r.kernel_time, km_.fc(shape, r.variant).total);
+    EXPECT_EQ(r.tuning_cost, fromMillis(20.0));
+    EXPECT_EQ(db.size(), 1u);
+}
+
 TEST_F(KernelTunerTest, AnnWithinFivePercentAndOrdersOfMagnitudeCheaper)
 {
     // Section 4.1: ANN tuning cut FC tuning time by up to 1000x while
@@ -328,78 +344,6 @@ TEST(ShardingTest, FailsCleanlyWhenNoSocketFits)
     occupied[0] = occupied[12] = false; // one free chip per socket
     const ShardingPlan plan = planner.plan(300_GiB, 8_GiB, occupied);
     EXPECT_TRUE(plan.chips.empty());
-}
-
-TEST(GemmKernelTunerTest, VariantSpaceCoversSupportedTiersScalarFirst)
-{
-    const std::vector<GemmVariant> space =
-        GemmKernelTuner::variantSpace();
-    ASSERT_FALSE(space.empty());
-    EXPECT_EQ(space.front().isa, simd::SimdIsa::Scalar);
-    for (const GemmVariant &v : space) {
-        EXPECT_TRUE(simd::isaSupported(v.isa)) << v.name();
-        EXPECT_GT(v.blocking.mc, 0);
-        EXPECT_GT(v.blocking.kc, 0);
-        EXPECT_GT(v.blocking.nc, 0);
-    }
-    // Every supported tier appears, with every blocking config.
-    std::size_t tiers = 0;
-    for (const simd::SimdIsa isa :
-         {simd::SimdIsa::Scalar, simd::SimdIsa::Sse2,
-          simd::SimdIsa::Neon, simd::SimdIsa::Avx2,
-          simd::SimdIsa::Avx512}) {
-        if (simd::isaSupported(isa))
-            ++tiers;
-    }
-    EXPECT_EQ(space.size() % tiers, 0u);
-    EXPECT_GE(space.size() / tiers, 3u);
-}
-
-TEST(GemmKernelTunerTest, NonScalarVariantWinsGemmHeavyWorkload)
-{
-    // The measured sweep must pick a vectorized variant on a
-    // GEMM-heavy shape whenever one exists: the blocked SSE2/NEON
-    // kernels are several-fold faster than the blocked scalar path,
-    // far outside scheduler noise.
-    const GemmKernelTuner tuner;
-    const GemmTuneResult r = tuner.tuneMeasured(FcShape{256, 256, 256});
-    EXPECT_GT(r.seconds, 0.0);
-    EXPECT_GT(r.gflops, 0.0);
-    const bool has_vector = simd::isaSupported(simd::SimdIsa::Sse2) ||
-        simd::isaSupported(simd::SimdIsa::Neon);
-    if (has_vector) {
-        EXPECT_NE(r.variant.isa, simd::SimdIsa::Scalar)
-            << "picked " << r.variant.name();
-    }
-}
-
-TEST(GemmKernelTunerTest, ApproximateAdoptsNeighborAndFillsMisses)
-{
-    const GemmKernelTuner tuner(1);
-    GemmVariantDatabase db;
-    // Miss: falls back to a measured sweep and records it.
-    const GemmTuneResult first =
-        tuner.tuneApproximate(FcShape{96, 96, 96}, db);
-    EXPECT_EQ(db.size(), 1u);
-    // Hit: a nearby shape adopts the recorded winner's variant.
-    const GemmTuneResult near =
-        tuner.tuneApproximate(FcShape{100, 100, 100}, db);
-    EXPECT_EQ(db.size(), 1u);
-    EXPECT_EQ(near.variant.name(), first.variant.name());
-}
-
-TEST(GemmKernelTunerTest, BuildDatabaseMeasuresWholeCorpus)
-{
-    const GemmKernelTuner tuner(1);
-    const std::vector<FcShape> corpus = {
-        {64, 64, 64}, {32, 128, 64}, {128, 32, 96}};
-    const GemmVariantDatabase db = tuner.buildDatabase(corpus);
-    EXPECT_EQ(db.size(), corpus.size());
-    const auto hit = db.lookup(FcShape{64, 64, 64});
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->shape.m, 64);
-    EXPECT_GT(hit->best_seconds, 0.0);
-    EXPECT_GT(hit->best_gflops, 0.0);
 }
 
 // ---------------------------------------------------------- surrogate

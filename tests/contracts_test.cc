@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "autotune/coalescing_tuner.h"
-#include "autotune/kernel_tuner.h"
 #include "autotune/sharding.h"
 #include "chip/device.h"
 #include "cluster/cluster_sim.h"
@@ -429,13 +428,6 @@ TEST(ContractsFleet, RolloutRejectsNonMonotoneStageFractions)
 }
 
 // ----------------------------------------------------------- autotune
-
-TEST(ContractsAutotune, GemmKernelTunerRejectsZeroReps)
-{
-    ScopedCheckThrow guard;
-    EXPECT_THROW(GemmKernelTuner(0), CheckFailedError);
-    EXPECT_THROW(GemmKernelTuner(-1), CheckFailedError);
-}
 
 TEST(ContractsAutotune, CoalescingTunerRejectsZeroMaxWait)
 {

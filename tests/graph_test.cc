@@ -454,7 +454,6 @@ TEST(LivenessOracle, ZooGraphsMatchQuadraticReference)
     zoo.push_back(buildRetrievalModel());
     zoo.push_back(buildEarlyStageModel());
     zoo.push_back(buildLateStageModel());
-    zoo.push_back(buildHstuModel());
     zoo.push_back(buildRankingModel(RankingModelParams{}));
     for (ModelInfo &m : zoo) {
         expectSameSchedule(m.graph, m.name);

@@ -60,17 +60,6 @@ TEST(ModelZoo, Figure6RegistryShape)
     EXPECT_EQ(models[5].batch, 2048);
 }
 
-TEST(ModelZoo, HstuModelUsesRaggedAttention)
-{
-    const ModelInfo hstu = buildHstuModel(8, 16.0, 64);
-    bool has_ragged = false;
-    for (int id : hstu.graph.topoOrder())
-        has_ragged |=
-            hstu.graph.node(id).op->kind() == "ragged-attention";
-    EXPECT_TRUE(has_ragged);
-    EXPECT_GT(hstu.embedding_bytes, 100_GiB); // TB-class per Table 1
-}
-
 TEST(CaseStudy, ComplexityGrowsAcrossMonths)
 {
     const ModelInfo m0 = buildCaseStudyModel(0);

@@ -3,7 +3,7 @@
  * Tests for the operator library: functional correctness of dense,
  * sparse, and attention ops, and the cost-model behaviours the
  * co-design story depends on (fusion savings, TBE hit rates, MHA
- * custom transpose, ragged-vs-padded attention).
+ * custom transpose).
  */
 
 #include <gtest/gtest.h>
@@ -203,41 +203,6 @@ TEST_F(OpsTest, MhaCustomTransposeIsCheaper)
     custom.useCustomTranspose(true);
     CostContext cc;
     EXPECT_LT(custom.cost(km_, cc).total, naive.cost(km_, cc).total);
-}
-
-TEST_F(OpsTest, RaggedAttentionShapePreservingAndCausalScale)
-{
-    ctx_.rng = &rng_;
-    RaggedAttentionOp ra(2, 4.0, 8, 16, 2);
-    Tensor x(Shape{2, 8, 16}, DType::FP32);
-    x.fillGaussian(rng_);
-    const Tensor y = ra.run({x}, ctx_);
-    EXPECT_EQ(y.shape(), x.shape());
-    EXPECT_FALSE(y.hasNonFinite());
-}
-
-TEST_F(OpsTest, RaggedCostScalesWithTrueHistoryNotPadding)
-{
-    // Two ops with the same padded maximum but different expected
-    // history lengths: the ragged kernel's cost tracks the mean.
-    RaggedAttentionOp short_hist(64, 32.0, 2048, 256, 4);
-    RaggedAttentionOp long_hist(64, 512.0, 2048, 256, 4);
-    CostContext cc;
-    const Tick t_short = short_hist.cost(km_, cc).total;
-    const Tick t_long = long_hist.cost(km_, cc).total;
-    EXPECT_GT(t_long, 10 * t_short);
-}
-
-TEST_F(OpsTest, BiasGatherUsesLogBuckets)
-{
-    RaggedAttentionOp ra(1, 4.0, 8, 16, 2);
-    // Distances inside one bucket share a bias value.
-    EXPECT_FLOAT_EQ(ra.biasFor(0), ra.biasFor(0));
-    // Far-apart distances generally differ.
-    bool any_diff = false;
-    for (std::int64_t d = 1; d < 1000; d *= 2)
-        any_diff |= (ra.biasFor(d) != ra.biasFor(d * 512));
-    EXPECT_TRUE(any_diff);
 }
 
 TEST_F(OpsTest, FusedTransposeFcMatchesUnfusedPipeline)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the tensor layer: bit-exact FP16/BF16 conversion, dense and
- * jagged tensors, dynamic/static INT8 quantization, and 2:4 sparsity.
+ * Tests for the tensor layer: bit-exact FP16/BF16 conversion, dense
+ * tensors, dynamic/static INT8 quantization, and 2:4 sparsity.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 
 #include "sim/random.h"
 #include "tensor/dtype.h"
-#include "tensor/jagged.h"
 #include "tensor/quantize.h"
 #include "tensor/tensor.h"
 
@@ -164,54 +163,6 @@ TEST(TensorTest, NonFiniteDetection)
     EXPECT_FALSE(x.hasNonFinite());
     x.set(2, std::numeric_limits<float>::quiet_NaN());
     EXPECT_TRUE(x.hasNonFinite());
-}
-
-TEST(JaggedTest, OffsetsAndDense)
-{
-    JaggedTensor j({2, 0, 3}, 4);
-    EXPECT_EQ(j.batchSize(), 3);
-    EXPECT_EQ(j.totalRows(), 5);
-    EXPECT_EQ(j.lengthOf(0), 2);
-    EXPECT_EQ(j.lengthOf(1), 0);
-    EXPECT_EQ(j.lengthOf(2), 3);
-
-    for (std::int64_t r = 0; r < 5; ++r)
-        for (std::int64_t c = 0; c < 4; ++c)
-            j.set(r, c, static_cast<float>(10 * r + c));
-
-    const Tensor dense = j.toDense();
-    EXPECT_EQ(dense.shape(), (Shape{3, 3, 4}));
-    EXPECT_FLOAT_EQ(dense.at((0 * 3 + 1) * 4 + 2), 12.0f);
-    EXPECT_FLOAT_EQ(dense.at((1 * 3 + 0) * 4 + 0), 0.0f); // padding
-    EXPECT_FLOAT_EQ(dense.at((2 * 3 + 2) * 4 + 3), 43.0f);
-}
-
-TEST(JaggedTest, DenseRoundTrip)
-{
-    Rng rng(21);
-    JaggedTensor j =
-        JaggedTensor::randomHistory(rng, 16, 8, 20.0, 100);
-    const Tensor dense = j.toDense();
-    std::vector<std::int64_t> lengths;
-    for (std::int64_t b = 0; b < j.batchSize(); ++b)
-        lengths.push_back(j.lengthOf(b));
-    const JaggedTensor j2 = JaggedTensor::fromDense(dense, lengths);
-    EXPECT_EQ(j2.totalRows(), j.totalRows());
-    EXPECT_DOUBLE_EQ(Tensor::maxAbsDiff(j.values(), j2.values()), 0.0);
-}
-
-TEST(JaggedTest, HistoryLengthsSkewed)
-{
-    Rng rng(31);
-    JaggedTensor j =
-        JaggedTensor::randomHistory(rng, 2000, 4, 50.0, 1000);
-    double mean = static_cast<double>(j.totalRows()) / 2000.0;
-    EXPECT_NEAR(mean, 50.0, 15.0);
-    // Skew: max length far above the mean.
-    std::int64_t max_len = 0;
-    for (std::int64_t b = 0; b < j.batchSize(); ++b)
-        max_len = std::max(max_len, j.lengthOf(b));
-    EXPECT_GT(max_len, static_cast<std::int64_t>(3 * mean));
 }
 
 class QuantScheme : public ::testing::TestWithParam<QuantGranularity>
