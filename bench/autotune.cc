@@ -23,7 +23,6 @@
 #include "autotune/surrogate.h"
 #include "bench_report.h"
 #include "bench_util.h"
-#include "core/parallel.h"
 #include "models/model_zoo.h"
 #include "telemetry/metrics.h"
 
@@ -117,19 +116,7 @@ main()
             static_cast<std::int64_t>(128u << rng.below(7)),
             static_cast<std::int64_t>(128u << rng.below(6))});
     }
-    // Database construction is the bench's hot fan-out; time it once
-    // pinned to one lane and once at the configured lane count for
-    // the wall-clock speedup ratio (both produce the same database).
-    double serial_s = 0.0;
-    {
-        ScopedParallelism one(1);
-        bench::WallTimer t;
-        (void)tuner.buildDatabase(corpus);
-        serial_s = t.seconds();
-    }
-    bench::WallTimer parallel_timer;
     PerfDatabase db = tuner.buildDatabase(corpus);
-    const double parallel_s = parallel_timer.seconds();
 
     double worst = 1.0;
     double exhaustive_cost = 0.0;
@@ -416,9 +403,6 @@ main()
                      static_cast<double>(autotune::surrogateEvals()));
     report.surrogate("real_evals",
                      static_cast<double>(autotune::realEvals()));
-    report.wallClock("lanes", parallelLanes(), "lanes");
-    report.wallClock("parallel_speedup",
-                     serial_s / std::max(parallel_s, 1e-9), "x");
     report.wallClock("surrogate_tuning_speedup", tuning_speedup, "x");
     autotune::publishAutotuneMetrics(metrics);
     report.attachTelemetry(&metrics);

@@ -20,7 +20,7 @@
  *       ...
  *     ],
  *     "wall_clock": [                                       // optional
- *       {"name": "parallel_speedup", "measured": 3.4, "unit": "x"}, ...
+ *       {"name": "near_speedup", "measured": 3.4, "unit": "x"}, ...
  *     ],
  *     "surrogate": {                                        // optional
  *       "mae": 0.01, "rank_correlation": 0.98, ...          // ordered
@@ -31,10 +31,9 @@
  * Every value recorded here must be derived from simulated state, so
  * identical builds produce byte-identical reports at any lane count
  * and on any SIMD tier. The one exception is "wall_clock": host
- * timings, rates and speedups (and the lane count they were taken
- * at), which vary run to run. scripts/check_bench.py strips it and
- * requires the rest to equal the committed golden
- * bench/golden/BENCH_<name>.json. The "surrogate" block
+ * timings, rates and speedups, which vary run to run.
+ * scripts/check_bench.py strips it and requires the rest to equal the
+ * committed golden bench/golden/BENCH_<name>.json. The "surrogate" block
  * (learned-cost-model accuracy: MAE, rank correlation, regret, eval
  * counts) is derived from deterministic evaluations and is covered by
  * the guarantee. Export failures are MTIA_CHECK failures
@@ -71,8 +70,8 @@ class Report
                 const std::string &unit = "");
 
     /**
-     * Record a host-dependent measurement: a wall-clock time, rate,
-     * speedup or the lane count it was taken at. Emitted in order
+     * Record a host-dependent measurement: a wall-clock time, rate
+     * or speedup. Emitted in order
      * under the top-level "wall_clock" array, the one field excluded
      * from the byte-identity guarantee.
      */

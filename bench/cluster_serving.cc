@@ -5,13 +5,11 @@
  * chaos kills replicas and ECC storms inject the Section 5.1
  * consequence mix. Reports cluster-wide P99 and SLO attainment per
  * routing policy, per-shard load skew, and failover detection /
- * recovery times; the qps sweep doubles as the serial-vs-parallel
- * wall-clock harness.
+ * recovery times.
  *
- * Emits BENCH_cluster_serving.json. Everything in it except
- * "wall_clock" derives from simulated state and is byte-identical at
- * any MTIA_THREADS count (the ctest bench_cluster_serving_determinism
- * checks it against the committed golden at 1 and 8 lanes).
+ * Emits BENCH_cluster_serving.json. Everything in it derives from
+ * simulated state, and the ctest bench_cluster_serving_determinism
+ * checks it against the committed golden at 1 and 8 lanes.
  */
 
 #include <cinttypes>
@@ -22,7 +20,6 @@
 #include "bench_report.h"
 #include "bench_util.h"
 #include "cluster/cluster_sim.h"
-#include "core/parallel.h"
 
 namespace {
 
@@ -73,7 +70,6 @@ main()
     ClusterResult nominal_by_policy[2];
     const RoutingPolicyKind kinds[2] = {RoutingPolicyKind::LeastLoaded,
                                         RoutingPolicyKind::ShardHash};
-    double sweep_seconds = 0.0;
     for (int k = 0; k < 2; ++k) {
         const ClusterSimulator sim(chaosClusterConfig(kinds[k]));
         bench::section(std::string("qps sweep, policy = ") +
@@ -82,10 +78,8 @@ main()
                     "offered", "completed", "p50_ms", "p99_ms",
                     "slo_att", "skew", "rert", "drop", "kill",
                     "fail");
-        const bench::WallTimer timer;
         const std::vector<ClusterResult> sweep =
             sim.sweep(qps, duration);
-        sweep_seconds += timer.seconds();
         for (std::size_t i = 0; i < sweep.size(); ++i) {
             printSweepRow(sweep[i]);
             if (qps[i] == nominal)
@@ -132,24 +126,6 @@ main()
                       static_cast<double>(r.ecc_crashes));
         report.metric(tag + "_batches_deadline_closed",
                       static_cast<double>(r.batches_deadline));
-    }
-
-    // Serial re-run of one sweep for the sanctioned wall-clock
-    // speedup number (excluded from byte-identical guarantees).
-    {
-        const ClusterSimulator sim(
-            chaosClusterConfig(RoutingPolicyKind::LeastLoaded));
-        const unsigned lanes = parallelLanes();
-        const bench::WallTimer timer;
-        ScopedParallelism serial(1);
-        (void)sim.sweep(qps, duration);
-        // The parallel section above ran two policy sweeps; the serial
-        // rerun covers one, so scale it before forming the ratio.
-        const double serial_seconds = timer.seconds() * 2.0;
-        report.wallClock("lanes", lanes, "lanes");
-        if (sweep_seconds > 0.0)
-            report.wallClock("parallel_speedup",
-                             serial_seconds / sweep_seconds, "x");
     }
 
     report.write();

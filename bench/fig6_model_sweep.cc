@@ -7,13 +7,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <optional>
 #include <vector>
 
 #include "baselines/comparison.h"
 #include "bench_report.h"
 #include "bench_util.h"
-#include "core/parallel.h"
 #include "graph/fusion.h"
 #include "models/model_zoo.h"
 #include "telemetry/telemetry.h"
@@ -27,32 +25,26 @@ struct ModelRow
     ModelComparison cmp;
     std::int64_t batch = 0;
     double mflops = 0.0;
-    // optional only because parallelMap default-constructs its result
-    // slots; always engaged after the sweep.
-    std::optional<Device> dev;
+    Device dev;
 };
 
 /**
- * One model per task: each owns its ModelInfo (optimizeGraph mutates
- * the graph) and a device clone (cost queries bump mutable traffic
- * counters). Rows land in model order, so output and report are
- * byte-identical at any MTIA_THREADS.
+ * One row per model, in model order. Each model is priced on its own
+ * device clone, so each row's traffic counters are that model's alone
+ * and export under its own label.
  */
 std::vector<ModelRow>
 sweepModels(const Device &dev)
 {
-    std::vector<ModelInfo> models = figure6Models();
-    return parallelMap(models.size(), [&](std::size_t i) {
-        ModelInfo &model = models[i];
+    std::vector<ModelRow> rows;
+    for (ModelInfo &model : figure6Models()) {
         optimizeGraph(model.graph);
-        ModelRow r;
-        r.batch = model.batch;
-        r.mflops = model.mflopsPerSample();
-        r.dev.emplace(dev.cloneConfigured());
-        ComparisonHarness harness(*r.dev);
-        r.cmp = harness.compare(model);
-        return r;
-    });
+        ModelRow &r = rows.emplace_back(ModelRow{
+            {}, model.batch, model.mflopsPerSample(),
+            dev.cloneConfigured()});
+        r.cmp = ComparisonHarness(r.dev).compare(model);
+    }
+    return rows;
 }
 
 } // namespace
@@ -74,23 +66,7 @@ main()
     bench::Report report("fig6_model_sweep");
     report.attachTelemetry(&registry);
 
-    // Speedup harness: rerun the identical sweep pinned to one lane
-    // and compare wall time. Results come from the parallel pass; the
-    // determinism guarantee makes both passes byte-identical anyway.
-    double parallel_s = 0.0;
-    std::vector<ModelRow> rows;
-    {
-        bench::WallTimer t;
-        rows = sweepModels(dev);
-        parallel_s = t.seconds();
-    }
-    double serial_s = 0.0;
-    {
-        ScopedParallelism one(1);
-        bench::WallTimer t;
-        (void)sweepModels(dev);
-        serial_s = t.seconds();
-    }
+    const std::vector<ModelRow> rows = sweepModels(dev);
 
     double sum_reduction = 0.0;
     double best_tco = 0.0;
@@ -135,12 +111,7 @@ main()
                   sum_reduction / n * 100.0, 40.0, 48.0, "%");
     report.metric("best_perf_per_tco", best_tco, "x");
     report.metric("worst_perf_per_tco", worst_tco, "x");
-    report.wallClock("lanes", parallelLanes(), "lanes");
-    report.wallClock("parallel_speedup",
-                     serial_s / std::max(parallel_s, 1e-9), "x");
-    // Each task ran against its own device clone; export them in
-    // model order under per-model labels.
     for (const ModelRow &r : rows)
-        r.dev->exportTelemetry(registry, "mtia2i:" + r.cmp.model);
+        r.dev.exportTelemetry(registry, "mtia2i:" + r.cmp.model);
     return 0;
 }

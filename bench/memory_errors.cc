@@ -10,9 +10,7 @@
 
 #include "bench_report.h"
 #include "bench_util.h"
-#include "core/check.h"
 #include "chip/kernel_cost_model.h"
-#include "core/parallel.h"
 #include "fleet/memory_error_study.h"
 #include "graph/fusion.h"
 #include "graph/graph_cost.h"
@@ -34,35 +32,11 @@ main()
     cfg.bit_error_rate = 1.9e-20;
     LpddrChannel channel(cfg);
 
-    // Run the Monte-Carlo sections twice — once pinned to one lane,
-    // once at the configured lane count — for the wall-clock speedup
-    // ratio. The fork-based substreams make both passes byte-identical
-    // (checked below); the parallel pass's results are reported.
-    double serial_s = 0.0;
-    FleetErrorReport serial_fleet;
-    std::vector<InjectionReport> serial_regions;
-    {
-        ScopedParallelism one(1);
-        MemoryErrorStudy study(61);
-        bench::WallTimer t;
-        serial_fleet = study.sampleFleet(channel, 1700, 90.0, 64_GiB);
-        serial_regions = study.injectAllRegions(3000);
-        serial_s = t.seconds();
-    }
     MemoryErrorStudy study(61);
-    bench::WallTimer parallel_timer;
     const FleetErrorReport fleet =
         study.sampleFleet(channel, 1700, 90.0, 64_GiB);
     const std::vector<InjectionReport> regions =
         study.injectAllRegions(3000);
-    const double parallel_s = parallel_timer.seconds();
-    MTIA_CHECK_EQ(fleet.servers_with_errors,
-                  serial_fleet.servers_with_errors)
-        << ": fleet sample must not depend on the lane count";
-    for (std::size_t i = 0; i < regions.size(); ++i) {
-        MTIA_CHECK_EQ(regions[i].corrupted, serial_regions[i].corrupted)
-            << ": injection campaign must not depend on the lane count";
-    }
 
     bench::section("fleet telemetry (1,700 servers, 90 days)");
     bench::row("servers with ECC errors", "24%",
@@ -131,8 +105,5 @@ main()
     report.metric("ecc_throughput_penalty_pct",
                   (1.0 - c_with.qps / c_without.qps) * 100.0, 10.0,
                   15.0, "%");
-    report.wallClock("lanes", parallelLanes(), "lanes");
-    report.wallClock("parallel_speedup",
-                     serial_s / std::max(parallel_s, 1e-9), "x");
     return 0;
 }

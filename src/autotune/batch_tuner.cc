@@ -5,7 +5,6 @@
 
 #include "graph/fusion.h"
 #include "core/check.h"
-#include "core/parallel.h"
 
 namespace mtia {
 
@@ -35,10 +34,9 @@ BatchCandidate
 BatchSizeTuner::evalOne(const ModelBuilder &builder, std::int64_t batch,
                         Tick slo) const
 {
-    // Each evaluation owns its model snapshot and a device clone:
-    // graph evaluation fills lazy shape caches and cost queries bump
-    // the device's mutable traffic counters, so concurrent snapshot
-    // evaluations must not share either.
+    // Each evaluation builds its own model snapshot and prices it on a
+    // device clone: cost queries bump the device's traffic counters,
+    // and the clone leaves the caller's device counters unchanged.
     ModelInfo model = builder(batch);
     optimizeGraph(model.graph);
     Device dev = dev_.cloneConfigured();
@@ -57,12 +55,10 @@ BatchSizeTuner::evaluate(const ModelBuilder &builder,
 {
     MTIA_CHECK(!candidates.empty())
         << ": BatchSizeTuner needs candidate batch sizes";
-    // One snapshot per candidate batch, evaluated concurrently;
-    // results land in candidate order so the winner scan below is
-    // schedule-independent.
-    std::vector<BatchCandidate> out = parallelMap(
-        candidates.size(),
-        [&](std::size_t i) { return evalOne(builder, candidates[i], slo); });
+    std::vector<BatchCandidate> out;
+    out.reserve(candidates.size());
+    for (std::int64_t batch : candidates)
+        out.push_back(evalOne(builder, batch, slo));
 
     winner = 0;
     bool any_slo = false;

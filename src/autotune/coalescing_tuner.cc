@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/check.h"
-#include "core/parallel.h"
 
 namespace mtia {
 
@@ -42,20 +41,13 @@ CoalescingTuner::sweep(const std::vector<Request> &trace,
                        const std::vector<unsigned> &parallel_options)
     const
 {
-    // Materialize the (window, parallel) grid first so each cell is a
-    // pure function of its index; cells replay the shared read-only
-    // trace concurrently and land in grid order before the sort.
-    std::vector<CoalescerConfig> grid;
+    std::vector<CoalescingCandidate> out;
     for (Tick window : windows)
         for (unsigned parallel : parallel_options)
-            grid.push_back(
-                CoalescerConfig{window, parallel, batch_capacity});
-
-    std::vector<CoalescingCandidate> out = parallelMap(
-        grid.size(),
-        [&](std::size_t i) { return evalCell(trace, grid[i]); });
-    // stable_sort keeps equal-score candidates in grid order, so the
-    // ranking never depends on the thread schedule.
+            out.push_back(evalCell(
+                trace, CoalescerConfig{window, parallel, batch_capacity}));
+    // stable_sort keeps equal-score candidates in grid order, which is
+    // the order sweepSurrogate()'s first-minimum tie-break follows.
     std::stable_sort(out.begin(), out.end(),
                      [](const CoalescingCandidate &a,
                         const CoalescingCandidate &b) {

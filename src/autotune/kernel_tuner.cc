@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/check.h"
-#include "core/parallel.h"
 
 namespace mtia {
 
@@ -57,43 +56,24 @@ KernelTuner::tuneExhaustive(const FcShape &shape) const
 {
     const std::vector<FcOptions> space = variantSpace();
 
-    // Evaluate every variant concurrently, each against its own
-    // device clone (cost-model queries bump mutable observability
-    // counters, so tasks must not share one device). Feasibility and
-    // timing per variant depend only on (shape, variant), so the
-    // reduction below — first minimum in variant order — matches the
-    // serial path byte-for-byte at any thread count.
-    struct Eval
-    {
-        Tick time = 0;
-        bool feasible = false;
-    };
-    const std::vector<Eval> evals = parallelMap(
-        space.size(), [&](std::size_t i) {
-            Eval e;
-            const FcOptions &variant = space[i];
-            // Weights larger than the LLC cannot use the cached
-            // variant.
-            if (variant.weights == Placement::Llc &&
-                shape.weightBytes(variant.dtype) >
-                    km_.device().sramPartition().llcBytes()) {
-                return e;
-            }
-            const Device dev = km_.device().cloneConfigured();
-            const KernelCostModel km(dev);
-            e.time = km.fc(shape, variant).total;
-            e.feasible = true;
-            return e;
-        });
-
+    // Price every variant on a device clone: cost-model queries bump
+    // the device's traffic counters, and the clone leaves the
+    // caller's device counters unchanged. The first minimum in
+    // variant order wins ties.
     TuneResult best;
     bool first = true;
-    for (std::size_t i = 0; i < evals.size(); ++i) {
-        if (!evals[i].feasible)
+    for (const FcOptions &variant : space) {
+        // Weights larger than the LLC cannot use the cached variant.
+        if (variant.weights == Placement::Llc &&
+            shape.weightBytes(variant.dtype) >
+                km_.device().sramPartition().llcBytes()) {
             continue;
-        if (first || evals[i].time < best.kernel_time) {
-            best.variant = space[i];
-            best.kernel_time = evals[i].time;
+        }
+        const Device dev = km_.device().cloneConfigured();
+        const Tick time = KernelCostModel(dev).fc(shape, variant).total;
+        if (first || time < best.kernel_time) {
+            best.variant = variant;
+            best.kernel_time = time;
             first = false;
         }
     }
@@ -181,8 +161,8 @@ KernelTuner::tuneSurrogate(const FcShape &shape, const PerfDatabase *warm,
                 shape.weightBytes(variant.dtype) > llc) {
                 return kInfeasibleCost;
             }
-            // Per-task device clone, as in tuneExhaustive: cost-model
-            // queries bump mutable observability counters.
+            // Per-candidate device clone, as in tuneExhaustive: it
+            // keeps the caller's device counters unchanged.
             const Device dev = km_.device().cloneConfigured();
             const KernelCostModel km(dev);
             return static_cast<double>(km.fc(shape, variant).total);
@@ -229,16 +209,11 @@ KernelTuner::tuneApproximate(const FcShape &shape,
 PerfDatabase
 KernelTuner::buildDatabase(const std::vector<FcShape> &corpus) const
 {
-    // Tune every corpus shape concurrently (the inner per-variant
-    // fan-out runs inline on the worker), then insert in corpus order
-    // so the database is independent of the thread schedule.
-    const std::vector<TuneResult> results = parallelMap(
-        corpus.size(),
-        [&](std::size_t i) { return tuneExhaustive(corpus[i]); });
     PerfDatabase db;
-    for (std::size_t i = 0; i < corpus.size(); ++i)
-        db.insert(PerfEntry{corpus[i], results[i].variant,
-                            results[i].kernel_time});
+    for (const FcShape &shape : corpus) {
+        const TuneResult r = tuneExhaustive(shape);
+        db.insert(PerfEntry{shape, r.variant, r.kernel_time});
+    }
     return db;
 }
 

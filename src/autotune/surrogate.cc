@@ -7,7 +7,6 @@
 
 #include "autotune/autotune_stats.h"
 #include "core/check.h"
-#include "core/parallel.h"
 
 namespace mtia {
 
@@ -18,7 +17,7 @@ constexpr double kLearningRate = 0.25;
 constexpr double kMinGain = 1e-12;
 
 /** Hex-float printing: round-trip exact, so describe() dumps are
- *  byte-comparable across runs and lane counts. */
+ *  byte-comparable across runs. */
 void
 hexDouble(std::ostringstream &os, double v)
 {
@@ -156,14 +155,16 @@ CostSurrogate::describe() const
 
 namespace {
 
-/** Really evaluate @p idx through the lane pool. */
+/** Really evaluate @p idx, in order. */
 std::vector<double>
 evalBatch(const std::vector<std::size_t> &idx,
           const std::function<double(std::size_t)> &real_cost)
 {
-    return parallelMap(idx.size(), [&](std::size_t i) {
-        return real_cost(idx[i]);
-    });
+    std::vector<double> cost;
+    cost.reserve(idx.size());
+    for (std::size_t i : idx)
+        cost.push_back(real_cost(i));
+    return cost;
 }
 
 /** Argmin over (cost, index): lowest index wins ties. */
@@ -199,7 +200,7 @@ surrogateArgmin(std::size_t n,
     // near SIZE_MAX cannot wrap around into the surrogate path.
     if (opts.top_k >= n || n - opts.top_k <= seed_count) {
         // Exhaustive path: every candidate really evaluated,
-        // bit-identical to a plain parallelMap sweep.
+        // bit-identical to a plain sweep.
         std::vector<std::size_t> all(n);
         std::iota(all.begin(), all.end(), std::size_t{0});
         std::vector<double> cost = evalBatch(all, real_cost);

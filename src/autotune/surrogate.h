@@ -17,20 +17,16 @@
  * toward the lowest feature index, then the lowest threshold, so the
  * fitted model is a pure function of the training set.
  *
- * Determinism rules (the same contract as core/parallel.h): training
- * and prediction are serial double-precision arithmetic with a fixed
- * iteration order — same samples give a byte-identical model and
- * byte-identical predictions at any MTIA_THREADS. In the explore ->
- * predict -> verify loop below, feature extraction and prediction run
- * serially on the calling thread; only the real evaluations of the
- * seed and verify batches touch the lane pool, through parallelMap
- * with per-index pure evaluators, so its outputs are byte-identical
- * at any lane count too.
+ * Determinism rules: training, prediction and the real evaluations
+ * of the explore -> predict -> verify loop below all run on the
+ * calling thread in a fixed order with double-precision arithmetic,
+ * so the same samples give a byte-identical model, byte-identical
+ * predictions and the same winner on every run.
  *
  * Grids no larger than seed_count + top_k are swept exhaustively —
  * every candidate evaluated for real, bit-identically to a plain
- * parallelMap sweep. A caller that needs that exhaustive reference
- * (the zero-regret gates) sets top_k to the grid size.
+ * sweep. A caller that needs that exhaustive reference (the
+ * zero-regret gates) sets top_k to the grid size.
  */
 
 #include <array>
@@ -69,8 +65,7 @@ class CostSurrogate
 
     /**
      * Deterministic dump of every fitted parameter (hex-float text):
-     * byte-equal dumps mean byte-equal models, which is what the
-     * lane-invariance tests diff.
+     * byte-equal dumps mean byte-equal models.
      */
     std::string describe() const;
 
@@ -148,7 +143,8 @@ struct SurrogateSweepResult
  *     (lowest index wins ties).
  *
  * @p feature and @p real_cost must be pure functions of the index
- * (plus read-only captures) — the parallelFor contract. When
+ * (plus read-only captures): the loop evaluates a subset of the grid
+ * in its own order, and no cost may depend on that order. When
  * n <= seed_count + top_k (no overflow: top_k may be SIZE_MAX), every
  * candidate is evaluated for real instead (the exhaustive path,
  * bit-identical to a plain sweep).

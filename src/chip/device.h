@@ -60,9 +60,10 @@ class Device
 
     /**
      * A fresh Device with the same config and live knobs (clock, SRAM
-     * partition, ECC mode) but zeroed observability counters. Parallel
-     * sweeps give each task its own clone so concurrent cost-model
-     * queries never race on the shared device's mutable stats.
+     * partition, ECC mode) but zeroed observability counters. Sweeps
+     * price each candidate on its own clone, so the caller's device
+     * counters stay unchanged and each clone's counters belong to one
+     * candidate.
      */
     Device cloneConfigured() const;
 

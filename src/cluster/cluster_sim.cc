@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "core/check.h"
-#include "core/parallel.h"
 #include "sim/event_queue.h"
 #include "sim/parallel_des.h"
 #include "telemetry/telemetry.h"
@@ -745,17 +744,9 @@ ClusterResult
 ClusterSimulator::simulate(double qps, Tick duration,
                            std::uint64_t seed) const
 {
-    return simulateImpl(qps, duration, seed, telemetry_);
-}
-
-ClusterResult
-ClusterSimulator::simulateImpl(double qps, Tick duration,
-                               std::uint64_t seed,
-                               telemetry::Telemetry *tel) const
-{
     MTIA_CHECK_GT(qps, 0.0) << ": cluster offered load";
     MTIA_CHECK_GT(duration, 0u) << ": cluster sim duration";
-    RunState state(cfg_, qps, duration, seed, tel);
+    RunState state(cfg_, qps, duration, seed, telemetry_);
     return state.run();
 }
 
@@ -763,13 +754,14 @@ std::vector<ClusterResult>
 ClusterSimulator::sweep(const std::vector<double> &qps, Tick duration,
                         std::uint64_t seed) const
 {
+    // One fork substream per load point, so a point's result does not
+    // depend on which other points the sweep holds before it.
     const Rng base(seed);
-    // One fork substream per load point; telemetry-detached because
-    // the registry is shared mutable state across lanes.
-    return parallelMap(qps.size(), [&](std::size_t i) {
-        return simulateImpl(qps[i], duration, base.fork(i).next(),
-                            nullptr);
-    });
+    std::vector<ClusterResult> out;
+    out.reserve(qps.size());
+    for (std::size_t i = 0; i < qps.size(); ++i)
+        out.push_back(simulate(qps[i], duration, base.fork(i).next()));
+    return out;
 }
 
 double

@@ -34,8 +34,8 @@
  * Determinism: one seeded Rng per run (trace and chaos take fork
  * substreams), pre-generated chaos timelines, and the ParallelDes
  * index-ordered mailbox drain make every run byte-identical for a
- * seed. sweep() fans load points out over the lane pool and is
- * byte-identical at any MTIA_THREADS lane count.
+ * seed. sweep() runs its load points in order on the calling thread,
+ * each from its own fork substream.
  */
 
 #include <cstdint>
@@ -181,10 +181,10 @@ class ClusterSimulator
                            std::uint64_t seed = 99) const;
 
     /**
-     * Simulate several offered loads via the deterministic parallel
-     * harness (one fork substream per point). Runs telemetry-detached
-     * — the registry is not lane-safe — and is byte-identical at any
-     * MTIA_THREADS count.
+     * Simulate several offered loads in order on the calling thread:
+     * point i is simulate(qps[i], duration, Rng(seed).fork(i).next()).
+     * Records into the attached telemetry like simulate() does, so the
+     * registry accumulates over every point.
      */
     std::vector<ClusterResult> sweep(const std::vector<double> &qps,
                                      Tick duration,
@@ -217,10 +217,6 @@ class ClusterSimulator
     }
 
   private:
-    ClusterResult simulateImpl(double qps, Tick duration,
-                               std::uint64_t seed,
-                               telemetry::Telemetry *tel) const;
-
     ClusterConfig cfg_;
     telemetry::Telemetry *telemetry_ = nullptr;
 };

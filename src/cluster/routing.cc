@@ -35,7 +35,7 @@ LeastLoadedPolicy::route(const ClusterRequest &req,
 {
     (void)req;
     MTIA_CHECK(!view.empty()) << ": routing over an empty cluster";
-    unsigned best = view.size();
+    unsigned best = static_cast<unsigned>(view.size());
     for (unsigned r = 0; r < view.size(); ++r) {
         if (!view[r].routable)
             continue;

@@ -18,7 +18,7 @@ namespace {
 // on such a thread runs inline and serially.
 thread_local bool tls_in_parallel_region = false;
 
-// Innermost ScopedParallelism on this thread (tests / serial timing).
+// Innermost ScopedParallelism on this thread (tests / perfbench).
 thread_local ThreadPool *tls_override_pool = nullptr;
 thread_local unsigned tls_override_lanes = 0;
 thread_local bool tls_override_active = false;

@@ -3,15 +3,20 @@
 
 /**
  * @file
- * Deterministic parallel execution for the expensive fan-outs: the
- * autotuner sweeps (Section 4.1), the fleet Monte-Carlo studies
- * (Sections 5.1-5.3), the A/B harness, the cluster load sweep, and the
- * bench sweeps.
+ * Deterministic parallel execution. The one production site is the
+ * host GEMM (core/simd_gemm.cc: B-panel packing and the row-block
+ * sweep) under the functional executor; tests and perfbench pin its
+ * lane count with ScopedParallelism.
  *
- * Only coarse, independent tasks pay for a dispatch: one parallelFor
- * over the pool costs tens of microseconds of wall time, so a loop
- * that needs a barrier every few microseconds of work runs faster on
- * the calling thread (see sim/parallel_des.h).
+ * A fan-out earns its dispatch only with its own numbers. The
+ * autotuner sweeps, the fleet Monte-Carlo studies, the A/B harness,
+ * the cluster load sweep and the Figure 6 model sweep run as plain
+ * loops on the calling thread: at 4 lanes their benches did not beat
+ * 1 lane in 9 of 10 interleaved runs (DESIGN.md "Parallel execution
+ * & determinism" has the table).
+ * One parallelFor over the pool costs tens of microseconds of wall
+ * time, so a loop that needs a barrier every few microseconds of
+ * work runs faster on the calling thread (see sim/parallel_des.h).
  *
  * The design rule is *static sharding, index-ordered reduction*: work
  * over [0, n) is split into contiguous chunks fixed before any thread
@@ -87,7 +92,7 @@ class ThreadPool
 };
 
 /**
- * RAII parallelism override for tests and serial baseline timing:
+ * RAII parallelism override for tests and perfbench:
  * while alive, parallelFor/parallelMap on this thread use exactly
  * @p lanes lanes (a private pool when lanes > 1, inline when 1),
  * independent of MTIA_THREADS and the hardware. Scopes nest; the

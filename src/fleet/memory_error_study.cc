@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "core/parallel.h"
-
 namespace mtia {
 
 FleetErrorReport
@@ -16,32 +14,25 @@ MemoryErrorStudy::sampleFleet(const LpddrChannel &channel,
     const double seconds = observation_days * 86400.0;
 
     // One substream per server (Rng::fork discipline): server s draws
-    // from base.fork(s) whatever the thread count, so the fleet sample
-    // is byte-identical at MTIA_THREADS=1 and =N. The member stream
+    // from base.fork(s), so a server's sample does not depend on how
+    // many draws the servers before it made. The member stream
     // advances once per call so repeated samples stay independent.
     const Rng base(rng_.next());
-    const unsigned cards = rep.cards_per_server;
-    const std::vector<unsigned> bad_per_server = parallelMap(
-        servers, [&](std::size_t s) {
-            Rng rng = base.fork(s);
-            unsigned bad_cards = 0;
-            for (unsigned c = 0; c < cards; ++c) {
-                // Per-card quality factor: most parts are much better
-                // than the rated BER, a thin tail is much worse. The
-                // lognormal keeps the fleet mean near 1 while giving
-                // the observed typically-one-bad-card-per-server
-                // pattern.
-                const double quality = rng.lognormal(-1.5, 1.8);
-                const double expected =
-                    channel.expectedBitErrors(resident_bytes, seconds) *
-                    quality;
-                if (rng.poisson(expected) > 0)
-                    ++bad_cards;
-            }
-            return bad_cards;
-        });
-
-    for (unsigned bad_cards : bad_per_server) {
+    for (unsigned s = 0; s < servers; ++s) {
+        Rng rng = base.fork(s);
+        unsigned bad_cards = 0;
+        for (unsigned c = 0; c < rep.cards_per_server; ++c) {
+            // Per-card quality factor: most parts are much better than
+            // the rated BER, a thin tail is much worse. The lognormal
+            // keeps the fleet mean near 1 while giving the observed
+            // typically-one-bad-card-per-server pattern.
+            const double quality = rng.lognormal(-1.5, 1.8);
+            const double expected =
+                channel.expectedBitErrors(resident_bytes, seconds) *
+                quality;
+            if (rng.poisson(expected) > 0)
+                ++bad_cards;
+        }
         if (bad_cards > 0) {
             ++rep.servers_with_errors;
             rep.cards_with_errors += bad_cards;
@@ -112,20 +103,16 @@ MemoryErrorStudy::injectRegionSeeded(MemRegion region, int trials,
 std::vector<InjectionReport>
 MemoryErrorStudy::injectAllRegions(int trials)
 {
-    const std::vector<MemRegion> regions = {
-        MemRegion::DenseWeights, MemRegion::Activations,
-        MemRegion::EmbeddingTable, MemRegion::TbeIndices,
-        MemRegion::Inputs, MemRegion::Outputs};
-    // Draw each region's campaign seed serially in region order (the
-    // same stream consumption as the serial path), then run the
-    // campaigns concurrently — one region per task, results in region
-    // order.
-    std::vector<std::uint64_t> seeds(regions.size());
-    for (std::size_t i = 0; i < regions.size(); ++i)
-        seeds[i] = rng_.next();
-    return parallelMap(regions.size(), [&](std::size_t i) {
-        return injectRegionSeeded(regions[i], trials, seeds[i]);
-    });
+    // Each campaign draws one seed from the member stream and then
+    // runs on its own injector stream, so region i always gets the
+    // member stream's i-th draw.
+    std::vector<InjectionReport> out;
+    for (MemRegion region :
+         {MemRegion::DenseWeights, MemRegion::Activations,
+          MemRegion::EmbeddingTable, MemRegion::TbeIndices,
+          MemRegion::Inputs, MemRegion::Outputs})
+        out.push_back(injectRegion(region, trials));
+    return out;
 }
 
 } // namespace mtia

@@ -66,8 +66,8 @@ class MemoryErrorStudy
 
     /**
      * Same campaign with an explicit seed instead of the member
-     * stream; const, so region campaigns can run concurrently once
-     * their seeds were drawn in order.
+     * stream; const, so a caller with its own seed stream (the
+     * cluster chaos samplers) leaves the member stream untouched.
      */
     InjectionReport injectRegionSeeded(MemRegion region, int trials,
                                        std::uint64_t seed) const;

@@ -1,6 +1,6 @@
 #include "fleet/overclocking.h"
 
-#include "core/parallel.h"
+#include <vector>
 
 namespace mtia {
 
@@ -35,37 +35,34 @@ OverclockingStudy::run(unsigned chips,
     // Draw every chip's Fmax from its own substream; reuse across the
     // test matrix so the same weak chips fail consistently. Each
     // (frequency, test) cell then gets its own noise substream, making
-    // every cell a pure function of its grid index — the report is
-    // byte-identical at any MTIA_THREADS.
+    // every cell a pure function of its grid index.
     const Rng fmax_base(rng_.next());
     const Rng cell_base(rng_.next());
-    const std::vector<double> fmax = parallelMap(
-        chips, [&](std::size_t c) {
-            return fmax_base.fork(c).gaussian(fmax_mean_, fmax_sigma_);
-        });
+    std::vector<double> fmax(chips);
+    for (unsigned c = 0; c < chips; ++c)
+        fmax[c] = fmax_base.fork(c).gaussian(fmax_mean_, fmax_sigma_);
 
     const std::size_t tests = kOverclockTests.size();
-    rep.cells = parallelMap(
-        frequencies.size() * tests, [&](std::size_t i) {
-            const double freq = frequencies[i / tests];
-            const std::size_t t = i % tests;
-            Rng rng = cell_base.fork(i);
-            TestCell cell;
-            cell.test = kOverclockTests[t];
-            cell.frequency_ghz = freq;
-            for (unsigned c = 0; c < chips; ++c) {
-                // Per-run noise: voltage/thermal variation during the
-                // test itself.
-                const double effective = fmax[c] * margins[t] *
-                    (1.0 + rng.gaussian(0.0, 0.004));
-                if (effective >= freq) {
-                    ++cell.passed;
-                } else {
-                    ++cell.failed;
-                }
+    for (std::size_t i = 0; i < frequencies.size() * tests; ++i) {
+        const double freq = frequencies[i / tests];
+        const std::size_t t = i % tests;
+        Rng rng = cell_base.fork(i);
+        TestCell cell;
+        cell.test = kOverclockTests[t];
+        cell.frequency_ghz = freq;
+        for (unsigned c = 0; c < chips; ++c) {
+            // Per-run noise: voltage/thermal variation during the test
+            // itself.
+            const double effective = fmax[c] * margins[t] *
+                (1.0 + rng.gaussian(0.0, 0.004));
+            if (effective >= freq) {
+                ++cell.passed;
+            } else {
+                ++cell.failed;
             }
-            return cell;
-        });
+        }
+        rep.cells.push_back(cell);
+    }
     return rep;
 }
 

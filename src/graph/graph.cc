@@ -1,7 +1,5 @@
 #include "graph/graph.h"
 
-#include <sstream>
-
 #include "core/check.h"
 
 namespace mtia {
@@ -182,24 +180,6 @@ Graph::totalFlops() const
             total += nd.op->flops();
     }
     return total;
-}
-
-std::string
-Graph::toString() const
-{
-    std::ostringstream os;
-    for (const auto &nd : nodes_) {
-        if (nd.dead)
-            continue;
-        os << "#" << nd.id << " " << nd.op->toString() << " <- [";
-        for (std::size_t i = 0; i < nd.inputs.size(); ++i)
-            os << (i ? "," : "") << nd.inputs[i];
-        os << "]";
-        if (!nd.label.empty())
-            os << " (" << nd.label << ")";
-        os << "\n";
-    }
-    return os.str();
 }
 
 } // namespace mtia

@@ -69,8 +69,6 @@ class Graph
     Bytes totalWeightBytes() const;
     double totalFlops() const;
 
-    std::string toString() const;
-
   private:
     std::vector<Node> nodes_;
     mutable std::vector<Shape> shape_cache_;

@@ -60,26 +60,6 @@ LlcModel::access(std::uint64_t addr, bool write)
     return false;
 }
 
-std::uint64_t
-LlcModel::accessRange(std::uint64_t addr, Bytes len, bool write)
-{
-    std::uint64_t hits = 0;
-    const std::uint64_t first = addr / cfg_.line_size;
-    const std::uint64_t last = (addr + (len ? len - 1 : 0)) / cfg_.line_size;
-    for (std::uint64_t line = first; line <= last; ++line)
-        hits += access(line * cfg_.line_size, write);
-    return hits;
-}
-
-void
-LlcModel::reset()
-{
-    for (auto &w : ways_)
-        w = Way{};
-    stats_ = LlcStats{};
-    stamp_ = 0;
-}
-
 namespace {
 
 double

@@ -67,16 +67,6 @@ class LlcModel
      */
     bool access(std::uint64_t addr, bool write = false);
 
-    /**
-     * Access a byte range, touching every line it covers.
-     * @return number of line hits.
-     */
-    std::uint64_t accessRange(std::uint64_t addr, Bytes len,
-                              bool write = false);
-
-    /** Drop all contents and statistics. */
-    void reset();
-
     const LlcStats &stats() const { return stats_; }
     const LlcConfig &config() const { return cfg_; }
     std::uint64_t numSets() const { return num_sets_; }

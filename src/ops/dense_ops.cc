@@ -121,12 +121,6 @@ FullyConnectedOp::flops() const
     return shape_.flops();
 }
 
-std::string
-FullyConnectedOp::toString() const
-{
-    return "fc:" + shape_.toString();
-}
-
 Tensor
 ActivationOp::run(const std::vector<Tensor> &inputs, OpContext &ctx) const
 {

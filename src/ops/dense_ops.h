@@ -36,7 +36,6 @@ class InputOp : public Op
         return {};
     }
     double flops() const override { return 0.0; }
-    std::string toString() const override { return "input:" + name_; }
 
     const std::string &name() const { return name_; }
 
@@ -74,7 +73,6 @@ class FullyConnectedOp : public Op
                     const CostContext &ctx) const override;
     Bytes weightBytes() const override;
     double flops() const override;
-    std::string toString() const override;
 
     const FcShape &shape() const { return shape_; }
     DType dtype() const { return dtype_; }

@@ -79,9 +79,6 @@ class Op
 
     /** Floating-point work per invocation. */
     virtual double flops() const = 0;
-
-    /** Debug string. */
-    virtual std::string toString() const { return kind(); }
 };
 
 using OpPtr = std::shared_ptr<Op>;

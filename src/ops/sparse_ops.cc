@@ -241,13 +241,4 @@ TbeOp::flops() const
         static_cast<double>(spec_.dim) * (weighted_ ? 2.0 : 1.0);
 }
 
-std::string
-TbeOp::toString() const
-{
-    return std::string("tbe:") + (weighted_ ? "w" : "u") + ":" +
-        std::to_string(spec_.tables) + "x" + std::to_string(batch_) +
-        "x" + std::to_string(pooling_) + "x" +
-        std::to_string(spec_.dim);
-}
-
 } // namespace mtia

@@ -77,7 +77,6 @@ class TbeOp : public Op
                     const CostContext &ctx) const override;
     Bytes weightBytes() const override { return spec_.totalBytes(); }
     double flops() const override;
-    std::string toString() const override;
 
     const TbeTableSpec &spec() const { return spec_; }
     std::int64_t batch() const { return batch_; }
@@ -90,13 +89,18 @@ class TbeOp : public Op
      */
     double expectedHitRate(Bytes llc_bytes) const;
 
-  private:
-    /** Embedding row value: deterministic hash of (table, row, col)
-     * so functional runs are reproducible without materializing
-     * multi-GB tables. */
+    /**
+     * Embedding element (@p table, @p row, @p col): a deterministic
+     * hash, so functional runs are reproducible without materializing
+     * multi-GB tables. The per-element oracle for run(): every output
+     * element equals the in-order sum of weight x rowValue over its
+     * sampled rows, bit for bit, whether a row came from the row
+     * cache or the overflow arena.
+     */
     float rowValue(std::int64_t table, std::int64_t row,
                    std::int64_t col) const;
 
+  private:
     TbeTableSpec spec_;
     std::int64_t batch_;
     std::int64_t pooling_;

@@ -5,7 +5,6 @@
 
 #include "graph/executor.h"
 #include "core/check.h"
-#include "core/parallel.h"
 #include "sim/random.h"
 
 namespace mtia {
@@ -40,13 +39,9 @@ AbTestHarness::compare(const Graph &g, int runs,
 {
     AbResult out;
 
-    struct RunSample
-    {
-        std::vector<double> ref;
-        std::vector<double> cand;
-        double max_diff = 0.0;
-    };
-    const auto run_once = [&](int run) {
+    std::vector<double> preds_ref;
+    std::vector<double> preds_cand;
+    for (int run = 0; run < runs; ++run) {
         // Identical traffic on both arms: same executor seed.
         Executor gpu_arm(seed + static_cast<std::uint64_t>(run),
                          /*use_lut_simd=*/false);
@@ -54,42 +49,17 @@ AbTestHarness::compare(const Graph &g, int runs,
                           /*use_lut_simd=*/true);
         const auto ref = gpu_arm.run(g);
         const auto cand = mtia_arm.run(g);
-        RunSample sample;
         for (const auto &[id, tensor] : ref.outputs) {
             const Tensor &other = cand.outputs.at(id);
             for (std::int64_t i = 0; i < tensor.numel(); ++i) {
-                sample.ref.push_back(tensor.at(i));
-                sample.cand.push_back(other.at(i));
-                sample.max_diff = std::max(
-                    sample.max_diff,
+                preds_ref.push_back(tensor.at(i));
+                preds_cand.push_back(other.at(i));
+                out.max_pred_diff = std::max(
+                    out.max_pred_diff,
                     std::abs(static_cast<double>(tensor.at(i)) -
                              static_cast<double>(other.at(i))));
             }
         }
-        return sample;
-    };
-
-    std::vector<double> preds_ref;
-    std::vector<double> preds_cand;
-    std::vector<RunSample> samples;
-    if (runs > 0) {
-        // Run 0 serially first: executing the graph fills its lazy
-        // shape/weight caches, which must not race. The remaining runs
-        // only read those caches and run concurrently, concatenated in
-        // run order so the result matches the serial loop exactly.
-        samples.push_back(run_once(0));
-        std::vector<RunSample> rest = parallelMap(
-            static_cast<std::size_t>(runs - 1), [&](std::size_t i) {
-                return run_once(static_cast<int>(i) + 1);
-            });
-        for (auto &s : rest)
-            samples.push_back(std::move(s));
-    }
-    for (const RunSample &s : samples) {
-        preds_ref.insert(preds_ref.end(), s.ref.begin(), s.ref.end());
-        preds_cand.insert(preds_cand.end(), s.cand.begin(),
-                          s.cand.end());
-        out.max_pred_diff = std::max(out.max_pred_diff, s.max_diff);
     }
     out.samples = preds_ref.size();
     MTIA_CHECK_GT(out.samples, 0u)

@@ -3,15 +3,17 @@
  * Tests for the cluster serving layer: trace sharding, routing
  * policies, the deadline-aware dynamic batcher, controller health
  * transitions, chaos timelines, and the end-to-end cluster simulator
- * — including the chaos determinism bar (byte-identical sweeps at
- * MTIA_THREADS 1 vs 8 and across same-seed runs) and the Figure 5
+ * — including the chaos determinism bar (byte-identical sweeps across
+ * same-seed runs and with telemetry attached) and the Figure 5
  * TBE-consolidation effect on a one-replica config.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "cluster/chaos.h"
@@ -20,7 +22,6 @@
 #include "cluster/controller.h"
 #include "cluster/dynamic_batcher.h"
 #include "cluster/routing.h"
-#include "core/parallel.h"
 #include "sim/event_queue.h"
 #include "tbe_serving.h"
 #include "telemetry/telemetry.h"
@@ -439,13 +440,23 @@ TEST(ClusterSimTest, RoutingPoliciesTradeSkewForAffinity)
     EXPECT_EQ(b.completed, b.arrivals);
 }
 
-TEST(ClusterSimTest, ChaosRunByteIdenticalAcrossLaneCountsAndRuns)
+std::string
+sweepSummaries(const ClusterSimulator &sim,
+               const std::vector<double> &points, Tick dur,
+               std::uint64_t seed = 99)
+{
+    std::string out;
+    for (const ClusterResult &r : sim.sweep(points, dur, seed))
+        out += r.summary();
+    return out;
+}
+
+TEST(ClusterSimTest, ChaosRunByteIdenticalAcrossRuns)
 {
     // The determinism bar for the whole stack: a chaos run (replica
     // kills + ECC storms) must render byte-identical summaries across
-    // MTIA_THREADS lane counts and across same-seed runs. sweep()
-    // exercises the parallel harness; the scenario exercises failover,
-    // re-routing, retries, and crash-kills.
+    // same-seed runs. The scenario exercises failover, re-routing,
+    // retries, and crash-kills.
     ClusterConfig cfg = testClusterConfig();
     cfg.chaos.enabled = true;
     cfg.chaos.mean_kill_interval_s = 1.0;
@@ -453,37 +464,44 @@ TEST(ClusterSimTest, ChaosRunByteIdenticalAcrossLaneCountsAndRuns)
     const std::vector<double> points = {200.0, 500.0, 800.0};
     const Tick dur = fromSeconds(3.0);
 
-    std::string lane1;
-    std::string lane8;
-    {
-        ScopedParallelism serial(1);
-        for (const ClusterResult &r : sim.sweep(points, dur))
-            lane1 += r.summary();
-    }
-    {
-        ScopedParallelism wide(8);
-        for (const ClusterResult &r : sim.sweep(points, dur))
-            lane8 += r.summary();
-    }
-    EXPECT_EQ(lane1, lane8);
-
     // Same seed, second run of the same process: byte-identical.
-    std::string again;
-    {
-        ScopedParallelism wide(8);
-        for (const ClusterResult &r : sim.sweep(points, dur))
-            again += r.summary();
-    }
-    EXPECT_EQ(lane8, again);
+    const std::string first = sweepSummaries(sim, points, dur);
+    EXPECT_EQ(sweepSummaries(sim, points, dur), first);
 
     // A different seed is a genuinely different experiment.
-    std::string reseeded;
-    {
-        ScopedParallelism serial(1);
-        for (const ClusterResult &r : sim.sweep(points, dur, 1234))
-            reseeded += r.summary();
+    EXPECT_NE(sweepSummaries(sim, points, dur, 1234), first);
+}
+
+TEST(ClusterSimTest, SweepRecordsIntoAttachedTelemetry)
+{
+    // Attaching telemetry never changes a sweep's results, and the
+    // registry accumulates every load point's completed requests.
+    ClusterConfig cfg = testClusterConfig();
+    cfg.chaos.enabled = true;
+    cfg.chaos.mean_kill_interval_s = 1.0;
+    ClusterSimulator sim(cfg);
+    const std::vector<double> points = {200.0, 500.0, 800.0};
+    const Tick dur = fromSeconds(2.0);
+    const std::vector<ClusterResult> detached = sim.sweep(points, dur);
+
+    telemetry::Telemetry tel;
+    sim.setTelemetry(&tel);
+    const std::vector<ClusterResult> attached = sim.sweep(points, dur);
+    sim.setTelemetry(nullptr);
+
+    ASSERT_EQ(attached.size(), detached.size());
+    std::uint64_t completed = 0;
+    for (std::size_t i = 0; i < attached.size(); ++i) {
+        EXPECT_EQ(attached[i].summary(), detached[i].summary()) << i;
+        completed += attached[i].completed;
     }
-    EXPECT_NE(lane1, reseeded);
+    ASSERT_GT(completed, 0u);
+    for (const char *cls : {"total", "remote", "merge"})
+        EXPECT_EQ(tel.metrics
+                      .histogram("cluster.latency_ms", {{"class", cls}})
+                      .count(),
+                  completed)
+            << cls;
 }
 
 TEST(ClusterSimTest, ZeroPerRowGatherCompletesEveryArrival)

@@ -8,8 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "chip/device.h"
 #include "chip/kernel_cost_model.h"
@@ -142,6 +147,54 @@ TEST_F(OpsTest, TbeOutputBoundedByPooling)
     // Pooled sums of 10 rows with |value| <= 0.17 stay within 1.7.
     for (std::int64_t i = 0; i < y.numel(); ++i)
         EXPECT_LE(std::abs(y.at(i)), 1.7f);
+}
+
+TEST_F(OpsTest, TbeBeyondRowCacheMatchesRowValueOracle)
+{
+    // A near-uniform index stream over 16M rows: 49,152 lookups touch
+    // more distinct rows than the 32,768-row cache TbeOp::run keeps,
+    // so the tail is synthesized into its overflow arena.
+    TbeTableSpec spec{.tables = 2,
+                      .rows_per_table = 1 << 24,
+                      .dim = 8,
+                      .dtype = DType::FP16,
+                      .zipf_alpha = 0.5};
+    const std::int64_t batch = 256;
+    const std::int64_t pooling = 96;
+    TbeOp tbe(spec, batch, pooling, /*weighted=*/true);
+    Rng op_rng(42);
+    ctx_.rng = &op_rng;
+    const Tensor y = tbe.run({}, ctx_);
+    ASSERT_EQ(y.shape(), (Shape{batch, spec.tables * spec.dim}));
+
+    // Replay the op's rng order: batch-major, then table, and each
+    // lookup draws its row and then its weight.
+    Rng ref_rng(42);
+    const ZipfSampler zipf(
+        static_cast<std::uint64_t>(spec.rows_per_table), spec.zipf_alpha);
+    std::set<std::pair<std::int64_t, std::int64_t>> distinct;
+    std::vector<std::int64_t> rows(static_cast<std::size_t>(pooling));
+    std::vector<float> weights(rows.size());
+    for (std::int64_t b = 0; b < batch; ++b) {
+        for (std::int64_t t = 0; t < spec.tables; ++t) {
+            for (std::size_t p = 0; p < rows.size(); ++p) {
+                rows[p] = static_cast<std::int64_t>(zipf.sample(ref_rng));
+                weights[p] =
+                    static_cast<float>(ref_rng.uniform(0.5, 1.5));
+                distinct.emplace(t, rows[p]);
+            }
+            for (std::int64_t d = 0; d < spec.dim; ++d) {
+                float want = 0.0f;
+                for (std::size_t p = 0; p < rows.size(); ++p)
+                    want += weights[p] * tbe.rowValue(t, rows[p], d);
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(
+                              y.at2(b, t * spec.dim + d)),
+                          std::bit_cast<std::uint32_t>(want))
+                    << "b=" << b << " t=" << t << " d=" << d;
+            }
+        }
+    }
+    EXPECT_GT(distinct.size(), 32768u);
 }
 
 TEST_F(OpsTest, TbeHitRateMatchesCacheScaling)

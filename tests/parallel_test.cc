@@ -1,7 +1,6 @@
 // Tests for the deterministic parallel harness: static sharding,
-// index-ordered results, exception propagation, Rng::fork substream
-// discipline, and end-to-end byte-identity of a Monte-Carlo study at
-// 1, 2, and 8 lanes. These run under the tsan preset in CI.
+// index-ordered results, exception propagation, and Rng::fork
+// substream discipline. These run under the tsan preset in CI.
 
 #include <atomic>
 #include <cstdint>
@@ -14,8 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "core/parallel.h"
-#include "fleet/memory_error_study.h"
-#include "mem/lpddr.h"
 #include "sim/random.h"
 
 namespace mtia {
@@ -218,49 +215,6 @@ TEST(RngForkTest, SpareGaussianDoesNotLeakAcrossFork)
     // The parent's next gaussian is the cached spare in both cases —
     // untouched by the child's own draws.
     EXPECT_EQ(p1.gaussian(0.0, 1.0), p2.gaussian(0.0, 1.0));
-}
-
-TEST(ParallelDeterminismTest, MemoryErrorStudyIsLaneCountInvariant)
-{
-    LpddrConfig cfg;
-    cfg.peak_bandwidth = gbPerSec(204.8);
-    cfg.bit_error_rate = 1.9e-20;
-    const LpddrChannel channel(cfg);
-
-    const auto run = [&] {
-        MemoryErrorStudy study(61);
-        const FleetErrorReport fleet =
-            study.sampleFleet(channel, 400, 90.0, 64_GiB);
-        const auto regions = study.injectAllRegions(500);
-        return std::pair<FleetErrorReport,
-                         std::vector<InjectionReport>>(fleet, regions);
-    };
-
-    std::pair<FleetErrorReport, std::vector<InjectionReport>> serial;
-    {
-        ScopedParallelism one(1);
-        serial = run();
-    }
-    for (unsigned lanes : {2u, 8u}) {
-        ScopedParallelism scope(lanes);
-        const auto parallel = run();
-        EXPECT_EQ(parallel.first.servers_with_errors,
-                  serial.first.servers_with_errors);
-        EXPECT_EQ(parallel.first.cards_with_errors,
-                  serial.first.cards_with_errors);
-        EXPECT_EQ(parallel.first.single_card_servers,
-                  serial.first.single_card_servers);
-        ASSERT_EQ(parallel.second.size(), serial.second.size());
-        for (std::size_t i = 0; i < serial.second.size(); ++i) {
-            EXPECT_EQ(parallel.second[i].benign,
-                      serial.second[i].benign);
-            EXPECT_EQ(parallel.second[i].corrupted,
-                      serial.second[i].corrupted);
-            EXPECT_EQ(parallel.second[i].nan, serial.second[i].nan);
-            EXPECT_EQ(parallel.second[i].out_of_bounds,
-                      serial.second[i].out_of_bounds);
-        }
-    }
 }
 
 } // namespace
