@@ -44,9 +44,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <type_traits>
-#include <utility>
-#include <vector>
 
 namespace mtia {
 
@@ -59,7 +56,7 @@ namespace mtia {
 unsigned parallelLanes();
 
 /**
- * A fixed-size thread pool. parallelFor/parallelMap dispatch onto a
+ * A fixed-size thread pool. parallelFor dispatches onto a
  * process-wide pool; tests may build private pools through
  * ScopedParallelism instead. Workers are created once in the
  * constructor and joined in the destructor — the pool never grows,
@@ -93,7 +90,7 @@ class ThreadPool
 
 /**
  * RAII parallelism override for tests and perfbench:
- * while alive, parallelFor/parallelMap on this thread use exactly
+ * while alive, parallelFor on this thread uses exactly
  * @p lanes lanes (a private pool when lanes > 1, inline when 1),
  * independent of MTIA_THREADS and the hardware. Scopes nest; the
  * innermost wins.
@@ -120,26 +117,6 @@ class ScopedParallelism
  * until every index has run; rethrows the lowest-indexed exception.
  */
 void parallelFor(std::size_t n, const std::function<void(std::size_t)> &body);
-
-/**
- * Map i -> fn(i) over [0, n), returning results in index order. The
- * result type must be default-constructible and must not be bool
- * (std::vector<bool> shares words between slots). Determinism: same
- * inputs give byte-identical output at any thread count.
- */
-template <typename Fn>
-auto
-parallelMap(std::size_t n, Fn &&fn)
-    -> std::vector<std::decay_t<decltype(fn(std::size_t{0}))>>
-{
-    using T = std::decay_t<decltype(fn(std::size_t{0}))>;
-    static_assert(!std::is_same_v<T, bool>,
-                  "parallelMap result slots must be independent; "
-                  "vector<bool> packs bits");
-    std::vector<T> out(n);
-    parallelFor(n, [&](std::size_t i) { out[i] = fn(i); });
-    return out;
-}
 
 } // namespace mtia
 

@@ -1,12 +1,16 @@
 #include "host/sha256.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "core/simd.h"
+#include "host/sha256_ni.h"
 
 namespace mtia {
 
-namespace {
+namespace detail {
 
-constexpr std::array<std::uint32_t, 64> kRound = {
+const std::uint32_t kSha256Round[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b,
     0x59f111f1, 0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01,
     0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7,
@@ -20,6 +24,10 @@ constexpr std::array<std::uint32_t, 64> kRound = {
     0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f,
     0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+
+} // namespace detail
+
+namespace {
 
 std::uint32_t
 rotr(std::uint32_t x, unsigned n)
@@ -58,7 +66,7 @@ Sha256::processBlock(const std::uint8_t *block)
         const std::uint32_t s1 =
             rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
         const std::uint32_t ch = (e & f) ^ (~e & g);
-        const std::uint32_t t1 = h + s1 + ch + kRound[i] + w[i];
+        const std::uint32_t t1 = h + s1 + ch + detail::kSha256Round[i] + w[i];
         const std::uint32_t s0 =
             rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
         const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
@@ -82,39 +90,77 @@ Sha256::processBlock(const std::uint8_t *block)
     state_[7] += h;
 }
 
+// Selecting by tier means MTIA_SIMD_ISA=scalar and ScopedIsa(Scalar)
+// run the portable round loop, which stays the reference.
+bool
+Sha256::usesShaNi()
+{
+#if defined(MTIA_HOST_HAVE_SHANI)
+    return simd::activeIsa() != simd::SimdIsa::Scalar &&
+        detail::sha256NiSupported();
+#else
+    return false;
+#endif
+}
+
+void
+Sha256::compress(const std::uint8_t *blocks, std::size_t count)
+{
+    if (count == 0)
+        return;
+#if defined(MTIA_HOST_HAVE_SHANI)
+    if (usesShaNi()) {
+        detail::sha256BlocksNi(state_.data(), blocks, count);
+        return;
+    }
+#endif
+    for (std::size_t b = 0; b < count; ++b)
+        processBlock(blocks + 64 * b);
+}
+
 void
 Sha256::update(const std::uint8_t *data, std::size_t len)
 {
+    if (len == 0)
+        return; // an empty vector's data() may be null
     total_ += len;
-    while (len > 0) {
-        const std::size_t take =
-            std::min(len, buffer_.size() - buffered_);
+    if (buffered_ > 0) {
+        const std::size_t take = std::min(len, buffer_.size() - buffered_);
         std::memcpy(buffer_.data() + buffered_, data, take);
         buffered_ += take;
         data += take;
         len -= take;
-        if (buffered_ == buffer_.size()) {
-            processBlock(buffer_.data());
-            buffered_ = 0;
-        }
+        if (buffered_ < buffer_.size())
+            return;
+        compress(buffer_.data(), 1);
+        buffered_ = 0;
     }
+    // Whole blocks straight from the caller's buffer.
+    const std::size_t blocks = len / buffer_.size();
+    compress(data, blocks);
+    data += blocks * buffer_.size();
+    len -= blocks * buffer_.size();
+    if (len > 0)
+        std::memcpy(buffer_.data(), data, len);
+    buffered_ = len;
 }
 
 Sha256Digest
 Sha256::finish()
 {
+    // Padding: 0x80, zeros up to byte 56 of a block, then the
+    // big-endian bit length.
     const std::uint64_t bit_len = total_ * 8;
-    const std::uint8_t pad = 0x80;
-    update(&pad, 1);
-    const std::uint8_t zero = 0x00;
-    while (buffered_ != 56)
-        update(&zero, 1);
-    std::uint8_t len_be[8];
+    buffer_[buffered_++] = 0x80;
+    if (buffered_ > 56) {
+        std::fill(buffer_.begin() + buffered_, buffer_.end(), 0);
+        compress(buffer_.data(), 1);
+        buffered_ = 0;
+    }
+    std::fill(buffer_.begin() + buffered_, buffer_.begin() + 56, 0);
     for (int i = 0; i < 8; ++i)
-        len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-    // Bypass update() for the length field so total_ is untouched.
-    std::memcpy(buffer_.data() + buffered_, len_be, 8);
-    processBlock(buffer_.data());
+        buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    compress(buffer_.data(), 1);
 
     Sha256Digest out;
     for (int i = 0; i < 8; ++i) {

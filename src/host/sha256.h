@@ -43,10 +43,19 @@ class Sha256
     static Sha256Digest hash(const std::vector<std::uint8_t> &data);
     static Sha256Digest hash(const std::string &s);
 
+    /** Whether update() compresses through SHA-NI on this thread: the
+     *  binary holds the kernel, the CPU reports `sha` and `sse4.1`,
+     *  and the active SIMD tier is not Scalar. */
+    static bool usesShaNi();
+
     /** Lower-case hex string of a digest. */
     static std::string hex(const Sha256Digest &d);
 
   private:
+    /** Compress @p count whole blocks: SHA-NI when usesShaNi(), else
+     *  the portable processBlock loop. */
+    void compress(const std::uint8_t *blocks, std::size_t count);
+    /** The portable round loop: the reference every path must equal. */
     void processBlock(const std::uint8_t *block);
 
     std::array<std::uint32_t, 8> state_;

@@ -6,7 +6,9 @@
  * callbacks must never touch the allocator. The functional executor's
  * is that a last consumer takes its input by move: one run allocates
  * less than a copy-semantics run by at least those inputs' bytes. A
- * warm FC run allocates no weight-sized operand or pack buffer.
+ * warm FC run allocates no weight-sized operand or pack buffer. The
+ * host decoders reject a header that declares more output than the
+ * stream can encode before allocating it.
  * This binary replaces global operator new/delete with counting
  * versions, so it is its own test executable.
  */
@@ -20,8 +22,10 @@
 #include <vector>
 
 #include "copy_executor.h"
+#include "core/check.h"
 #include "core/parallel.h"
 #include "graph/fusion.h"
+#include "host/compression.h"
 #include "models/model_zoo.h"
 #include "ops/dense_ops.h"
 #include "sim/event_queue.h"
@@ -251,6 +255,23 @@ TEST(GemmAllocation, WarmFcRunAllocatesNothingWeightSizedButItsOutput)
             << " B";
         EXPECT_EQ(y.raw(), warm.raw());
     }
+}
+
+TEST(ContractsHost, DecompressRejectsOversizedHeaderBeforeAllocating)
+{
+    // Nine-byte streams whose 4-byte header declares about 4 GiB of
+    // output: both decoders must reject them from the stream length
+    // alone, before allocating anything near the declared size.
+    ScopedCheckThrow guard;
+    const ByteBuffer lz = {0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0};
+    const ByteBuffer rans_v1 = {0xf0, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0};
+    g_large_threshold.store(std::size_t{1} << 30);
+    const std::uint64_t before = g_large_allocations.load();
+    EXPECT_THROW((void)LzCodec::decompress(lz), CheckFailedError);
+    EXPECT_THROW((void)RansCodec::decompress(rans_v1), CheckFailedError);
+    const std::uint64_t large = g_large_allocations.load() - before;
+    g_large_threshold.store(~std::size_t{0});
+    EXPECT_EQ(large, 0u) << "allocations of 1 GiB or more";
 }
 
 } // namespace

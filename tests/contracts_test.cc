@@ -467,6 +467,71 @@ TEST(ContractsHost, RansDecompressRejectsTruncatedStream)
     EXPECT_THROW(RansCodec::decompress(truncated), CheckFailedError);
 }
 
+/** Overwrite the 32-bit little-endian word at @p at. */
+void
+poke32(ByteBuffer &b, std::size_t at, std::uint32_t v)
+{
+    for (int k = 0; k < 4; ++k)
+        b[at + k] = static_cast<std::uint8_t>(v >> (8 * k));
+}
+
+TEST(ContractsHost, RansDecompressRejectsOversizedBlocks)
+{
+    // The first block's length word follows the container header: at
+    // byte 4 in v1 (after the total), at byte 9 in v2 (sentinel,
+    // version byte, total). A block may hold at most 64 KiB and no
+    // more than the declared total has room for. With 64 KiB + 1
+    // bytes, a first block claiming all of them fits the total, so
+    // only the 64 KiB bound rejects it.
+    ScopedCheckThrow guard;
+    Rng rng(5);
+    ByteBuffer big(64 * 1024 + 1), small(1000);
+    for (auto &b : big)
+        b = static_cast<std::uint8_t>(rng.below(16));
+    for (auto &b : small)
+        b = static_cast<std::uint8_t>(rng.below(16));
+    for (const RansFormat format :
+         {RansFormat::V1Scalar, RansFormat::V2Interleaved}) {
+        const std::size_t at = format == RansFormat::V1Scalar ? 4 : 9;
+        ByteBuffer over = RansCodec::compress(big, format);
+        ASSERT_EQ(RansCodec::decompress(over), big);
+        poke32(over, at, 64 * 1024 + 1);
+        EXPECT_THROW((void)RansCodec::decompress(over), CheckFailedError);
+
+        ByteBuffer past = RansCodec::compress(small, format);
+        ASSERT_EQ(RansCodec::decompress(past), small);
+        poke32(past, at, 1001);
+        EXPECT_THROW((void)RansCodec::decompress(past), CheckFailedError);
+    }
+}
+
+TEST(ContractsHost, LzDecompressRejectsRunsPastDeclaredLength)
+{
+    // A periodic body (one long match) and a 20-byte random tail (the
+    // trailing literal run). Declaring 1 byte less than the stream
+    // encodes ends the output inside that literal run, 30 bytes less
+    // inside the match; either run would write past the presized
+    // output.
+    ScopedCheckThrow guard;
+    Rng rng(11);
+    ByteBuffer data(5020);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = i < 5000 ? static_cast<std::uint8_t>((i % 37) * 7)
+                           : static_cast<std::uint8_t>(rng.below(256));
+    for (const ByteBuffer &stream :
+         {LzCodec::compress(data), LzCodec::compressGreedy(data)}) {
+        ASSERT_EQ(LzCodec::decompress(stream), data);
+        for (const std::size_t cut : {1, 30}) {
+            ByteBuffer shorter = stream;
+            poke32(shorter, 0,
+                   static_cast<std::uint32_t>(data.size() - cut));
+            EXPECT_THROW((void)LzCodec::decompress(shorter),
+                         CheckFailedError)
+                << cut;
+        }
+    }
+}
+
 TEST(ContractsHost, PcieConfigRejectsUnsupportedGeneration)
 {
     ScopedCheckThrow guard;

@@ -1,8 +1,7 @@
-// Positive fixture: parallel-capture — parallelFor/parallelMap
-// lambdas mutating shared state captured by reference. The worker
-// interleaving is nondeterministic, so these races also break
-// replay determinism. The rule needs a token view of the lambda.
-// Never compiled.
+// Positive fixture: parallel-capture — parallelFor lambdas mutating
+// shared state captured by reference. The worker interleaving is
+// nondeterministic, so these races also break replay determinism.
+// The rule needs a token view of the lambda. Never compiled.
 
 #include <cstddef>
 #include <vector>

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -19,6 +21,7 @@
 #include "core/numerics_stats.h"
 #include "core/simd.h"
 #include "host/compression.h"
+#include "host/sha256.h"
 #include "ops/sparse_ops.h"
 #include "sim/random.h"
 #include "telemetry/metrics.h"
@@ -544,6 +547,132 @@ TEST(NumericsCodec, LzHashChainMatchesGreedySemantics)
         EXPECT_EQ(LzCodec::decompress(greedy), p) << p.size();
         // The chain matcher searches strictly more candidates.
         EXPECT_LE(chain.size(), greedy.size()) << p.size();
+    }
+}
+
+/** Seeded input of one of six kinds: INT8 narrow (0) and wide (1)
+ *  spectrum, FP16 weights (2), 16-byte feature records (3), all-equal
+ *  bytes (4) and uniform random bytes (5). */
+ByteBuffer
+pinnedCodecInput(int kind, std::size_t n)
+{
+    Rng rng = Rng(4099).fork(static_cast<std::uint64_t>(kind) * 1000003 + n);
+    ByteBuffer out(n);
+    if (n == 0)
+        return out; // an empty buffer's data() may be null
+
+    const auto int8 = [&](double sigma) {
+        for (auto &b : out)
+            b = static_cast<std::uint8_t>(static_cast<std::int8_t>(
+                std::clamp(std::round(rng.gaussian(0.0, sigma)), -128.0,
+                           127.0)));
+    };
+    switch (kind) {
+    case 0:
+        int8(3.0);
+        break;
+    case 1:
+        int8(45.0);
+        break;
+    case 2: {
+        std::vector<float> w((n + 1) / 2);
+        for (float &x : w)
+            x = static_cast<float>(rng.gaussian(0.0, 0.02));
+        std::vector<std::uint16_t> half(w.size());
+        convertBuffer(w.data(), half.data(), w.size(), DType::FP16);
+        std::memcpy(out.data(), half.data(), n);
+        break;
+    }
+    case 3: {
+        const ZipfSampler users(100'000, 1.1);
+        const ZipfSampler items(20'000, 0.9);
+        ByteBuffer records((n + 15) / 16 * 16);
+        for (std::size_t off = 0; off < records.size(); off += 16) {
+            const std::uint32_t fields[4] = {
+                static_cast<std::uint32_t>(users.sample(rng)),
+                static_cast<std::uint32_t>(items.sample(rng)),
+                static_cast<std::uint32_t>(rng.below(24)),
+                static_cast<std::uint32_t>(rng.poisson(2.0))};
+            std::memcpy(&records[off], fields, 16);
+        }
+        std::memcpy(out.data(), records.data(), n);
+        break;
+    }
+    case 4:
+        std::fill(out.begin(), out.end(), std::uint8_t{0x5a});
+        break;
+    default:
+        for (auto &b : out)
+            b = static_cast<std::uint8_t>(rng.below(256));
+        break;
+    }
+    return out;
+}
+
+TEST(NumericsCodec, StreamBytesArePinned)
+{
+    // One SHA-256 per (input kind, stream) over every size's stream,
+    // each prefixed by its length. The digests were recorded from the
+    // byte-at-a-time codecs (rANS with per-symbol division, LZ with a
+    // byte compare loop), so a fast path that changes any stream byte
+    // fails here. The digests are taken on the scalar tier, so this
+    // test does not depend on the SHA-NI path either.
+    static constexpr std::size_t kSizes[] = {0,     1,     3,     4,
+                                             5,     63,    64,    65,
+                                             65535, 65536, 65537, 524288};
+    static constexpr const char *kPinned[6][4] = {
+        {"34e7203bf72f099d2c6ac6540ca2de61e2fd5d4d1a7144c36e41df9c7470de69",
+         "26c62197d0b123dc5e861d87a2df35efa87986c87e6611b20ec31e6a4c682c6d",
+         "46acf8893a1ac990de86bce1a8b16f324cf34fa76f127277da8fc4f921a3710a",
+         "48ca76223a9bbcc14c543284d607e4d5a34a643783d585ba58f2b028c88242ce"},
+        {"8e023e8cd5936fbbe2b0e4099bc449f9189c68a4de849cb926d168770069faa4",
+         "7071a10517983acd9eee5de1a04e873b93e51cba64492583e6d60e76cf67ba3b",
+         "0d7fd28f5da25c3fa4d6f9f0fcd951c8e7f69e9d21f947ab086c1c8aeb55c0df",
+         "f9a15fc29b212cb271378bb70355e5fa565c72d61095613ac6ebeb480d22b295"},
+        {"0a555c6cab83fabfc59218c084ed2fdf59a138573488a458547a61be15d4c32f",
+         "0dfeef7919b39185e8c411a739c4e493c42a9ee705dd3c1f7d82bd7fbca48684",
+         "1b9fd33d9c55506e7109a9911f36ce0bf62aacf421dde5e156351a54950e3e5f",
+         "ad4fd1087fc73a5761c8c5ecb52bd5f1b489869ef6e9868c92e0e92e56e4e541"},
+        {"4aad5cfce2ec14f1a9653061d86583a88039ff67a6d22411922a1df382e5dd64",
+         "ab9084e45f5067dfda5df4c94bf3d5895b56e632e9d48643e926da2a2fca0201",
+         "23ed1ca329829ee0e570a65596f9faa8d851331ced2a84c5b9c5ba8a79b3aedb",
+         "3ad30d61f0ed894882cd8b5ceff9497b0757538cd549c554e28d065046f7cf62"},
+        {"5215e38cbc4a81775cc231c617b056b6c30247c8c41403d48eb17a430fb06b32",
+         "6d32dddd59d939e94d18979bef637f1a7aa2dde6d435cf9250b6fbfc53c7c128",
+         "55ace9c208a286674774e3e9b784f3a4c10c0b2d62059ce09ba79f2994d4fe38",
+         "55ace9c208a286674774e3e9b784f3a4c10c0b2d62059ce09ba79f2994d4fe38"},
+        {"278bcce7aefca10485296433db3d24844c8fd7c459b2a4efa03984daa2dc5fe8",
+         "0e875ff22e93d26ca98263fd7d9582ce33b141d4335a56a022bded1fdea419fd",
+         "7551cc8315e89cccb4cc6600e2912eb6179cd6121e856a41bd969c1cacfd6e01",
+         "5fc4e995ce44ea354e3ba37dbc9420f18e88eb842c9d7e093bf3cced4d8dd7a6"},
+    };
+    for (int kind = 0; kind < 6; ++kind) {
+        std::array<Sha256, 4> digest;
+        for (const std::size_t n : kSizes) {
+            const ByteBuffer in = pinnedCodecInput(kind, n);
+            const ByteBuffer streams[4] = {
+                RansCodec::compress(in, RansFormat::V2Interleaved),
+                RansCodec::compress(in, RansFormat::V1Scalar),
+                LzCodec::compress(in), LzCodec::compressGreedy(in)};
+            for (int s = 0; s < 4; ++s) {
+                const ByteBuffer back = s < 2
+                    ? RansCodec::decompress(streams[s])
+                    : LzCodec::decompress(streams[s]);
+                EXPECT_EQ(back, in) << "kind " << kind << " size " << n
+                                    << " stream " << s;
+                const simd::ScopedIsa scalar(simd::SimdIsa::Scalar);
+                const std::uint64_t len = streams[s].size();
+                digest[s].update(reinterpret_cast<const std::uint8_t *>(&len),
+                                 sizeof len);
+                digest[s].update(streams[s]);
+            }
+        }
+        for (int s = 0; s < 4; ++s) {
+            const simd::ScopedIsa scalar(simd::SimdIsa::Scalar);
+            EXPECT_EQ(Sha256::hex(digest[s].finish()), kPinned[kind][s])
+                << "kind " << kind << " stream " << s
+                << " (0 rANS v2, 1 rANS v1, 2 LZ chain, 3 LZ greedy)";
+        }
     }
 }
 

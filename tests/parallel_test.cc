@@ -28,27 +28,19 @@ TEST(ParallelTest, ParallelForVisitsEveryIndexOnce)
         EXPECT_EQ(visits[i].load(), 1) << "index " << i;
 }
 
-TEST(ParallelTest, ParallelMapKeepsIndexOrder)
-{
-    ScopedParallelism lanes(8);
-    const auto out =
-        parallelMap(257, [](std::size_t i) { return 3 * i + 1; });
-    ASSERT_EQ(out.size(), 257u);
-    for (std::size_t i = 0; i < out.size(); ++i)
-        EXPECT_EQ(out[i], 3 * i + 1);
-}
-
 TEST(ParallelTest, MapMatchesSerialAtEveryLaneCount)
 {
     const std::size_t n = 113; // prime: uneven shard boundaries
     const auto run = [&] {
-        return parallelMap(n, [](std::size_t i) {
+        std::vector<double> out(n);
+        parallelFor(n, [&](std::size_t i) {
             Rng rng(static_cast<std::uint64_t>(i) + 7);
             double acc = 0.0;
             for (int k = 0; k < 32; ++k)
                 acc += rng.gaussian(0.0, 1.0);
-            return acc;
+            out[i] = acc;
         });
+        return out;
     };
     std::vector<double> serial;
     {
@@ -69,9 +61,8 @@ TEST(ParallelTest, EmptyAndSingleElementRanges)
 {
     ScopedParallelism lanes(4);
     parallelFor(0, [](std::size_t) { FAIL() << "body ran for n=0"; });
-    const auto one =
-        parallelMap(1, [](std::size_t i) { return i + 41; });
-    ASSERT_EQ(one.size(), 1u);
+    std::vector<std::size_t> one(1);
+    parallelFor(1, [&](std::size_t i) { one[i] = i + 41; });
     EXPECT_EQ(one[0], 41u);
 }
 
@@ -79,11 +70,12 @@ TEST(ParallelTest, MoreIndicesThanLanesAndViceVersa)
 {
     ScopedParallelism lanes(8);
     // n < lanes: only n shards may run.
-    const auto small =
-        parallelMap(3, [](std::size_t i) { return i * i; });
+    std::vector<std::size_t> small(3);
+    parallelFor(small.size(), [&](std::size_t i) { small[i] = i * i; });
     EXPECT_EQ(small, (std::vector<std::size_t>{0, 1, 4}));
     // n >> lanes: contiguous static shards cover everything.
-    const auto big = parallelMap(10000, [](std::size_t i) { return i; });
+    std::vector<std::size_t> big(10000);
+    parallelFor(big.size(), [&](std::size_t i) { big[i] = i; });
     EXPECT_EQ(std::accumulate(big.begin(), big.end(), std::size_t{0}),
               std::size_t{10000} * 9999 / 2);
 }

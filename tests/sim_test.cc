@@ -530,16 +530,16 @@ TEST(EventQueue, SameTickFifoDeterministicAcrossLaneCounts)
         q.run();
         return order;
     };
-    std::vector<std::vector<std::uint64_t>> base;
-    {
-        ScopedParallelism one(1);
-        base = parallelMap(kShards, trace);
-    }
-    for (const unsigned lanes : {2u, 8u}) {
+    const auto traces = [&](unsigned lanes) {
         ScopedParallelism scope(lanes);
-        EXPECT_EQ(parallelMap(kShards, trace), base)
+        std::vector<std::vector<std::uint64_t>> out(kShards);
+        parallelFor(kShards, [&](std::size_t s) { out[s] = trace(s); });
+        return out;
+    };
+    const auto base = traces(1);
+    for (const unsigned lanes : {2u, 8u})
+        EXPECT_EQ(traces(lanes), base)
             << "dispatch trace changed at " << lanes << " lanes";
-    }
 }
 
 TEST(ParallelDes, CrossPartitionLatencyAndCountsAreExact)

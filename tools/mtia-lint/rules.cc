@@ -417,7 +417,8 @@ RuleRunner::rawIntrinsics()
         if (s.compare(0, 3, "_mm") != 0 && !neonLike(s))
             continue;
         report(t_[i].line, "raw-intrinsics",
-               "raw SIMD intrinsic outside src/core/simd*; go through "
+               "raw SIMD intrinsic outside the kernel TUs (src/core/simd*, "
+               "src/host/sha256_ni.cc); go through "
                "the core/simd.h wrappers so every dispatch tier stays "
                "bit-exact and portable");
     }
@@ -552,7 +553,7 @@ RuleRunner::parallelCapture()
     static const std::set<std::string> kCompound = {
         "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="};
     for (std::size_t i = 0; i + 1 < t_.size(); ++i) {
-        if (!anyIdent(t_, i, {"parallelFor", "parallelMap"}) ||
+        if (!anyIdent(t_, i, {"parallelFor"}) ||
             !isPunct(t_, i + 1, "("))
             continue;
         const std::size_t call_end = matchClose(t_, i + 1, "(", ")");
@@ -637,7 +638,7 @@ RuleRunner::parallelCapture()
             return all_by_ref || ref_caps.count(name) > 0;
         };
         const char *detail =
-            "parallelFor/parallelMap lambda mutates by-reference "
+            "parallelFor lambda mutates by-reference "
             "captured state shared across indices; follow the "
             "index-ordered reduction idiom of core/parallel.h "
             "(write to slot [i], reduce after the join)";
@@ -749,7 +750,8 @@ fileContext(const std::string &rel, bool treat_as_src)
     ctx.telemetry = under("src/telemetry/") || treat_as_src;
     ctx.sim_core = under("src/sim/") || treat_as_src;
     ctx.dtype_kernel = under("src/tensor/dtype.");
-    ctx.simd_kernel = under("src/core/simd");
+    ctx.simd_kernel =
+        under("src/core/simd") || rel == "src/host/sha256_ni.cc";
     ctx.is_header = ext == ".h" || ext == ".hpp";
     return ctx;
 }

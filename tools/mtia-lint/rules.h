@@ -35,7 +35,8 @@ struct FileContext
     bool telemetry = false;     ///< telemetry-wall-clock applies
     bool sim_core = false;      ///< heap-top-copy applies
     bool dtype_kernel = false;  ///< scalar-hot-loop exempt
-    bool simd_kernel = false;   ///< raw-intrinsics exempt (src/core/simd*)
+    bool simd_kernel = false;   ///< raw-intrinsics exempt (src/core/simd*,
+                                ///< src/host/sha256_ni.cc)
     bool is_header = false;     ///< include-guard applies
 };
 
