@@ -134,6 +134,14 @@ class CheckMessageBuilder
         os_ << std::move(head);
     }
 
+    /** Adopts (and frees) @p head, a checkOpFailure result. */
+    CheckMessageBuilder(const char *file, int line,
+                        std::unique_ptr<const std::string> head)
+        : file_(file), line_(line)
+    {
+        os_ << *head;
+    }
+
     CheckMessageBuilder(const CheckMessageBuilder &) = delete;
     CheckMessageBuilder &operator=(const CheckMessageBuilder &) = delete;
 
@@ -158,18 +166,30 @@ struct CheckVoidify
 };
 
 /**
- * Evaluate one comparison; on failure return the "a op b (x vs. y)"
- * text, else nullptr. Each operand is evaluated exactly once.
+ * The "head (a vs. b)" failure text, built only once a comparison has
+ * failed; kept out of line so the success path stays a bare compare.
+ */
+template <typename A, typename B>
+[[gnu::cold, gnu::noinline]] std::string *
+checkOpText(const char *head, const A &a, const B &b)
+{
+    std::ostringstream os;
+    os << head << " (" << a << " vs. " << b << ")";
+    return new std::string(os.str());
+}
+
+/**
+ * Evaluate one comparison: nullptr when it holds, else the failure
+ * text, which the CheckMessageBuilder constructed right after adopts.
+ * Each operand is evaluated exactly once (as an argument).
  */
 template <typename A, typename B, typename Op>
-std::unique_ptr<std::string>
+inline std::string *
 checkOpFailure(const char *head, const A &a, const B &b, Op op)
 {
     if (op(a, b)) [[likely]]
         return nullptr;
-    std::ostringstream os;
-    os << head << " (" << a << " vs. " << b << ")";
-    return std::make_unique<std::string>(os.str());
+    return checkOpText(head, a, b);
 }
 
 // Comparison functors: plain structs (not lambdas) so the macro
@@ -197,14 +217,17 @@ struct CheckOpGe { template <typename A, typename B> bool operator()(const A &a,
               .stream()
 
 // The while-loop runs at most once: the builder's destructor at the
-// end of the body's full-expression throws or terminates.
+// end of the body's full-expression throws or terminates. On success
+// the condition is the comparison and a null test, nothing more.
 #define MTIA_CHECK_OP_(opname, functor, a, b) \
-    while (auto mtiaCheckFail_ = ::mtia::detail::checkOpFailure( \
-               "MTIA_CHECK_" #opname "(" #a ", " #b ") failed", (a), \
-               (b), ::mtia::detail::functor{})) \
+    while (const std::string *mtiaCheckFail_ = \
+               ::mtia::detail::checkOpFailure( \
+                   "MTIA_CHECK_" #opname "(" #a ", " #b ") failed", (a), \
+                   (b), ::mtia::detail::functor{})) \
     ::mtia::detail::CheckVoidify() & \
-        ::mtia::detail::CheckMessageBuilder(__FILE__, __LINE__, \
-                                            std::move(*mtiaCheckFail_)) \
+        ::mtia::detail::CheckMessageBuilder( \
+            __FILE__, __LINE__, \
+            std::unique_ptr<const std::string>(mtiaCheckFail_)) \
             .stream()
 
 #define MTIA_CHECK_EQ(a, b) MTIA_CHECK_OP_(EQ, CheckOpEq, a, b)

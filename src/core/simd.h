@@ -346,6 +346,21 @@ vmax(VecF32 a, VecF32 b)
 #endif
 }
 
+/** Per-lane `a > 0 ? a : +0`, which is std::max(0.0f, a) bit for bit
+ *  on every input: NaN and -0 lanes give +0. */
+inline VecF32
+relu(VecF32 a)
+{
+#if defined(MTIA_SIMD_SSE2)
+    // maxps returns its second operand unless the first is greater.
+    return {_mm_max_ps(a.v, _mm_setzero_ps())};
+#elif defined(MTIA_SIMD_NEON)
+    return {vreinterpretq_f32_u32(
+        vandq_u32(vcgtq_f32(a.v, vdupq_n_f32(0.0f)),
+                  vreinterpretq_u32_f32(a.v)))};
+#endif
+}
+
 // ------------------------------------------------------- conversions
 
 inline VecI32

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <new>
 
 #include "core/check.h"
 #include "core/numerics_stats.h"
 #include "core/parallel.h"
+#include "core/scratch_buffer.h"
 
 namespace mtia::simd
 {
@@ -49,46 +49,6 @@ scalarTileI8(const std::int8_t *a, const std::int8_t *b, std::int32_t *c,
 }
 
 // --------------------------------------------------- per-lane scratch
-
-/**
- * Grow-only, cache-line-aligned, uninitialized storage. A request no
- * larger than the capacity reuses it; a larger one replaces it, so
- * what a buffer retains is the largest request it has served.
- */
-class ScratchBuffer
-{
-  public:
-    ScratchBuffer() = default;
-    ScratchBuffer(const ScratchBuffer &) = delete;
-    ScratchBuffer &operator=(const ScratchBuffer &) = delete;
-    ~ScratchBuffer() { release(); }
-
-    template <typename T>
-    T *
-    get(std::int64_t n)
-    {
-        const auto bytes = static_cast<std::size_t>(n) * sizeof(T);
-        if (bytes > bytes_) {
-            release();
-            ptr_ = ::operator new(bytes, std::align_val_t{kAlignment});
-            bytes_ = bytes;
-        }
-        return static_cast<T *>(ptr_);
-    }
-
-  private:
-    void
-    release()
-    {
-        if (ptr_ != nullptr)
-            ::operator delete(ptr_, std::align_val_t{kAlignment});
-        ptr_ = nullptr;
-        bytes_ = 0;
-    }
-
-    void *ptr_ = nullptr;
-    std::size_t bytes_ = 0;
-};
 
 /**
  * One lane's GEMM scratch. Each pool lane is one thread, so a

@@ -32,6 +32,7 @@ avx2TileF32(const float *a, const float *b, float *c, std::int64_t ldc,
         return;
     }
     __m256 acc[kMr][2];
+#pragma GCC unroll kMr
     for (int i = 0; i < kMr; ++i) {
         acc[i][0] = _mm256_loadu_ps(c + i * ldc);
         acc[i][1] = _mm256_loadu_ps(c + i * ldc + 8);
@@ -41,12 +42,14 @@ avx2TileF32(const float *a, const float *b, float *c, std::int64_t ldc,
         const __m256 b0 = _mm256_loadu_ps(bp);
         const __m256 b1 = _mm256_loadu_ps(bp + 8);
         const float *ap = a + p * kMr;
+#pragma GCC unroll kMr
         for (int i = 0; i < kMr; ++i) {
             const __m256 av = _mm256_set1_ps(ap[i]);
             acc[i][0] = _mm256_add_ps(acc[i][0], _mm256_mul_ps(av, b0));
             acc[i][1] = _mm256_add_ps(acc[i][1], _mm256_mul_ps(av, b1));
         }
     }
+#pragma GCC unroll kMr
     for (int i = 0; i < kMr; ++i) {
         _mm256_storeu_ps(c + i * ldc, acc[i][0]);
         _mm256_storeu_ps(c + i * ldc + 8, acc[i][1]);
@@ -62,6 +65,7 @@ avx2TileI8(const std::int8_t *a, const std::int8_t *b, std::int32_t *c,
         return;
     }
     __m256i acc[kMr];
+#pragma GCC unroll kMr
     for (int i = 0; i < kMr; ++i)
         acc[i] = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(c + i * ldc));
@@ -69,6 +73,7 @@ avx2TileI8(const std::int8_t *a, const std::int8_t *b, std::int32_t *c,
         const __m256i bv = _mm256_cvtepi8_epi32(_mm_loadl_epi64(
             reinterpret_cast<const __m128i *>(b + p * kNr8)));
         const std::int8_t *ap = a + p * kMr;
+#pragma GCC unroll kMr
         for (int i = 0; i < kMr; ++i) {
             const __m256i av =
                 _mm256_set1_epi32(static_cast<std::int32_t>(ap[i]));
@@ -76,6 +81,7 @@ avx2TileI8(const std::int8_t *a, const std::int8_t *b, std::int32_t *c,
                                       _mm256_mullo_epi32(av, bv));
         }
     }
+#pragma GCC unroll kMr
     for (int i = 0; i < kMr; ++i)
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(c + i * ldc),
                             acc[i]);

@@ -33,6 +33,7 @@ avx512TileF32(const float *a, const float *b, float *c, std::int64_t ldc,
         return;
     }
     __m512 acc[kMr][2];
+#pragma GCC unroll kMr
     for (int i = 0; i < kMr; ++i) {
         acc[i][0] = _mm512_loadu_ps(c + i * ldc);
         acc[i][1] = _mm512_loadu_ps(c + i * ldc + 16);
@@ -42,12 +43,14 @@ avx512TileF32(const float *a, const float *b, float *c, std::int64_t ldc,
         const __m512 b0 = _mm512_loadu_ps(bp);
         const __m512 b1 = _mm512_loadu_ps(bp + 16);
         const float *ap = a + p * kMr;
+#pragma GCC unroll kMr
         for (int i = 0; i < kMr; ++i) {
             const __m512 av = _mm512_set1_ps(ap[i]);
             acc[i][0] = _mm512_add_ps(acc[i][0], _mm512_mul_ps(av, b0));
             acc[i][1] = _mm512_add_ps(acc[i][1], _mm512_mul_ps(av, b1));
         }
     }
+#pragma GCC unroll kMr
     for (int i = 0; i < kMr; ++i) {
         _mm512_storeu_ps(c + i * ldc, acc[i][0]);
         _mm512_storeu_ps(c + i * ldc + 16, acc[i][1]);
@@ -63,6 +66,7 @@ avx512TileI8(const std::int8_t *a, const std::int8_t *b, std::int32_t *c,
         return;
     }
     __m512i acc[kMr];
+#pragma GCC unroll kMr
     for (int i = 0; i < kMr; ++i)
         acc[i] = _mm512_loadu_si512(
             reinterpret_cast<const void *>(c + i * ldc));
@@ -70,6 +74,7 @@ avx512TileI8(const std::int8_t *a, const std::int8_t *b, std::int32_t *c,
         const __m512i bv = _mm512_cvtepi8_epi32(_mm_loadu_si128(
             reinterpret_cast<const __m128i *>(b + p * kNr8)));
         const std::int8_t *ap = a + p * kMr;
+#pragma GCC unroll kMr
         for (int i = 0; i < kMr; ++i) {
             const __m512i av =
                 _mm512_set1_epi32(static_cast<std::int32_t>(ap[i]));
@@ -77,6 +82,7 @@ avx512TileI8(const std::int8_t *a, const std::int8_t *b, std::int32_t *c,
                                       _mm512_mullo_epi32(av, bv));
         }
     }
+#pragma GCC unroll kMr
     for (int i = 0; i < kMr; ++i)
         _mm512_storeu_si512(reinterpret_cast<void *>(c + i * ldc),
                             acc[i]);

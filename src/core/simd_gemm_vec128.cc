@@ -28,6 +28,7 @@ vec128TileF32(const float *a, const float *b, float *c, std::int64_t ldc,
         return;
     }
     VecF32 acc[kMr][2];
+#pragma GCC unroll kMr
     for (int i = 0; i < kMr; ++i) {
         acc[i][0] = VecF32::load(c + i * ldc);
         acc[i][1] = VecF32::load(c + i * ldc + 4);
@@ -37,12 +38,14 @@ vec128TileF32(const float *a, const float *b, float *c, std::int64_t ldc,
         const VecF32 b0 = VecF32::load(bp);
         const VecF32 b1 = VecF32::load(bp + 4);
         const float *ap = a + p * kMr;
+#pragma GCC unroll kMr
         for (int i = 0; i < kMr; ++i) {
             const VecF32 av = VecF32::broadcast(ap[i]);
             acc[i][0] = acc[i][0] + av * b0;
             acc[i][1] = acc[i][1] + av * b1;
         }
     }
+#pragma GCC unroll kMr
     for (int i = 0; i < kMr; ++i) {
         acc[i][0].store(c + i * ldc);
         acc[i][1].store(c + i * ldc + 4);
@@ -58,6 +61,7 @@ vec128TileI8(const std::int8_t *a, const std::int8_t *b, std::int32_t *c,
         return;
     }
     VecI32 acc[kMr][2];
+#pragma GCC unroll kMr
     for (int i = 0; i < kMr; ++i) {
         acc[i][0] = VecI32::load(c + i * ldc);
         acc[i][1] = VecI32::load(c + i * ldc + 4);
@@ -68,6 +72,7 @@ vec128TileI8(const std::int8_t *a, const std::int8_t *b, std::int32_t *c,
         const VecI32 b0 = loadI8AsI32(bp);
         const VecI32 b1 = loadI8AsI32(bp + 4);
         const std::int8_t *ap = a + p * kMr;
+#pragma GCC unroll kMr
         for (int i = 0; i < kMr; ++i) {
             const VecI32 av =
                 VecI32::broadcast(static_cast<std::int32_t>(ap[i]));
@@ -75,6 +80,7 @@ vec128TileI8(const std::int8_t *a, const std::int8_t *b, std::int32_t *c,
             acc[i][1] = acc[i][1] + mulLo(av, b1);
         }
     }
+#pragma GCC unroll kMr
     for (int i = 0; i < kMr; ++i) {
         acc[i][0].store(c + i * ldc);
         acc[i][1].store(c + i * ldc + 4);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/check.h"
+#include "core/simd.h"
 #include "tensor/dtype.h"
 
 namespace mtia::gemm_kernels
@@ -19,7 +20,27 @@ struct ActEpilogue
     std::int64_t n;
     Nonlinearity f;
     bool use_lut;
+    simd::SimdIsa isa;
 };
+
+// ReLU is `x > 0 ? x : +0` on both paths (SimdEngine's ALU max and
+// nonlinearityExact agree bit for bit, NaN and -0 included), so it
+// runs as one vector pass on every tier but scalar.
+void
+reluInPlace(float *p, std::int64_t count,
+            [[maybe_unused]] simd::SimdIsa isa)
+{
+    std::int64_t i = 0;
+#if defined(MTIA_SIMD_VEC128)
+    if (isa != simd::SimdIsa::Scalar) {
+        constexpr auto l = static_cast<std::int64_t>(simd::kLanes);
+        for (; i + l <= count; i += l)
+            simd::relu(simd::VecF32::load(p + i)).store(p + i);
+    }
+#endif
+    for (; i < count; ++i)
+        p[i] = std::max(0.0f, p[i]);
+}
 
 // Runs on pool workers inside the GEMM's parallel region, once per
 // finished row block. Replicates applyNonlinearity in dense_ops.cc:
@@ -31,6 +52,10 @@ applyActivationRows(void *arg, std::int64_t r0, std::int64_t r1)
     const auto *e = static_cast<const ActEpilogue *>(arg);
     float *p = e->c + r0 * e->n;
     const std::int64_t count = (r1 - r0) * e->n;
+    if (e->f == Nonlinearity::Relu) {
+        reluInPlace(p, count, e->isa);
+        return;
+    }
     if (e->use_lut) {
         const SimdEngine &eng = sharedSimdEngine();
         for (std::int64_t i = 0; i < count; ++i)
@@ -51,6 +76,7 @@ struct DequantEpilogue
     bool has_activation;
     Nonlinearity f;
     bool use_lut;
+    simd::SimdIsa isa;
 };
 
 // Dequant exactly as DotProductEngine::gemmInt8: (float(acc)*sa)*sb,
@@ -68,7 +94,7 @@ dequantRows(void *arg, std::int64_t r0, std::int64_t r1)
             dst[j] = static_cast<float>(src[j]) * sa * e->sb;
     }
     if (e->has_activation) {
-        ActEpilogue act{e->out, e->n, e->f, e->use_lut};
+        ActEpilogue act{e->out, e->n, e->f, e->use_lut, e->isa};
         applyActivationRows(&act, r0, r1);
     }
 }
@@ -103,6 +129,33 @@ narrowAndWiden(const float *src, float *dst, std::int64_t len, DType dt)
     }
 }
 
+/** Set the quiet bit of every NaN in dst[0, n): FP32 bit 22, where
+ *  FP16 bit 9 and BF16 bit 6 both widen to. */
+void
+quietNans(float *dst, std::size_t n)
+{
+    std::size_t i = 0;
+#if defined(MTIA_SIMD_VEC128)
+    if (simd::activeIsa() != simd::SimdIsa::Scalar) {
+        using simd::VecI32;
+        const VecI32 abs = VecI32::broadcastBits(0x7fffffffu);
+        const VecI32 inf = VecI32::broadcastBits(0x7f800000u);
+        const VecI32 quiet = VecI32::broadcastBits(0x00400000u);
+        for (; i + simd::kLanes <= n; i += simd::kLanes) {
+            const VecI32 u = simd::bitcastToI32(simd::VecF32::load(dst + i));
+            const VecI32 nan = simd::cmpGt(u & abs, inf);
+            simd::bitcastToF32(u | (nan & quiet)).store(dst + i);
+        }
+    }
+#endif
+    for (; i < n; ++i) {
+        const auto u = std::bit_cast<std::uint32_t>(dst[i]);
+        const std::uint32_t quiet =
+            (u & 0x7fffffffu) > 0x7f800000u ? 0x00400000u : 0u;
+        dst[i] = std::bit_cast<float>(u | quiet);
+    }
+}
+
 // simd::RowSource::fetch for a tensor operand: the reference gemm's
 // `roundTrip(at2(i, x), compute_dtype)` over one row segment. A half
 // operand already stored in the compute dtype is widened in one pass;
@@ -123,15 +176,8 @@ fetchOperandRow(const void *ctx, std::int64_t r, std::int64_t c0,
             dst, n, t.dtype());
         if (t.dtype() == dt) {
             // The narrow step of a round trip is the identity on a
-            // widened half except that it quiets NaNs, so set the
-            // quiet bit (FP32 bit 22, where FP16 bit 9 and BF16 bit 6
-            // both widen to).
-            for (std::size_t i = 0; i < n; ++i) {
-                const auto u = std::bit_cast<std::uint32_t>(dst[i]);
-                const std::uint32_t quiet =
-                    (u & 0x7fffffffu) > 0x7f800000u ? 0x00400000u : 0u;
-                dst[i] = std::bit_cast<float>(u | quiet);
-            }
+            // widened half except that it quiets NaNs.
+            quietNans(dst, n);
             return;
         }
     } else if (t.dtype() == DType::FP32) {
@@ -213,7 +259,7 @@ fusedGemmActivation(const Tensor &a, const Tensor &b, DType compute_dtype,
     const OperandRows av{&a, compute_dtype};
     const OperandRows bv{&b, compute_dtype};
     Tensor c(Shape{m, n}, DType::FP32);
-    ActEpilogue ep{c.f32Data(), n, f, use_lut};
+    ActEpilogue ep{c.f32Data(), n, f, use_lut, isa};
     simd::gemmF32(av.source(), bv.source(), ep.c, m, n, k, isa, blk,
                   &applyActivationRows, &ep);
     return c;
@@ -246,8 +292,9 @@ fusedQuantizedGemm(const Tensor &a, const QuantizedTensor &w,
         reinterpret_cast<const std::int8_t *>(w.values.raw().data());
     std::vector<std::int32_t> acc(static_cast<std::size_t>(m * n));
     Tensor out(Shape{m, n}, DType::FP32);
-    DequantEpilogue ep{acc.data(), out.f32Data(), &qa,   w.scales[0],
-                       n,          has_activation, f,     use_lut};
+    DequantEpilogue ep{acc.data(), out.f32Data(), &qa,    w.scales[0],
+                       n,          has_activation, f,      use_lut,
+                       isa};
     simd::gemmI8(ai, wi, acc.data(), m, n, k, isa, blk, &dequantRows,
                  &ep);
     return out;

@@ -1,12 +1,13 @@
 #include "ops/sparse_ops.h"
 
 #include <cmath>
-#include <memory>
-#include <unordered_map>
+#include <cstdint>
+#include <cstring>
 
 #include "mem/llc.h"
 #include "core/check.h"
 #include "core/numerics_stats.h"
+#include "core/scratch_buffer.h"
 #include "core/simd.h"
 
 namespace mtia {
@@ -26,9 +27,38 @@ mix(std::uint64_t x)
 }
 
 /** Cap on materialized embedding rows kept across a TbeOp::run (the
- * Zipf head; ~8 MB at dim 64). Beyond it rows are synthesized into a
- * per-group scratch arena. */
+ * Zipf head; 8 MiB at dim 64). Beyond it rows are synthesized into a
+ * per-group overflow region behind the cached rows. */
 constexpr std::size_t kMaxCachedRows = 1u << 15;
+
+/** Open-addressed index over the cached rows: twice the cap, so its
+ * load factor stays at or below 1/2 under linear probing. Each bucket
+ * holds a slot + 1 (0 = empty) in 16 bits. */
+constexpr int kIndexBits = 16;
+constexpr std::size_t kIndexSlots = std::size_t{1} << kIndexBits;
+static_assert(kIndexSlots >= 2 * kMaxCachedRows);
+static_assert(kMaxCachedRows <= UINT16_MAX);
+
+/** Row-cache keys are `table * rows_per_table + row` in 32 bits. */
+constexpr std::int64_t kMaxKeyedRows = std::int64_t{1} << 32;
+
+/**
+ * One thread's TBE row cache, kept across runs so that a run neither
+ * allocates per row nor first-touches fresh pages. `index` maps a
+ * key's hash bucket to its cache slot + 1 (0 = empty), `keys` holds
+ * each slot's key and `rows` the slot's synthesized row, followed by
+ * the current group's overflow rows. Each run clears the index before
+ * its first lookup, so no slot outlives the run that filled it; `rows`
+ * and `keys` are written before they are read.
+ */
+struct RowCacheScratch
+{
+    ScratchBuffer index;
+    ScratchBuffer keys;
+    ScratchBuffer rows;
+};
+
+thread_local RowCacheScratch tl_row_cache;
 
 } // namespace
 
@@ -125,6 +155,9 @@ TbeOp::run(const std::vector<Tensor> &, OpContext &ctx) const
 {
     MTIA_CHECK(ctx.rng != nullptr)
         << ": TbeOp::run needs an rng for index sampling";
+    MTIA_CHECK_LE(spec_.rows_per_table, kMaxKeyedRows / spec_.tables)
+        << ": TbeOp::run keys its row cache in 32 bits, so tables x "
+           "rows_per_table must not exceed 2^32";
     ZipfSampler zipf(static_cast<std::uint64_t>(spec_.rows_per_table),
                      spec_.zipf_alpha);
     Tensor out(Shape{batch_, spec_.tables * spec_.dim}, DType::FP32);
@@ -151,9 +184,14 @@ TbeOp::run(const std::vector<Tensor> &, OpContext &ctx) const
         }
     };
 
-    std::unordered_map<std::uint64_t, std::size_t> slot_of;
-    std::vector<std::unique_ptr<float[]>> cached;
-    std::vector<float> arena(pool * udim); // cap-overflow scratch
+    auto *index = tl_row_cache.index.get<std::uint16_t>(kIndexSlots);
+    auto *keys = tl_row_cache.keys.get<std::uint32_t>(kMaxCachedRows);
+    float *cache = tl_row_cache.rows.get<float>(
+        static_cast<std::int64_t>((kMaxCachedRows + pool) * udim));
+    float *overflow = cache + kMaxCachedRows * udim;
+    std::memset(index, 0, kIndexSlots * sizeof(std::uint16_t));
+    std::size_t cached = 0;
+
     std::vector<std::int64_t> rows(pool);
     std::vector<float> weights(pool);
     std::vector<const float *> ptrs(pool);
@@ -171,25 +209,29 @@ TbeOp::run(const std::vector<Tensor> &, OpContext &ctx) const
                     ? static_cast<float>(ctx.rng->uniform(0.5, 1.5))
                     : 1.0f;
             }
-            std::size_t arena_used = 0;
+            std::size_t overflow_used = 0;
             for (std::size_t p = 0; p < pool; ++p) {
-                const std::uint64_t key =
-                    static_cast<std::uint64_t>(t) *
-                        static_cast<std::uint64_t>(spec_.rows_per_table) +
-                    static_cast<std::uint64_t>(rows[p]);
-                const auto it = slot_of.find(key);
-                if (it != slot_of.end()) {
-                    ptrs[p] = cached[it->second].get();
-                } else if (cached.size() < kMaxCachedRows) {
-                    cached.emplace_back(new float[udim]);
-                    synthesize(cached.back().get(), t, rows[p]);
-                    slot_of.emplace(key, cached.size() - 1);
-                    ptrs[p] = cached.back().get();
+                const auto key = static_cast<std::uint32_t>(
+                    t * spec_.rows_per_table + rows[p]);
+                // Fibonacci hashing, then linear probing to the key or
+                // the first empty bucket.
+                std::size_t h = static_cast<std::size_t>(
+                    (key * 0x9e3779b97f4a7c15ull) >> (64 - kIndexBits));
+                while (index[h] != 0 && keys[index[h] - 1] != key)
+                    h = (h + 1) & (kIndexSlots - 1);
+                if (index[h] != 0) {
+                    ptrs[p] = cache + (index[h] - 1) * udim;
+                } else if (cached < kMaxCachedRows) {
+                    float *dst = cache + cached * udim;
+                    synthesize(dst, t, rows[p]);
+                    keys[cached] = key;
+                    index[h] = static_cast<std::uint16_t>(++cached);
+                    ptrs[p] = dst;
                 } else {
-                    float *dst = arena.data() + arena_used;
+                    float *dst = overflow + overflow_used;
                     synthesize(dst, t, rows[p]);
                     ptrs[p] = dst;
-                    arena_used += udim;
+                    overflow_used += udim;
                 }
             }
             float *dst =

@@ -214,6 +214,61 @@ TEST(GemmKernelsTest, RowSourceMatrixMatchesDpeOnEveryTierAndLaneCount)
     }
 }
 
+TEST(GemmKernelsTest, EdgeShapesMatchDpeOnEveryTierAndLaneCount)
+{
+    // n = 1, and m and n one past a multiple of each tier's tile:
+    // 4k+1 rows (mr = 4 on every tier); 8k+1, 16k+1 and 32k+1 columns
+    // (the fp32 nr of vec128, avx2 and avx512, and the int8 nr8 of
+    // each). k = 300 and 257 cross the 256-deep panel boundary.
+    const DotProductEngine dpe;
+    constexpr GemmCase kEdges[] = {
+        {5, 1, 37},   {9, 33, 64}, {65, 65, 300}, {4, 17, 19},
+        {13, 9, 257}, {1, 1, 1},   {8, 129, 40},
+    };
+    Rng rng(109);
+    for (const GemmCase &c : kEdges) {
+        const Tensor a = randomTensor(Shape{c.m, c.k}, rng);
+        const Tensor b = randomTensor(Shape{c.k, c.n}, rng);
+        const QuantizedTensor w = quantizeStatic(b);
+        const Tensor ref_i8 = dpe.gemmInt8(
+            quantizeDynamic(a, QuantGranularity::PerRow), w);
+        // The fp32 operand also carries an inf and a NaN in distinct
+        // rows, so the fused ReLU epilogue meets inf, -inf and NaN.
+        Tensor a_special = a;
+        if (c.m > 1) {
+            setBits(a_special, c.k / 2, 0x7f800000u);
+            setBits(a_special, (c.m - 1) * c.k, 0x7fc00001u);
+        }
+        const Tensor ref = dpe.gemm(a_special, b, DType::FP32);
+        const Tensor relu_ref = gemm_kernels::sharedSimdEngine().apply(
+            Nonlinearity::Relu, ref);
+        for (const simd::SimdIsa isa : supportedTiers()) {
+            for (const unsigned lanes : {1u, 2u, 8u}) {
+                ScopedParallelism scope(lanes);
+                SCOPED_TRACE(::testing::Message()
+                             << c.m << "x" << c.n << "x" << c.k << " tier "
+                             << simd::isaName(isa) << " lanes " << lanes);
+                const simd::GemmBlocking blk;
+                EXPECT_EQ(
+                    gemm_kernels::gemm(a_special, b, DType::FP32, isa, blk)
+                        .raw(),
+                    ref.raw());
+                EXPECT_EQ(gemm_kernels::fusedGemmActivation(
+                              a_special, b, DType::FP32, Nonlinearity::Relu,
+                              /*use_lut=*/true, isa, blk)
+                              .raw(),
+                          relu_ref.raw());
+                EXPECT_EQ(gemm_kernels::fusedQuantizedGemm(
+                              a, w, /*has_activation=*/false,
+                              Nonlinearity::Relu, /*use_lut=*/true, isa,
+                              blk)
+                              .raw(),
+                          ref_i8.raw());
+            }
+        }
+    }
+}
+
 TEST(GemmKernelsTest, SmallBlockingsSplitEveryLoopIdentically)
 {
     const DotProductEngine dpe;

@@ -11,9 +11,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -737,6 +739,31 @@ TEST(NumericsSimd, RtneBasics)
     EXPECT_EQ(out[1], 2);
     EXPECT_EQ(out[2], 2);
     EXPECT_EQ(out[3], 0);
+#endif
+}
+
+TEST(NumericsSimd, ReluMatchesStdMaxOnSpecialValues)
+{
+#if defined(MTIA_SIMD_VEC128)
+    // Bit for bit std::max(0.0f, x): NaNs of either sign and payload
+    // and -0 give +0; infinities and denormals pass or clamp by sign.
+    const std::uint32_t bits[] = {
+        0x00000000u, 0x80000000u, 0x7fc00000u, 0xffc00000u,
+        0x7f800001u, 0xff800001u, 0x7f800000u, 0xff800000u,
+        0x00000001u, 0x80000001u, 0x007fffffu, 0x807fffffu,
+        0x3f800000u, 0xbf800000u, 0x7f7fffffu, 0xff7fffffu,
+    };
+    for (std::size_t i = 0; i < std::size(bits); i += simd::kLanes) {
+        alignas(64) float in[simd::kLanes];
+        alignas(64) float out[simd::kLanes];
+        for (std::size_t l = 0; l < simd::kLanes; ++l)
+            in[l] = std::bit_cast<float>(bits[i + l]);
+        simd::relu(simd::VecF32::load(in)).store(out);
+        for (std::size_t l = 0; l < simd::kLanes; ++l)
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(out[l]),
+                      std::bit_cast<std::uint32_t>(std::max(0.0f, in[l])))
+                << std::hex << "input 0x" << bits[i + l];
+    }
 #endif
 }
 

@@ -8,16 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "chip/device.h"
 #include "chip/kernel_cost_model.h"
+#include "core/check.h"
 #include "ops/attention_ops.h"
 #include "ops/dense_ops.h"
 #include "ops/sparse_ops.h"
@@ -149,52 +152,127 @@ TEST_F(OpsTest, TbeOutputBoundedByPooling)
         EXPECT_LE(std::abs(y.at(i)), 1.7f);
 }
 
-TEST_F(OpsTest, TbeBeyondRowCacheMatchesRowValueOracle)
+/**
+ * Checks every element of @p y, the output of tbe.run() on an rng
+ * seeded @p seed, against the rowValue oracle, bit for bit, and
+ * returns the number of distinct (table, row) pairs it looked up.
+ * Replays the op's rng order: batch-major, then table, and each
+ * lookup draws its row and then its weight.
+ */
+std::size_t
+expectMatchesRowValueOracle(const TbeOp &tbe, const Tensor &y,
+                            std::uint64_t seed)
 {
-    // A near-uniform index stream over 16M rows: 49,152 lookups touch
-    // more distinct rows than the 32,768-row cache TbeOp::run keeps,
-    // so the tail is synthesized into its overflow arena.
-    TbeTableSpec spec{.tables = 2,
-                      .rows_per_table = 1 << 24,
-                      .dim = 8,
-                      .dtype = DType::FP16,
-                      .zipf_alpha = 0.5};
-    const std::int64_t batch = 256;
-    const std::int64_t pooling = 96;
-    TbeOp tbe(spec, batch, pooling, /*weighted=*/true);
-    Rng op_rng(42);
-    ctx_.rng = &op_rng;
-    const Tensor y = tbe.run({}, ctx_);
-    ASSERT_EQ(y.shape(), (Shape{batch, spec.tables * spec.dim}));
-
-    // Replay the op's rng order: batch-major, then table, and each
-    // lookup draws its row and then its weight.
-    Rng ref_rng(42);
+    const TbeTableSpec &spec = tbe.spec();
+    EXPECT_EQ(y.shape(), (Shape{tbe.batch(), spec.tables * spec.dim}));
+    Rng ref_rng(seed);
     const ZipfSampler zipf(
         static_cast<std::uint64_t>(spec.rows_per_table), spec.zipf_alpha);
     std::set<std::pair<std::int64_t, std::int64_t>> distinct;
-    std::vector<std::int64_t> rows(static_cast<std::size_t>(pooling));
+    std::vector<std::int64_t> rows(static_cast<std::size_t>(tbe.pooling()));
     std::vector<float> weights(rows.size());
-    for (std::int64_t b = 0; b < batch; ++b) {
+    for (std::int64_t b = 0; b < tbe.batch(); ++b) {
         for (std::int64_t t = 0; t < spec.tables; ++t) {
             for (std::size_t p = 0; p < rows.size(); ++p) {
                 rows[p] = static_cast<std::int64_t>(zipf.sample(ref_rng));
-                weights[p] =
-                    static_cast<float>(ref_rng.uniform(0.5, 1.5));
+                weights[p] = tbe.weighted()
+                    ? static_cast<float>(ref_rng.uniform(0.5, 1.5))
+                    : 1.0f;
                 distinct.emplace(t, rows[p]);
             }
             for (std::int64_t d = 0; d < spec.dim; ++d) {
                 float want = 0.0f;
                 for (std::size_t p = 0; p < rows.size(); ++p)
                     want += weights[p] * tbe.rowValue(t, rows[p], d);
-                ASSERT_EQ(std::bit_cast<std::uint32_t>(
-                              y.at2(b, t * spec.dim + d)),
-                          std::bit_cast<std::uint32_t>(want))
-                    << "b=" << b << " t=" << t << " d=" << d;
+                const auto got = std::bit_cast<std::uint32_t>(
+                    y.at2(b, t * spec.dim + d));
+                if (got != std::bit_cast<std::uint32_t>(want)) {
+                    ADD_FAILURE() << "b=" << b << " t=" << t << " d=" << d;
+                    return distinct.size();
+                }
             }
         }
     }
-    EXPECT_GT(distinct.size(), 32768u);
+    return distinct.size();
+}
+
+Tensor
+runTbe(const TbeOp &tbe, std::uint64_t seed)
+{
+    Rng rng(seed);
+    OpContext ctx{};
+    ctx.rng = &rng;
+    return tbe.run({}, ctx);
+}
+
+// A near-uniform index stream over 16M rows: 49,152 lookups touch more
+// distinct rows than the 32,768-row cache TbeOp::run keeps, so the
+// tail is synthesized into its overflow region.
+const TbeTableSpec kBeyondCacheSpec{.tables = 2,
+                                    .rows_per_table = 1 << 24,
+                                    .dim = 8,
+                                    .dtype = DType::FP16,
+                                    .zipf_alpha = 0.5};
+
+TEST_F(OpsTest, TbeBeyondRowCacheMatchesRowValueOracle)
+{
+    const TbeOp tbe(kBeyondCacheSpec, 256, 96, /*weighted=*/true);
+    const Tensor y = runTbe(tbe, 42);
+    EXPECT_GT(expectMatchesRowValueOracle(tbe, y, 42), 32768u);
+}
+
+TEST_F(OpsTest, TbeRowCacheIsolatedAcrossOpsRunsAndThreads)
+{
+    // Each thread keeps one row cache across runs. Op B (other spec,
+    // table seed and rng seed, keys overlapping A's) runs between two
+    // runs of op A: a slot left over from an earlier run would hand
+    // A a row of the wrong op. Then the same sequence on two threads
+    // at once, each with its own cache.
+    const TbeOp op_a(kBeyondCacheSpec, 256, 96, /*weighted=*/true);
+    const TbeOp op_b(TbeTableSpec{.tables = 3,
+                                  .rows_per_table = 4096,
+                                  .dim = 16,
+                                  .dtype = DType::FP16,
+                                  .zipf_alpha = 0.9},
+                     64, 20, /*weighted=*/false, /*table_seed=*/7);
+    struct Outputs
+    {
+        Tensor a1, b, a2;
+    };
+    auto sequence = [&](Outputs &out) {
+        out.a1 = runTbe(op_a, 42);
+        out.b = runTbe(op_b, 9);
+        out.a2 = runTbe(op_a, 42);
+    };
+    Outputs serial;
+    sequence(serial);
+    std::array<Outputs, 2> threaded;
+    {
+        std::thread t0(sequence, std::ref(threaded[0]));
+        std::thread t1(sequence, std::ref(threaded[1]));
+        t0.join();
+        t1.join();
+    }
+    EXPECT_GT(expectMatchesRowValueOracle(op_a, serial.a1, 42), 32768u);
+    expectMatchesRowValueOracle(op_b, serial.b, 9);
+    for (const Outputs *o : {&serial, &threaded[0], &threaded[1]}) {
+        EXPECT_EQ(o->a1.raw(), serial.a1.raw());
+        EXPECT_EQ(o->a2.raw(), serial.a1.raw());
+        EXPECT_EQ(o->b.raw(), serial.b.raw());
+    }
+}
+
+TEST_F(OpsTest, TbeRunRejectsRowKeysBeyond32Bits)
+{
+    // The row cache keys table * rows_per_table + row in 32 bits.
+    ScopedCheckThrow guard;
+    constexpr std::int64_t kHalf = std::int64_t{1} << 31;
+    const TbeOp fits(TbeTableSpec{.tables = 2, .rows_per_table = kHalf}, 1,
+                     1, false);
+    EXPECT_NO_THROW(runTbe(fits, 1));
+    const TbeOp beyond(
+        TbeTableSpec{.tables = 2, .rows_per_table = kHalf + 1}, 1, 1, false);
+    EXPECT_THROW(runTbe(beyond, 1), CheckFailedError);
 }
 
 TEST_F(OpsTest, TbeHitRateMatchesCacheScaling)
