@@ -21,8 +21,8 @@
  * Partitions: the simulation is split by chip owner — partition 0 is
  * the controller/host plane (trace admission, routing, health sweeps,
  * failover orchestration) and partition 1 + r is replica r (batcher,
- * chips, in-flight batches, local counters). Each partition owns a
- * bucketed EventQueue, and partitions talk ONLY through
+ * chips, in-flight batches, local counters). Each partition owns an
+ * EventQueue, and partitions talk ONLY through
  * sim/parallel_des.h mailboxes: every controller<->replica message
  * (admission, heartbeat ack, death/completion notice, drain
  * command/response, restart, warm-up completion) rides the modeled

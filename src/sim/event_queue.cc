@@ -1,7 +1,6 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "core/check.h"
 #include "telemetry/metrics.h"
@@ -14,22 +13,18 @@ EventQueue::schedule(Tick when, Callback &&cb)
     MTIA_CHECK_GE(when, now_) << ": EventQueue::schedule in the past";
     MTIA_CHECK(cb != nullptr) << ": EventQueue::schedule null callback";
     Node *n = allocNode();
-    n->when = when;
-    n->seq = nextSeq_++;
     n->cb = std::move(cb);
     ++scheduled_;
     if (n->cb.storedInline())
         ++inline_callbacks_;
-    // Sliding window: ring_base_ only advances when a tick is actually
-    // dispatched (committed alongside now_ in run()/runUntil()), so
-    // when >= now_ >= ring_base_ holds here and the subtraction cannot
-    // wrap. Even if it did, a wrapped difference is huge and routes the
-    // event to the far heap, which orders any tick correctly.
-    MTIA_DCHECK_GE(now_, ring_base_) << ": ring window base ahead of now";
-    if (when - ring_base_ < static_cast<Tick>(kRingSlots)) {
-        pushRing(n);
+    const Ref e{when, nextSeq_++, n};
+    // e carries the largest sequence number yet, so it sorts after the
+    // run's back exactly when its tick is not earlier.
+    if (run_.empty() || when >= run_.back().when) {
+        pushRun(e);
     } else {
-        pushFar(n);
+        heap_.push_back(e);
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
     }
     peak_pending_ = std::max(peak_pending_, pending());
 }
@@ -37,56 +32,21 @@ EventQueue::schedule(Tick when, Callback &&cb)
 Tick
 EventQueue::run()
 {
-    while (pending() > 0) {
-        if (ring_count_ == 0)
-            promoteFar();
-        Tick t = nextRingTick();
-        if (!far_.empty() && far_.front().when <= t)
-            t = pullEligibleFar(t);
-        // Simulated time never moves backwards: per-tick FIFOs drain
-        // fully before the scan moves on, and schedule() rejects past
-        // timestamps.
-        MTIA_DCHECK_GE(t, now_) << ": event queue tick regression";
-        // Commit the window base together with now_: ring_base_ only
-        // ever holds a dispatched tick, so an interrupted run can never
-        // leave it ahead of now_.
-        now_ = t;
-        ring_base_ = t;
-        drainCurrentSlot();
-    }
+    while (pending() > 0)
+        dispatch(popFront());
     return now_;
 }
 
 Tick
 EventQueue::runUntil(Tick limit)
 {
-    while (pending() > 0) {
-        if (ring_count_ == 0) {
-            if (far_.front().when > limit)
-                break;
-            promoteFar();
-        }
-        Tick t = nextRingTick();
-        // The dispatch tick is min(earliest ring tick, overflow front):
-        // if that minimum is past the limit, nothing at or before the
-        // limit remains. Checked before touching any queue state so an
-        // early exit leaves the window base and both buckets untouched.
-        if (!far_.empty() && far_.front().when < t)
-            t = far_.front().when;
-        if (t > limit)
-            break;
-        if (!far_.empty() && far_.front().when <= t)
-            t = pullEligibleFar(t);
-        MTIA_DCHECK_GE(t, now_) << ": event queue tick regression";
-        now_ = t;
-        ring_base_ = t;
-        drainCurrentSlot();
-    }
+    while (pending() > 0 && frontTick() <= limit)
+        dispatch(popFront());
     // Whether the queue drained or the earliest remaining event sits
-    // past the limit, time advances to the limit itself: parallel
-    // partitions calling runUntil(epoch_end) in lockstep all agree on
-    // now() afterwards, which is what makes barrier-delivered events
-    // at epoch_end + 1 schedulable on every partition.
+    // past the limit, time advances to the limit itself: partitions
+    // calling runUntil(epoch_end) in lockstep all agree on now()
+    // afterwards, which is what makes barrier-delivered events at
+    // epoch_end + 1 schedulable on every partition.
     if (now_ < limit)
         now_ = limit;
     return now_;
@@ -97,44 +57,23 @@ EventQueue::nextEventTick() const
 {
     MTIA_CHECK_GT(pending(), 0u)
         << ": nextEventTick on an empty queue";
-    if (ring_count_ == 0)
-        return far_.front().when;
-    Tick t = nextRingTick();
-    if (!far_.empty() && far_.front().when < t)
-        t = far_.front().when;
-    return t;
+    return frontTick();
 }
 
 void
 EventQueue::clear()
 {
-    // Structural reset: no ordering work, one destructor per dropped
-    // callback, every Node slot recycled through the freelist.
-    for (std::size_t w = 0; w < kBitmapWords; ++w) {
-        std::uint64_t bits = occupied_[w];
-        while (bits != 0) {
-            const std::size_t slot =
-                (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
-            bits &= bits - 1;
-            Node *n = ring_[slot].head;
-            while (n != nullptr) {
-                Node *next = n->next;
-                n->cb = nullptr;
-                n->next = free_;
-                free_ = n;
-                n = next;
-            }
-            ring_[slot] = Fifo{};
-        }
-        occupied_[w] = 0;
+    for (std::size_t i = run_head_; i < run_.size(); ++i) {
+        run_[i].node->cb = nullptr;
+        freeNode(run_[i].node);
     }
-    ring_count_ = 0;
-    for (const FarRef &e : far_) {
+    for (const Ref &e : heap_) {
         e.node->cb = nullptr;
-        e.node->next = free_;
-        free_ = e.node;
+        freeNode(e.node);
     }
-    far_.clear();
+    run_.clear();
+    run_head_ = 0;
+    heap_.clear();
 }
 
 void
@@ -142,12 +81,6 @@ EventQueue::publishMetrics(telemetry::MetricRegistry &metrics) const
 {
     metrics.counter("event_queue.scheduled").inc(scheduled_);
     metrics.counter("event_queue.inline_callbacks").inc(inline_callbacks_);
-    metrics.counter("event_queue.overflow_promotions")
-        .inc(overflow_promotions_);
-    metrics.gauge("event_queue.bucket_occupancy", {{"level", "near"}})
-        .set(static_cast<double>(ring_count_));
-    metrics.gauge("event_queue.bucket_occupancy", {{"level", "far"}})
-        .set(static_cast<double>(far_.size()));
 }
 
 EventQueue::Node *
@@ -164,7 +97,7 @@ EventQueue::allocNode()
 void
 EventQueue::freeNode(Node *n)
 {
-    // The callback has already been moved out or reset by the caller.
+    // The callback has already been run and reset by the caller.
     n->next = free_;
     free_ = n;
 }
@@ -181,151 +114,52 @@ EventQueue::growSlab()
 }
 
 void
-EventQueue::pushRing(Node *n)
+EventQueue::pushRun(const Ref &e)
 {
-    const auto slot = static_cast<std::size_t>(n->when & kSlotMask);
-    Fifo &f = ring_[slot];
-    n->next = nullptr;
-    if (f.head == nullptr) {
-        f.head = n;
-        f.tail = n;
-        occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-    } else {
-        f.tail->next = n;
-        f.tail = n;
+    // Before the vector would grow, drop a dead prefix that is at
+    // least half of it: the moved live entries number at most the
+    // pushes since the last drop, so this is amortized O(1), and two
+    // interleaved monotone chains that never drain the run still keep
+    // its storage within about twice the pending count.
+    if (run_.size() == run_.capacity() && 2 * run_head_ >= run_.size()) {
+        run_.erase(run_.begin(),
+                   run_.begin() + static_cast<std::ptrdiff_t>(run_head_));
+        run_head_ = 0;
     }
-    ++ring_count_;
+    run_.push_back(e);
 }
 
-EventQueue::Node *
-EventQueue::popRing(std::size_t slot)
+EventQueue::Ref
+EventQueue::popFront()
 {
-    Fifo &f = ring_[slot];
-    Node *n = f.head;
-    f.head = n->next;
-    if (f.head == nullptr) {
-        f.tail = nullptr;
-        occupied_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-    }
-    --ring_count_;
-    return n;
-}
-
-Tick
-EventQueue::nextRingTick() const
-{
-    MTIA_DCHECK_GT(ring_count_, 0u) << ": ring scan on an empty ring";
-    const auto s0 = static_cast<std::size_t>(ring_base_ & kSlotMask);
-    std::size_t w = s0 >> 6;
-    // First word: only bits at or after s0; the bits before it hold
-    // ticks near the far edge of the window and are revisited when the
-    // scan wraps around.
-    std::uint64_t word = occupied_[w] & (~std::uint64_t{0} << (s0 & 63));
-    for (std::size_t i = 0; i <= kBitmapWords; ++i) {
-        if (word != 0) {
-            const std::size_t slot =
-                (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-            return ring_base_ + static_cast<Tick>((slot - s0) & kSlotMask);
+    if (runFront()) {
+        const Ref e = run_[run_head_];
+        if (++run_head_ == run_.size()) {
+            run_.clear();
+            run_head_ = 0;
         }
-        w = (w + 1) & (kBitmapWords - 1);
-        word = occupied_[w];
+        return e;
     }
-    MTIA_UNREACHABLE("occupancy bitmap disagrees with ring_count_");
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const Ref e = heap_.back();
+    heap_.pop_back();
+    return e;
 }
 
 void
-EventQueue::pushFar(Node *n)
+EventQueue::dispatch(const Ref &e)
 {
-    far_.push_back(FarRef{n->when, n->seq, n});
-    std::push_heap(far_.begin(), far_.end(), farLater);
-}
-
-void
-EventQueue::promoteFar()
-{
-    MTIA_DCHECK_EQ(ring_count_, 0u)
-        << ": overflow promotion into a non-empty ring";
-    MTIA_DCHECK(!far_.empty()) << ": overflow promotion from an empty heap";
-    const Tick jump = far_.front().when;
-    MTIA_DCHECK_GE(jump, now_) << ": overflow event in the past";
-    // Window arithmetic ignores Tick overflow: 2^64 ps is ~213 days of
-    // simulated time, far past every workload here.
-    ring_base_ = jump;
-    // Heap pops ascend in (when, seq), so per-tick FIFOs fill in
-    // sequence order and same-tick FIFO dispatch is preserved.
-    while (!far_.empty() &&
-           far_.front().when - jump < static_cast<Tick>(kRingSlots)) {
-        std::pop_heap(far_.begin(), far_.end(), farLater);
-        Node *n = far_.back().node;
-        far_.pop_back();
-        pushRing(n);
-        ++overflow_promotions_;
-    }
-}
-
-Tick
-EventQueue::pullEligibleFar(Tick t)
-{
-    // An overflow event's tick is inside the window now. Every
-    // overflow event at a given tick was scheduled while that tick
-    // was still out of window — strictly before any ring event at the
-    // same tick was accepted — so its sequence number is smaller and
-    // it belongs at the FRONT of the per-tick FIFO. Heap pops ascend
-    // in (when, seq), so the collected block is already in order.
-    const Tick w = far_.front().when;
-    if (w < t) {
-        // A far-only tick precedes the earliest ring tick. Ring events
-        // all satisfy when < p + kRingSlots for some drained tick
-        // p <= w, so the caller retreating the base to w (committed on
-        // dispatch) keeps the window span collision-free.
-        t = w;
-    }
-    Node *head = nullptr;
-    Node *tail = nullptr;
-    while (!far_.empty() && far_.front().when == t) {
-        std::pop_heap(far_.begin(), far_.end(), farLater);
-        Node *n = far_.back().node;
-        far_.pop_back();
-        n->next = nullptr;
-        if (tail == nullptr)
-            head = n;
-        else
-            tail->next = n;
-        tail = n;
-        ++ring_count_;
-        ++overflow_promotions_;
-    }
-    MTIA_DCHECK(head != nullptr) << ": eligible overflow tick vanished";
-    const auto slot = static_cast<std::size_t>(t & kSlotMask);
-    Fifo &f = ring_[slot];
-    if (f.head == nullptr) {
-        f.tail = tail;
-        occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-    } else {
-        tail->next = f.head;
-    }
-    f.head = head;
-    return t;
-}
-
-void
-EventQueue::drainCurrentSlot()
-{
-    const auto slot = static_cast<std::size_t>(now_ & kSlotMask);
-    // Callbacks may schedule new events at now(): those append to this
-    // same FIFO and run in this drain, preserving FIFO order.
-    while (ring_[slot].head != nullptr) {
-        Node *n = popRing(slot);
-        MTIA_DCHECK_EQ(n->when, now_) << ": ring slot holds a foreign tick";
-        ++executed_;
-        // Zero-copy dispatch: invoke in place in the (already
-        // unlinked) slab slot — no closure copy, no move. Anything
-        // the callback schedules allocates other slots; this one is
-        // recycled right after.
-        n->cb();
-        n->cb = nullptr;
-        freeNode(n);
-    }
+    // Simulated time never moves backwards: dispatch is in (when, seq)
+    // order and schedule() rejects past timestamps.
+    MTIA_DCHECK_GE(e.when, now_) << ": event queue tick regression";
+    now_ = e.when;
+    ++executed_;
+    // Zero-copy dispatch: invoke in place in the (already unlinked)
+    // slab slot — no closure copy, no move. Anything the callback
+    // schedules allocates other slots; this one is recycled after.
+    e.node->cb();
+    e.node->cb = nullptr;
+    freeNode(e.node);
 }
 
 } // namespace mtia

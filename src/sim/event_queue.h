@@ -6,35 +6,31 @@
  * Discrete-event simulation core. Serving simulators, fleet rollout
  * simulators, and the job scheduler are all built on this queue.
  *
- * Fast-path design (see DESIGN.md "DES core internals"):
+ * Design (see DESIGN.md "DES core internals"):
  *
- *  - Two-level bucketed queue. A calendar ring of kRingSlots per-tick
- *    FIFO lists covers the sliding near-future window
- *    [ring_base_, ring_base_ + kRingSlots); events beyond it land in
- *    an overflow min-heap of 24-byte POD references ordered by
- *    (when, seq). When the ring drains, the window jumps to the
- *    earliest overflow tick; as the window slides forward, overflow
- *    events it catches up with are promoted tick-by-tick. Either way
- *    promotion preserves (when, seq) order: a promoted event was
- *    scheduled while its tick was still out of window — before any
- *    ring event at that tick — so it carries a smaller sequence
- *    number and is prepended.
+ *  - One heap plus a sorted run. Pending events are 24-byte POD
+ *    {when, seq, node} references in one of two places: an
+ *    append-only sorted run, which takes every event whose tick is at
+ *    or after the run's last entry, and a binary min-heap on
+ *    (when, seq) for the rest. Dispatch takes the smaller of the
+ *    run's front and the heap's top. Sequence numbers only grow, so
+ *    appending keeps the run sorted by (when, seq) and the merged
+ *    order is exactly one heap's. Pre-scheduled sorted traffic (a
+ *    trace's arrivals) and monotone chains cost O(1) per event.
  *
  *  - Zero-copy dispatch. Callbacks are mtia::InlineFunction (small-
- *    buffer-optimized, move-only); dispatch moves the callback out of
- *    its slot and never deep-copies a closure.
+ *    buffer-optimized, move-only); dispatch runs the callback in its
+ *    slot and never deep-copies a closure.
  *
- *  - Slab recycling. Events live in fixed Node slots chained through
- *    a freelist; steady-state scheduling of inline-sized callbacks
- *    performs zero heap allocations.
+ *  - Slab recycling. Callbacks live in fixed Node slots chained
+ *    through a freelist; steady-state scheduling of inline-sized
+ *    callbacks performs zero heap allocations.
  *
- * Ordering guarantees are identical to the classic binary-heap
- * implementation: events run in (when, seq) order, so same-tick
- * events fire in FIFO order of scheduling and simulations stay
- * byte-for-byte deterministic.
+ * Events run in (when, seq) order, so same-tick events fire in FIFO
+ * order of scheduling and simulations stay byte-for-byte
+ * deterministic.
  */
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -60,9 +56,6 @@ class EventQueue
     /** Move-only callable; closures owning unique_ptr state are fine. */
     using Callback = InlineFunction<void()>;
 
-    /** Near-future window width in ticks (one FIFO list per tick). */
-    static constexpr std::size_t kRingSlots = 1024;
-
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -84,7 +77,10 @@ class EventQueue
     }
 
     /** Number of pending events. */
-    std::size_t pending() const { return ring_count_ + far_.size(); }
+    std::size_t pending() const
+    {
+        return heap_.size() + (run_.size() - run_head_);
+    }
 
     /** Events dispatched so far (telemetry). */
     std::uint64_t executed() const { return executed_; }
@@ -108,17 +104,16 @@ class EventQueue
     Tick runUntil(Tick limit);
 
     /**
-     * Timestamp of the earliest pending event (ring scan or overflow
-     * front, whichever is sooner). @pre pending() > 0. Used by
-     * epoch-barrier drivers to pick the next synchronization window
-     * without dispatching anything.
+     * Timestamp of the earliest pending event. @pre pending() > 0.
+     * Used by epoch-barrier drivers to pick the next synchronization
+     * window without dispatching anything.
      */
     Tick nextEventTick() const;
 
     /**
-     * Drop all pending events (simulation teardown). Constant-time
-     * structural reset plus one destructor call per dropped callback;
-     * now() and executed() are unchanged.
+     * Drop all pending events (simulation teardown). One destructor
+     * call per dropped callback, no ordering work; now() and
+     * executed() are unchanged.
      */
     void clear();
 
@@ -132,121 +127,84 @@ class EventQueue
     std::uint64_t inlineCallbackCount() const { return inline_callbacks_; }
 
     /**
-     * Events that entered the overflow heap and were later promoted
-     * into the calendar ring when the window advanced (telemetry:
-     * event_queue.overflow_promotions).
-     */
-    std::uint64_t overflowPromotions() const { return overflow_promotions_; }
-
-    /** Events currently bucketed in the near-future calendar ring. */
-    std::size_t nearPending() const { return ring_count_; }
-
-    /** Events currently parked in the far-future overflow heap. */
-    std::size_t farPending() const { return far_.size(); }
-
-    /**
-     * Publish the queue's counters and bucket-occupancy gauges into
-     * @p metrics: counters event_queue.{scheduled, inline_callbacks,
-     * overflow_promotions} accumulate (inc-by-total, matching the
-     * sim.events_executed convention) and gauges
-     * event_queue.bucket_occupancy{level=near|far} are set to the
-     * instantaneous occupancy.
+     * Publish the queue's counters into @p metrics:
+     * event_queue.{scheduled, inline_callbacks} accumulate
+     * (inc-by-total, matching the sim.events_executed convention).
      */
     void publishMetrics(telemetry::MetricRegistry &metrics) const;
 
   private:
-    /** One scheduled event in a slab slot. */
+    /** A slab slot: the callback, or the freelist link once freed. */
     struct Node
     {
-        Tick when = 0;
-        std::uint64_t seq = 0;
         Node *next = nullptr;
         Callback cb;
     };
 
-    /** Intrusive per-tick FIFO (head-to-tail = scheduling order). */
-    struct Fifo
-    {
-        Node *head = nullptr;
-        Node *tail = nullptr;
-    };
-
-    /** Overflow-heap element: POD reference, cheap to sift. */
-    struct FarRef
+    /** A pending event: POD reference, cheap to sift and append. */
+    struct Ref
     {
         Tick when;
         std::uint64_t seq;
         Node *node;
     };
 
-    /** Max-heap comparator that makes (when, seq)-smallest the front. */
-    static bool
-    farLater(const FarRef &a, const FarRef &b)
+    /**
+     * (when, seq) "later than": the max-heap comparator that makes the
+     * earliest event the heap's front. A function object, so the heap
+     * algorithms inline it.
+     */
+    struct Later
     {
-        if (a.when != b.when)
-            return a.when > b.when;
-        return a.seq > b.seq;
-    }
+        bool
+        operator()(const Ref &a, const Ref &b) const
+        {
+            if (a.when != b.when)
+                return a.when > b.when;
+            return a.seq > b.seq;
+        }
+    };
 
-    static constexpr std::size_t kSlotMask = kRingSlots - 1;
-    static constexpr std::size_t kBitmapWords = kRingSlots / 64;
     static constexpr std::size_t kSlabNodes = 256;
-    static_assert((kRingSlots & kSlotMask) == 0,
-                  "ring size must be a power of two");
 
     Node *allocNode();
     void freeNode(Node *n);
     void growSlab();
 
-    void pushRing(Node *n);
-    /** Pop the FIFO head of @p slot. @pre the slot is non-empty. */
-    Node *popRing(std::size_t slot);
-    /**
-     * Earliest occupied tick in the ring. Pure scan: ring_base_ is
-     * committed only when a tick is dispatched, so an early-exiting
-     * runUntil() never leaves the window ahead of now().
-     * @pre ring_count_ > 0.
-     */
-    Tick nextRingTick() const;
-
-    void pushFar(Node *n);
-    /**
-     * Jump the window to the earliest overflow tick and promote every
-     * overflow event inside the new window into the ring.
-     * @pre ring_count_ == 0 && !far_.empty().
-     */
-    void promoteFar();
-    /**
-     * The sliding window caught up with the overflow heap's front
-     * (when <= @p t, the earliest ring tick): promote the overflow
-     * events at the earliest such tick, prepending them to their
-     * slot's FIFO (they predate every ring event at that tick).
-     * Returns the tick to dispatch, which is min(t, overflow front);
-     * the caller commits ring_base_ to it alongside now_.
-     */
-    Tick pullEligibleFar(Tick t);
-
-    /** Dispatch every event in the slot holding tick now_. */
-    void drainCurrentSlot();
+    /** Append @p e to the sorted run. @pre it sorts after the back. */
+    void pushRun(const Ref &e);
+    /** True when the earliest pending event is the run's front. */
+    bool runFront() const
+    {
+        return !run_.empty() &&
+            (heap_.empty() || Later{}(heap_.front(), run_[run_head_]));
+    }
+    /** Tick of the earliest event. @pre pending() > 0. */
+    Tick frontTick() const
+    {
+        return runFront() ? run_[run_head_].when : heap_.front().when;
+    }
+    /** Remove and return the earliest event. @pre pending() > 0. */
+    Ref popFront();
+    /** Advance now() to @p e's tick and run it in its slot. */
+    void dispatch(const Ref &e);
 
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
     std::size_t peak_pending_ = 0;
 
+    /** Events that did not extend the run: min-heap on (when, seq). */
+    std::vector<Ref> heap_;
     /**
-     * Ring window base: ring events have when in
-     * [ring_base_, ring_base_ + kRingSlots), so when & kSlotMask is
-     * collision-free. The window slides as ring_base_ advances.
+     * Sorted run: live entries are [run_head_, size), ascending in
+     * (when, seq); the vector is empty exactly when the run is. The
+     * dead prefix is dropped when the run drains or, before the vector
+     * would grow, once it is at least half of it, so its capacity stays
+     * within about twice the peak pending count.
      */
-    Tick ring_base_ = 0;
-    std::size_t ring_count_ = 0;
-    std::array<Fifo, kRingSlots> ring_{};
-    /** Occupancy bit per slot, for O(words) next-event scans. */
-    std::array<std::uint64_t, kBitmapWords> occupied_{};
-
-    /** Far-future overflow: min-heap on (when, seq). */
-    std::vector<FarRef> far_;
+    std::vector<Ref> run_;
+    std::size_t run_head_ = 0;
 
     /** Slab storage + freelist for Node slots. */
     std::vector<std::unique_ptr<Node[]>> slabs_;
@@ -254,7 +212,6 @@ class EventQueue
 
     std::uint64_t scheduled_ = 0;
     std::uint64_t inline_callbacks_ = 0;
-    std::uint64_t overflow_promotions_ = 0;
 };
 
 } // namespace mtia

@@ -1,5 +1,6 @@
 #include "sim/parallel_des.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/check.h"
@@ -16,7 +17,7 @@ ParallelDes::ParallelDes(unsigned partitions, Tick epoch_width)
     queues_.reserve(partitions);
     for (unsigned p = 0; p < partitions; ++p)
         queues_.push_back(std::make_unique<EventQueue>());
-    mailboxes_.resize(static_cast<std::size_t>(partitions) * partitions);
+    mailboxes_.resize(partitions);
 }
 
 EventQueue &
@@ -40,38 +41,44 @@ ParallelDes::post(unsigned src, unsigned dst, Tick when,
     MTIA_CHECK_LT(src, queues_.size()) << ": post from unknown partition";
     MTIA_CHECK_LT(dst, queues_.size()) << ": post to unknown partition";
     MTIA_CHECK(fn != nullptr) << ": post with a null callback";
-    // The conservative guarantee: a message buffered during epoch k
-    // must deliver after the barrier at the epoch's end, or partition
-    // dst — whose clock already passed epoch_end_ — would receive an
-    // event in its past. Callers uphold it by making every cross-
-    // partition latency >= epochWidth().
-    if (running_)
+    std::vector<Message> &box = mailboxes_[dst];
+    if (running_) {
+        // Partitions run in index order, so appending keeps the box in
+        // (src, FIFO) order as long as only the running partition
+        // sends.
+        MTIA_CHECK_EQ(src, current_)
+            << ": run-time post must name the running partition as src";
+        // The conservative guarantee: a message buffered during epoch
+        // k must deliver after the barrier at the epoch's end, or
+        // partition dst — whose clock already passed epoch_end_ —
+        // would receive an event in its past. Callers uphold it by
+        // making every cross-partition latency >= epochWidth().
         MTIA_CHECK_GT(when, epoch_end_)
             << ": cross-partition message lands inside the current "
                "epoch (latency below the epoch width)";
-    // Only partition src's events append to the (src, *) mailboxes,
-    // so the order within one is the sender's program order.
-    mailboxes_[static_cast<std::size_t>(src) * queues_.size() + dst]
-        .push_back(Message{when, std::move(fn)});
+        box.push_back(Message{src, when, std::move(fn)});
+        return;
+    }
+    // Setup code may post from any source in any order: insert after
+    // every message from a source <= src (cold path, before run()).
+    const auto at = std::upper_bound(
+        box.begin(), box.end(), src,
+        [](unsigned s, const Message &m) { return s < m.src; });
+    box.insert(at, Message{src, when, std::move(fn)});
 }
 
 bool
 ParallelDes::advanceEpoch()
 {
-    // Barrier. Delivery walks dst-major, src-minor, FIFO within a
-    // mailbox: destination sequence numbers are assigned in this fixed
-    // index order, so same-tick dispatch ties never depend on the
-    // order partitions ran in.
-    const std::size_t n = queues_.size();
-    for (std::size_t dst = 0; dst < n; ++dst) {
-        for (std::size_t src = 0; src < n; ++src) {
-            std::vector<Message> &box = mailboxes_[src * n + dst];
-            for (Message &m : box) {
-                queues_[dst]->schedule(m.when, std::move(m.fn));
-                ++delivered_;
-            }
-            box.clear(); // capacity kept: steady state re-uses it
-        }
+    // Barrier. Each mailbox is already in (src, FIFO) order, so
+    // destination sequence numbers — and every same-tick dispatch tie
+    // — follow (dst, src, FIFO).
+    for (std::size_t dst = 0; dst < queues_.size(); ++dst) {
+        std::vector<Message> &box = mailboxes_[dst];
+        for (Message &m : box)
+            queues_[dst]->schedule(m.when, std::move(m.fn));
+        delivered_ += box.size();
+        box.clear(); // capacity kept: steady state re-uses it
     }
 
     bool any = false;
@@ -107,8 +114,8 @@ ParallelDes::run()
     // (see its contract), so delivery at epoch_end_ + 1 is always
     // schedulable.
     while (advanceEpoch())
-        for (const auto &q : queues_)
-            q->runUntil(epoch_end_);
+        for (current_ = 0; current_ < queues_.size(); ++current_)
+            queues_[current_]->runUntil(epoch_end_);
     running_ = false;
 }
 

@@ -6,11 +6,11 @@
  * Partitioned discrete-event simulation by conservative time-windowed
  * synchronization (see DESIGN.md "Parallel multi-chip DES").
  *
- * The model is partitioned: every partition owns a private bucketed
- * EventQueue and all of the simulated state its events touch.
- * Partitions interact ONLY through post(): a cross-partition message
- * that is buffered in a per-(source, dest) ordered mailbox and
- * delivered at the next epoch barrier.
+ * The model is partitioned: every partition owns a private EventQueue
+ * and all of the simulated state its events touch. Partitions
+ * interact ONLY through post(): a cross-partition message that is
+ * buffered in its destination's mailbox and delivered at the next
+ * epoch barrier.
  *
  * Timeline of one epoch of width W on the fixed grid B_k = k * W:
  *
@@ -18,7 +18,7 @@
  *     partition 1  |== runUntil(B_{k+1} - 1) ==|   barrier: drain
  *     partition 2  |== runUntil(B_{k+1} - 1) ==|   mailboxes in
  *         ...                                      (dst, src, FIFO)
- *                                                  index order
+ *                                                  order
  *
  * Conservative synchronization: post() requires the delivery time to
  * land strictly after the epoch being executed, which is guaranteed
@@ -35,11 +35,12 @@
  * model: every controller<->replica interaction crosses the fabric
  * with a real latency, and the mailboxes keep each partition's state
  * single-writer. Its output is a pure function of the simulation —
- * each partition's epoch touches only its own state, senders append
- * to their own (src, dst) mailbox in program order, and the barrier
- * drains mailboxes in fixed (dst-major, src-minor, FIFO) index order,
- * so destination-queue sequence numbers and all (when, seq) tie-breaks
- * never depend on the order partitions ran in.
+ * each partition's epoch touches only its own state, and one mailbox
+ * per destination holds its messages in (src, FIFO) order: partitions
+ * run in index order, so run-time posts arrive in that order, and
+ * setup-time posts are inserted in it. The barrier drains the
+ * mailboxes in destination order, so destination-queue sequence
+ * numbers and all (when, seq) tie-breaks follow (dst, src, FIFO).
  */
 
 #include <cstddef>
@@ -81,11 +82,11 @@ class ParallelDes
      * Send a cross-partition message: @p fn is scheduled on partition
      * @p dst's queue at absolute time @p when, delivered at the next
      * epoch barrier. During run() this must be called from an event of
-     * partition @p src (it appends to the (src, dst) mailbox, so the
-     * send order within one epoch is the sender's program order), and
-     * @p when must land strictly after the epoch end — guaranteed when
-     * when >= send time + epochWidth().
-     * Before run() it may be called from setup code with any src.
+     * partition @p src (checked: @p src must be the partition that is
+     * running), and @p when must land strictly after the epoch end —
+     * guaranteed when when >= send time + epochWidth().
+     * Before run() it may be called from setup code with any src, in
+     * any order; delivery is still in (src, FIFO) order.
      */
     void post(unsigned src, unsigned dst, Tick when,
               EventQueue::Callback fn);
@@ -109,6 +110,7 @@ class ParallelDes
   private:
     struct Message
     {
+        unsigned src;
         Tick when;
         EventQueue::Callback fn;
     };
@@ -124,11 +126,13 @@ class ParallelDes
     /** Last tick (inclusive) of the epoch being executed. */
     Tick epoch_end_ = 0;
     bool running_ = false;
+    /** Partition whose events run() is dispatching. */
+    unsigned current_ = 0;
     std::uint64_t epochs_ = 0;
     std::uint64_t delivered_ = 0;
     /** unique_ptr keeps queue addresses stable and cheaply spaced. */
     std::vector<std::unique_ptr<EventQueue>> queues_;
-    /** Mailbox (src, dst) lives at index src * partitions + dst. */
+    /** Mailbox of partition dst, in (src, FIFO) order. */
     std::vector<std::vector<Message>> mailboxes_;
 };
 

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <queue>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -256,9 +258,11 @@ TEST(EventQueue, ClearTenThousandEventsIsAStructuralReset)
     q.schedule(3, [&] { ++fired; });
     q.run();
     const Tick before = q.now();
-    // Spread events over both the calendar ring and the overflow heap.
+    // Spread events over both the sorted run and the heap: ticks
+    // alternate between rising from the front and falling from the back.
     for (int i = 0; i < 10000; ++i)
-        q.scheduleAfter(static_cast<Tick>(i) * 7, [&] { ++fired; });
+        q.scheduleAfter(static_cast<Tick>(i % 2 == 0 ? i : 10000 - i) * 7,
+                        [&] { ++fired; });
     EXPECT_EQ(q.pending(), 10000u);
     q.clear();
     EXPECT_EQ(q.pending(), 0u);
@@ -296,14 +300,11 @@ TEST(EventQueue, RunUntilCallbackSchedulingAtNowRunsInSameCall)
 
 TEST(EventQueue, RunUntilEarlyExitLeavesWindowConsistent)
 {
-    // Regression: nextRingTick() used to advance the ring window base
-    // before runUntil() checked the limit, so an early exit left the
-    // base ahead of now(). A later schedule() could then admit a ring
-    // event under the stale window (B@1900 below lands in a slot keyed
-    // off base 900), and once a far event below the window retreated
-    // the base, that event fired at the wrong tick (876 instead of
-    // 1900) — silently in release builds, where the drain DCHECK is
-    // compiled out.
+    // An early-exiting runUntil() must leave the queue as it found it
+    // apart from now(). The event at 900 opens the sorted run; after
+    // the early exit, 1900 extends the run and 500 (below the run's
+    // back, but >= now()) lands in the heap. Each must fire at its own
+    // tick, in tick order across the two.
     EventQueue q;
     std::vector<Tick> ticks;
     auto record = [&] { ticks.push_back(q.now()); };
@@ -311,11 +312,9 @@ TEST(EventQueue, RunUntilEarlyExitLeavesWindowConsistent)
     q.runUntil(100); // exits early: earliest event is past the limit
     EXPECT_EQ(q.now(), 100u);
     EXPECT_EQ(q.pending(), 1u);
-    // One event inside the stale window [900, 900 + kRingSlots) the
-    // bug would have admitted into the ring...
     q.schedule(1900, record);
-    // ...and one below it (but >= now()) to force the base to retreat.
     q.schedule(500, record);
+    EXPECT_EQ(q.nextEventTick(), 500u);
     q.run();
     EXPECT_EQ(ticks, (std::vector<Tick>{500, 900, 1900}));
     EXPECT_EQ(q.now(), 1900u);
@@ -324,12 +323,11 @@ TEST(EventQueue, RunUntilEarlyExitLeavesWindowConsistent)
 
 TEST(EventQueue, RunUntilEarlyExitThenScheduleBelowPendingTick)
 {
-    // Same stale-window shape, far-heap flavor: after an early exit,
-    // scheduling between now() and the pending tick must not wrap the
-    // window subtraction into misrouting.
+    // After an early exit, an event between now() and the pending tick
+    // goes to the heap and must still run first.
     EventQueue q;
     std::vector<Tick> ticks;
-    const Tick far = static_cast<Tick>(EventQueue::kRingSlots) * 3;
+    const Tick far = 3072;
     q.schedule(far, [&] { ticks.push_back(q.now()); });
     q.runUntil(10);
     EXPECT_EQ(q.now(), 10u);
@@ -348,56 +346,57 @@ TEST(EventQueue, RunUntilDrainingEarlyAdvancesToLimit)
     EXPECT_EQ(q.now(), 5000u);
 }
 
-TEST(EventQueue, OverflowEventPrecedesLaterRingEventAtSameTick)
+TEST(EventQueue, RunEventPrecedesLaterHeapEventAtSameTick)
 {
-    // An event parked in the overflow heap predates — and must run
-    // before — a same-tick event accepted into the ring after the
-    // window slid forward.
+    // Same tick on both sides of the run/heap boundary: 1700 opens the
+    // run, 1800 extends it, and a second 1700 (below the run's back)
+    // goes to the heap with a later sequence number. The tie breaks on
+    // seq, so the run's event fires first, and the heap's event fires
+    // before the run's later tick.
     EventQueue q;
     std::vector<int> order;
-    const Tick target = static_cast<Tick>(EventQueue::kRingSlots) + 700;
-    q.schedule(target, [&] { order.push_back(1); }); // overflow, seq 0
-    q.schedule(900, [&] {
-        q.schedule(target, [&] { order.push_back(2); }); // ring, later seq
-    });
+    q.schedule(1700, [&] { order.push_back(1); }); // run, seq 0
+    q.schedule(1800, [&] { order.push_back(3); }); // run, seq 1
+    q.schedule(1700, [&] { order.push_back(2); }); // heap, seq 2
     q.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_EQ(q.overflowPromotions(), 1u);
-    EXPECT_EQ(q.now(), target);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(q.now(), 1800u);
 }
 
-TEST(EventQueue, WindowSlideDispatchesOverflowBeforeLaterRingTicks)
+TEST(EventQueue, HeapEventDispatchesBeforeLaterRunTicks)
 {
-    // Overflow tick 1034 precedes ring tick 1324 even though the ring
-    // event was accepted while 1034 still sat in the overflow heap.
+    // 2000 opens the run; 600 and the 1300 it schedules land in the
+    // heap (below the run's back), 2500 extends the run. Dispatch
+    // interleaves the two sources in tick order.
     EventQueue q;
     std::vector<int> order;
-    q.schedule(static_cast<Tick>(EventQueue::kRingSlots) + 10,
-               [&] { order.push_back(1); });
+    q.schedule(2000, [&] { order.push_back(3); });
     q.schedule(600, [&] {
-        q.schedule(static_cast<Tick>(EventQueue::kRingSlots) + 300,
-                   [&] { order.push_back(2); });
+        order.push_back(1);
+        q.schedule(1300, [&] { order.push_back(2); });
     });
+    q.schedule(2500, [&] { order.push_back(4); });
     q.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
 
 TEST(EventQueue, FarFutureJumpsPreserveOrderAcrossGaps)
 {
     EventQueue q;
     std::vector<std::uint64_t> order;
-    // Deltas far beyond the window force jump promotions every event.
-    for (std::uint64_t i = 0; i < 64; ++i) {
-        const Tick gap = static_cast<Tick>(EventQueue::kRingSlots) * 50;
+    // Descending ticks far apart: the first opens the run, every later
+    // one sorts before the run's back and goes to the heap.
+    const Tick gap = 51200;
+    for (std::uint64_t i = 0; i < 64; ++i)
         q.schedule(static_cast<Tick>(64 - i) * gap,
                    [&order, i] { order.push_back(i); });
-    }
     q.run();
     std::vector<std::uint64_t> want(64);
     for (std::uint64_t i = 0; i < 64; ++i)
         want[i] = 63 - i;
     EXPECT_EQ(order, want);
-    EXPECT_EQ(q.overflowPromotions(), 64u);
+    EXPECT_EQ(q.executed(), 64u);
+    EXPECT_EQ(q.now(), 64 * gap);
 }
 
 TEST(EventQueue, TelemetryCountersAndPublish)
@@ -405,30 +404,20 @@ TEST(EventQueue, TelemetryCountersAndPublish)
     EventQueue q;
     for (int i = 0; i < 4; ++i)
         q.schedule(static_cast<Tick>(i), [] {});
-    q.schedule(static_cast<Tick>(EventQueue::kRingSlots) * 8, [] {});
+    q.schedule(2, [] {}); // below the run's back: the heap
     EXPECT_EQ(q.scheduledCount(), 5u);
     EXPECT_EQ(q.inlineCallbackCount(), 5u);
-    EXPECT_EQ(q.nearPending(), 4u);
-    EXPECT_EQ(q.farPending(), 1u);
     EXPECT_EQ(q.pending(), 5u);
 
     telemetry::MetricRegistry reg;
     q.publishMetrics(reg);
     EXPECT_EQ(reg.counter("event_queue.scheduled").value(), 5u);
     EXPECT_EQ(reg.counter("event_queue.inline_callbacks").value(), 5u);
-    EXPECT_EQ(reg.counter("event_queue.overflow_promotions").value(), 0u);
-    EXPECT_DOUBLE_EQ(
-        reg.gauge("event_queue.bucket_occupancy", {{"level", "near"}})
-            .value(),
-        4.0);
-    EXPECT_DOUBLE_EQ(
-        reg.gauge("event_queue.bucket_occupancy", {{"level", "far"}})
-            .value(),
-        1.0);
+    EXPECT_EQ(reg.seriesCount(), 2u); // the two counters, nothing else
 
     q.run();
-    EXPECT_EQ(q.overflowPromotions(), 1u);
     EXPECT_EQ(q.executed(), 5u);
+    EXPECT_EQ(q.pending(), 0u);
 }
 
 TEST(EventQueue, OversizedCaptureFallsBackToHeapBox)
@@ -483,29 +472,207 @@ TEST(EventQueue, RunUntilLimitIsInclusiveOnBothExitPaths)
 TEST(EventQueue, RunUntilAtLimitFiresWhenParkedInFarHeap)
 {
     // The at-the-limit event must dispatch inside the epoch even when
-    // it sits in the overflow heap rather than the calendar ring.
+    // it sits in the heap rather than the run: limit + 1 opens the run
+    // and the limit event sorts before its back.
     EventQueue q;
-    const Tick limit = static_cast<Tick>(EventQueue::kRingSlots) * 4;
+    const Tick limit = 4096;
     int fired = 0;
-    q.schedule(limit, [&] { ++fired; });
     q.schedule(limit + 1, [&] { ++fired; });
+    q.schedule(limit, [&] { ++fired; });
     q.runUntil(limit);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(q.now(), limit);
     EXPECT_EQ(q.pending(), 1u);
 }
 
-TEST(EventQueue, NextEventTickSeesRingAndFarHeap)
+TEST(EventQueue, NextEventTickSeesRunAndHeap)
 {
     EventQueue q;
-    q.schedule(static_cast<Tick>(EventQueue::kRingSlots) * 2, [] {});
-    EXPECT_EQ(q.nextEventTick(),
-              static_cast<Tick>(EventQueue::kRingSlots) * 2);
-    q.schedule(7, [] {}); // ring event below the far one
+    q.schedule(2048, [] {}); // opens the run
+    EXPECT_EQ(q.nextEventTick(), 2048u);
+    q.schedule(7, [] {}); // heap event below the run's front
     EXPECT_EQ(q.nextEventTick(), 7u);
     q.runUntil(7);
-    EXPECT_EQ(q.nextEventTick(),
-              static_cast<Tick>(EventQueue::kRingSlots) * 2);
+    EXPECT_EQ(q.nextEventTick(), 2048u);
+}
+
+/**
+ * Reference for the differential test: the textbook (when, seq) queue,
+ * one std::priority_queue with the EventQueue interface the test uses.
+ */
+class ReferenceQueue
+{
+  public:
+    using Callback = std::function<void()>;
+
+    Tick now() const { return now_; }
+    std::size_t pending() const { return heap_.size(); }
+    void schedule(Tick when, Callback cb)
+    {
+        heap_.push(Entry{when, seq_++, std::move(cb)});
+    }
+    Tick nextEventTick() const { return heap_.top().when; }
+    void
+    runUntil(Tick limit)
+    {
+        while (!heap_.empty() && heap_.top().when <= limit)
+            dispatchTop();
+        now_ = std::max(now_, limit);
+    }
+    void
+    run()
+    {
+        while (!heap_.empty())
+            dispatchTop();
+    }
+    void clear() { heap_ = {}; }
+
+  private:
+    struct Entry
+    {
+        Tick when;
+        std::uint64_t seq;
+        Callback cb;
+    };
+    struct Later
+    {
+        bool
+        operator()(const Entry &a, const Entry &b) const
+        {
+            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+        }
+    };
+    void
+    dispatchTop()
+    {
+        Entry e = heap_.top();
+        heap_.pop();
+        now_ = e.when;
+        e.cb();
+    }
+
+    Tick now_ = 0;
+    std::uint64_t seq_ = 0;
+    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+};
+
+/**
+ * One seeded operation script, run against queue type Q. Returns the
+ * trace: every dispatch as (event id, tick), plus every
+ * nextEventTick(), pending() and now() the script reads. Callbacks
+ * draw from the same Rng, so two queues only produce equal traces if
+ * they dispatch in the same order.
+ */
+template <typename Q>
+std::vector<std::pair<std::uint64_t, Tick>>
+differentialTrace(std::uint64_t seed)
+{
+    constexpr std::uint64_t kRead = ~std::uint64_t{0};
+    struct Ctx
+    {
+        Q q;
+        Rng rng;
+        std::vector<std::pair<std::uint64_t, Tick>> trace;
+        std::uint64_t next_id = 0;
+        std::uint64_t budget = 20000; // events callbacks may spawn
+
+        void
+        add(Tick when)
+        {
+            const std::uint64_t id = next_id++;
+            q.schedule(when, [this, id] { fire(id); });
+        }
+
+        void
+        fire(std::uint64_t id)
+        {
+            trace.emplace_back(id, q.now());
+            if (budget == 0)
+                return;
+            --budget;
+            switch (rng.below(6)) {
+            case 0: // same tick as the dispatching event
+                add(q.now());
+                break;
+            case 1: // short hop
+                add(q.now() + 1 + rng.below(16));
+                break;
+            case 2: // service-like delta
+                add(q.now() + rng.below(5000));
+                break;
+            case 3: // lands on the earliest pending tick, if any
+                add(q.pending() > 0 ? q.nextEventTick() : q.now());
+                break;
+            default: // no child
+                break;
+            }
+        }
+    };
+    Ctx c{Q{}, Rng(seed), {}, 0, 20000};
+    Tick chain_a = 0;
+    Tick chain_b = 0;
+    for (int op = 0; op < 3000; ++op) {
+        const Tick now = c.q.now();
+        switch (c.rng.below(10)) {
+        case 0: { // same-tick burst
+            const Tick t = now + c.rng.below(4);
+            const std::uint64_t k = 1 + c.rng.below(12);
+            for (std::uint64_t i = 0; i < k; ++i)
+                c.add(t);
+            break;
+        }
+        case 1: // two interleaved monotone chains
+            chain_a = std::max(chain_a, now) + c.rng.below(300);
+            c.add(chain_a);
+            break;
+        case 2:
+            chain_b = std::max(chain_b, now) + c.rng.below(300);
+            c.add(chain_b);
+            break;
+        case 3: // out of order, microsecond-scale spread
+            c.add(now + c.rng.below(100000));
+            break;
+        case 4: // chain A's tick again: a same-tick tie, later seq
+            c.add(std::max(chain_a, now));
+            break;
+        case 5: // runUntil exactly at the earliest pending event
+            if (c.q.pending() > 0)
+                c.q.runUntil(c.q.nextEventTick());
+            c.trace.emplace_back(kRead, c.q.now());
+            break;
+        case 6: // runUntil an arbitrary limit
+            c.q.runUntil(now + c.rng.below(3000));
+            c.trace.emplace_back(kRead, c.q.now());
+            break;
+        case 7:
+            c.trace.emplace_back(
+                kRead, c.q.pending() > 0 ? c.q.nextEventTick() : 0);
+            c.trace.emplace_back(kRead, c.q.pending());
+            break;
+        case 8:
+            if (c.rng.below(40) == 0)
+                c.q.clear();
+            c.trace.emplace_back(kRead, c.q.pending());
+            break;
+        default: // sorted arrivals far ahead, as a trace pre-schedules
+            for (int i = 0; i < 8; ++i)
+                c.add(now + 100000 + static_cast<Tick>(i) * 977);
+            break;
+        }
+    }
+    c.q.run();
+    c.trace.emplace_back(kRead, c.q.now());
+    return c.trace;
+}
+
+TEST(EventQueue, DispatchTraceMatchesReferenceHeap)
+{
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        const auto got = differentialTrace<EventQueue>(seed);
+        const auto want = differentialTrace<ReferenceQueue>(seed);
+        EXPECT_GT(got.size(), 10000u);
+        EXPECT_EQ(got, want) << "dispatch trace diverged at seed " << seed;
+    }
 }
 
 TEST(EventQueue, SameTickFifoDeterministicAcrossLaneCounts)
@@ -603,6 +770,49 @@ TEST(ParallelDes, BarrierDrainOrdersSourcesByIndex)
     });
     des.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(ParallelDes, DeliveryIsSrcFifoForSetupAndRunTimePosts)
+{
+    // Setup posts from sources 2, 1, 0 (in that call order) and
+    // run-time posts from three sources all deliver to partition 3 at
+    // one tick. Each group must fire in (src, FIFO) order.
+    ParallelDes des(4, 10);
+    std::vector<int> order;
+    const auto rec = [&order](int tag) {
+        return [&order, tag] { order.push_back(tag); };
+    };
+    des.post(2, 3, 5, rec(20));
+    des.post(1, 3, 5, rec(10));
+    des.post(2, 3, 5, rec(21));
+    des.post(0, 3, 5, rec(0));
+    des.post(1, 3, 5, rec(11));
+    for (unsigned src : {2u, 0u, 1u}) {
+        des.queue(src).schedule(20, [&des, &rec, src] {
+            const int tag = 100 + 10 * static_cast<int>(src);
+            des.post(src, 3, 40, rec(tag));
+            des.post(src, 3, 40, rec(tag + 1));
+        });
+    }
+    des.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 10, 11, 20, 21, 100, 101, 110,
+                                       111, 120, 121}));
+    EXPECT_EQ(des.messagesDelivered(), 11u);
+}
+
+TEST(DesMailboxDeathTest, RunTimePostFromAnotherPartitionAborts)
+{
+    // During run() a post must name the partition whose event sends
+    // it; otherwise the mailbox's (src, FIFO) order would not hold.
+    EXPECT_DEATH(
+        {
+            ParallelDes des(3, 10);
+            des.queue(1).schedule(0, [&des] {
+                des.post(2, 0, 10, [] {});
+            });
+            des.run();
+        },
+        "run-time post must name the running partition");
 }
 
 } // namespace
