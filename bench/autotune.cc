@@ -15,6 +15,8 @@
 #include <cmath>
 #include <cstdio>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "autotune/autotune_stats.h"
 #include "autotune/batch_tuner.h"
@@ -23,6 +25,7 @@
 #include "autotune/surrogate.h"
 #include "bench_report.h"
 #include "bench_util.h"
+#include "core/simd.h"
 #include "models/model_zoo.h"
 #include "telemetry/metrics.h"
 
@@ -89,6 +92,72 @@ spearman(const std::vector<double> &a, const std::vector<double> &b)
 // Costs at or above this are the infeasible-variant penalty tier;
 // accuracy statistics only make sense over the feasible candidates.
 constexpr double kFeasibleCeiling = 1e17;
+
+/** Best of five timings of @p calls runs of @p fn, in seconds per
+ *  call. */
+template <typename Fn>
+double
+bestSecondsPerCall(int calls, Fn &&fn)
+{
+    double best = 0.0;
+    for (int rep = 0; rep < 5; ++rep) {
+        bench::WallTimer t;
+        for (int c = 0; c < calls; ++c)
+            fn(c);
+        const double secs = t.seconds() / calls;
+        if (rep == 0 || secs < best)
+            best = secs;
+    }
+    return best;
+}
+
+/**
+ * The surrogate layer's own host rate (wall_clock rows only): one
+ * fit of the rows a default tuneSurrogate call measures, one batch
+ * predict of its 288-variant grid on the active SIMD tier, and whole
+ * tuneSurrogate calls over a sweep of batch sizes.
+ */
+void
+surrogateLayerRate(const KernelTuner &tuner, bench::Report &report)
+{
+    bench::section("surrogate layer rate (host wall clock)");
+    const FcShape shape{512, 1024, 768};
+    const KernelSurrogateResult sampled = tuner.tuneSurrogate(shape);
+    std::vector<FeatureVec> tx;
+    std::vector<double> ty;
+    const std::vector<FcOptions> space = KernelTuner::extendedVariantSpace();
+    for (std::size_t i = 0; i < sampled.loop.measured.size(); ++i) {
+        tx.push_back(KernelTuner::variantFeatures(
+            shape, space[sampled.loop.measured[i]]));
+        ty.push_back(std::asinh(sampled.loop.measured_cost[i]));
+    }
+    std::vector<FeatureVec> grid;
+    for (const FcOptions &v : space)
+        grid.push_back(KernelTuner::variantFeatures(shape, v));
+
+    CostSurrogate model;
+    const double fit_s =
+        bestSecondsPerCall(40, [&](int) { model.fit(tx, ty); });
+    const double predict_s = bestSecondsPerCall(
+        100, [&](int) { (void)model.predictAll(grid); });
+    const double tune_s = bestSecondsPerCall(64, [&](int c) {
+        (void)tuner.tuneSurrogate(FcShape{16 * (c + 1), shape.n, shape.k});
+    });
+    const simd::SimdIsa isa = simd::activeIsa();
+    bench::row("predict tier", "widest supported", simd::isaName(isa));
+    bench::row("fit (" + std::to_string(tx.size()) + " rows)",
+               "wall-clock, no band", bench::fmt("%.1f us", fit_s * 1e6));
+    bench::row("predict (288 candidates)", "wall-clock, no band",
+               bench::fmt("%.1f us", predict_s * 1e6));
+    bench::row("tuneSurrogate rate", "wall-clock, no band",
+               bench::fmt("%.0f /s", 1.0 / tune_s));
+    report.wallClock("surrogate_fit_us", fit_s * 1e6, "us");
+    report.wallClock("surrogate_predict_us", predict_s * 1e6, "us");
+    report.wallClock("tune_surrogate_per_s", 1.0 / tune_s, "1/s");
+    // The tier as its SimdIsa ordinal, named by the unit.
+    report.wallClock("surrogate_predict_tier", static_cast<double>(isa),
+                     simd::isaName(isa));
+}
 
 } // namespace
 
@@ -406,5 +475,9 @@ main()
     report.wallClock("surrogate_tuning_speedup", tuning_speedup, "x");
     autotune::publishAutotuneMetrics(metrics);
     report.attachTelemetry(&metrics);
+
+    // After the stats are published: the timed calls below move no
+    // reported eval count.
+    surrogateLayerRate(tuner, report);
     return 0;
 }

@@ -1,6 +1,7 @@
 #include "autotune/kernel_tuner.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -25,6 +26,32 @@ double
 log2Positive(std::int64_t v)
 {
     return std::log2(static_cast<double>(std::max<std::int64_t>(1, v)));
+}
+
+/** The shape slots of variantFeatures: log2 of m, n and k. */
+std::array<double, 3>
+shapeLog2(const FcShape &shape)
+{
+    return {log2Positive(shape.m), log2Positive(shape.n),
+            log2Positive(shape.k)};
+}
+
+/** variantFeatures with the shape slots already computed. */
+FeatureVec
+featuresAt(const std::array<double, 3> &shape_log2, const FcOptions &opt)
+{
+    FeatureVec f{};
+    f[0] = shape_log2[0];
+    f[1] = shape_log2[1];
+    f[2] = shape_log2[2];
+    f[3] = static_cast<double>(opt.weights);
+    f[4] = static_cast<double>(opt.activations);
+    f[5] = static_cast<double>(opt.output);
+    f[6] = opt.coordinated_loading ? 1.0 : 0.0;
+    f[7] = opt.dynamic_int8 ? 1.0 : 0.0;
+    f[8] = opt.sparse_24 ? 1.0 : 0.0;
+    f[9] = static_cast<double>(dtypeSize(opt.dtype));
+    return f;
 }
 
 } // namespace
@@ -122,25 +149,15 @@ KernelTuner::extendedVariantSpace()
 FeatureVec
 KernelTuner::variantFeatures(const FcShape &shape, const FcOptions &opt)
 {
-    FeatureVec f{};
-    f[0] = log2Positive(shape.m);
-    f[1] = log2Positive(shape.n);
-    f[2] = log2Positive(shape.k);
-    f[3] = static_cast<double>(opt.weights);
-    f[4] = static_cast<double>(opt.activations);
-    f[5] = static_cast<double>(opt.output);
-    f[6] = opt.coordinated_loading ? 1.0 : 0.0;
-    f[7] = opt.dynamic_int8 ? 1.0 : 0.0;
-    f[8] = opt.sparse_24 ? 1.0 : 0.0;
-    f[9] = static_cast<double>(dtypeSize(opt.dtype));
-    return f;
+    return featuresAt(shapeLog2(shape), opt);
 }
 
 KernelSurrogateResult
 KernelTuner::tuneSurrogate(const FcShape &shape, const PerfDatabase *warm,
                            const SurrogateSweepOptions &opts) const
 {
-    const std::vector<FcOptions> space = extendedVariantSpace();
+    // The grid is a constant: built once per process, not per call.
+    static const std::vector<FcOptions> space = extendedVariantSpace();
 
     SurrogateSweepOptions o = opts;
     if (warm != nullptr) {
@@ -152,9 +169,10 @@ KernelTuner::tuneSurrogate(const FcShape &shape, const PerfDatabase *warm,
     }
 
     const Bytes llc = km_.device().sramPartition().llcBytes();
+    const std::array<double, 3> shape_log2 = shapeLog2(shape);
     const SurrogateSweepResult loop = surrogateArgmin(
         space.size(),
-        [&](std::size_t i) { return variantFeatures(shape, space[i]); },
+        [&](std::size_t i) { return featuresAt(shape_log2, space[i]); },
         [&](std::size_t i) -> double {
             const FcOptions &variant = space[i];
             if (variant.weights == Placement::Llc &&

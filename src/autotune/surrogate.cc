@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <numeric>
 #include <sstream>
 
 #include "autotune/autotune_stats.h"
 #include "core/check.h"
+#include "core/simd_stumps.h"
 
 namespace mtia {
 
@@ -28,6 +31,26 @@ hexDouble(std::ostringstream &os, double v)
 
 // ------------------------------------------------------ stump boosting
 
+namespace {
+
+/**
+ * One candidate split: the sorted rows of a feature up to (and
+ * including) a position whose value differs from the next one's go
+ * left. Boundaries are listed in (feature, position) order, the order
+ * the winner is chosen in.
+ */
+struct Boundary
+{
+    std::uint32_t feature;
+    bool first;           ///< the feature's lowest boundary
+    std::size_t walk_end; ///< end of its left rows in the walk list
+    double threshold;     ///< midpoint of the two differing values
+    double left_cnt;
+    double right_cnt;
+};
+
+} // namespace
+
 void
 CostSurrogate::fit(const std::vector<FeatureVec> &x,
                    const std::vector<double> &y)
@@ -35,78 +58,136 @@ CostSurrogate::fit(const std::vector<FeatureVec> &x,
     MTIA_CHECK(!x.empty()) << ": surrogate fit on an empty sample set";
     MTIA_CHECK_EQ(x.size(), y.size())
         << ": surrogate features/costs length mismatch";
-    stumps_.clear();
     const std::size_t n = x.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        MTIA_CHECK(std::isfinite(y[i]))
+            << ": surrogate target of row " << i << " is " << y[i];
+        for (std::size_t f = 0; f < kSurrogateFeatures; ++f) {
+            MTIA_CHECK(std::isfinite(x[i][f]))
+                << ": surrogate feature " << f << " of row " << i
+                << " is " << x[i][f];
+        }
+    }
+    feature_.clear();
+    threshold_.clear();
+    left_.clear();
+    right_.clear();
     base_ = std::accumulate(y.begin(), y.end(), 0.0) /
         static_cast<double>(n);
 
-    // Per-feature index order, sorted by (value, index): the scan
-    // below visits thresholds ascending, so the first strict
-    // improvement is the lowest (feature, threshold) pair and the
-    // fitted model is a pure function of the training set.
-    std::array<std::vector<std::size_t>, kSurrogateFeatures> order;
+    // Once per fit: each feature's rows sorted by (value, index), and
+    // its split boundaries, the positions whose value differs from
+    // the next one's. A round's left sum at a boundary adds the
+    // residuals of the rows up to it in that order, so the walk list
+    // keeps each feature's sorted rows up to its last boundary, one
+    // feature after another. A feature with no boundary (constant
+    // over the training set, as the shape features are without warm
+    // rows) offers no split and is dropped. The columns are kept
+    // transposed for the residual update.
+    std::vector<double> cols(kSurrogateFeatures * n);
+    std::vector<std::size_t> walk;
+    std::vector<Boundary> bounds;
+    std::vector<std::size_t> order(n);
     for (std::size_t f = 0; f < kSurrogateFeatures; ++f) {
-        order[f].resize(n);
-        std::iota(order[f].begin(), order[f].end(), std::size_t{0});
-        std::sort(order[f].begin(), order[f].end(),
+        double *col = cols.data() + f * n;
+        for (std::size_t i = 0; i < n; ++i)
+            col[i] = x[i][f];
+        if (std::all_of(col, col + n,
+                        [&](double v) { return v == col[0]; }))
+            continue;
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::sort(order.begin(), order.end(),
                   [&](std::size_t a, std::size_t b) {
-                      if (x[a][f] != x[b][f])
-                          return x[a][f] < x[b][f];
+                      if (col[a] != col[b])
+                          return col[a] < col[b];
                       return a < b;
                   });
+        const std::size_t walk_begin = walk.size();
+        bool first = true;
+        for (std::size_t pos = 0; pos + 1 < n; ++pos) {
+            const double v = col[order[pos]];
+            const double vn = col[order[pos + 1]];
+            if (v == vn)
+                continue;
+            bounds.push_back(Boundary{
+                static_cast<std::uint32_t>(f), first,
+                walk_begin + pos + 1, v + (vn - v) * 0.5,
+                static_cast<double>(pos + 1),
+                static_cast<double>(n - pos - 1)});
+            first = false;
+        }
+        walk.insert(walk.end(), order.begin(),
+                    order.begin() +
+                        static_cast<std::ptrdiff_t>(bounds.back().walk_end -
+                                                    walk_begin));
     }
+    if (bounds.empty())
+        return; // no split anywhere: the model is its base
+    feature_.reserve(kRounds);
+    threshold_.reserve(kRounds);
+    left_.reserve(kRounds);
+    right_.reserve(kRounds);
 
+    // `total` is the residual sum in index order, taken as each
+    // round's update writes the residuals.
     std::vector<double> resid(y);
-    for (double &r : resid)
+    double total = 0.0;
+    for (double &r : resid) {
         r -= base_;
-
+        total += r;
+    }
+    std::vector<double> left_sum(bounds.size());
+    // The loops below run a few hundred times per fit over a few
+    // dozen rows; unrolled, they issue about half the instructions.
     for (int round = 0; round < kRounds; ++round) {
-        const double total =
-            std::accumulate(resid.begin(), resid.end(), 0.0);
+        // Left sums: one sequential chain per feature, in sorted-row
+        // order, independent of every other feature's chain, so the
+        // chains overlap in the pipeline while each keeps its exact
+        // addition order.
+        double sum = 0.0;
+        std::size_t w = 0;
+        for (std::size_t b = 0; b < bounds.size(); ++b) {
+            if (bounds[b].first)
+                sum = 0.0;
+            const std::size_t end = bounds[b].walk_end;
+#pragma GCC unroll 8
+            for (; w < end; ++w)
+                sum += resid[walk[w]];
+            left_sum[b] = sum;
+        }
+        // Squared-error reduction of each split (constant terms
+        // cancel); the first boundary in (feature, position) order
+        // wins ties (strict >).
+        std::size_t best = 0;
         double best_gain = 0.0;
-        std::size_t best_f = 0;
-        double best_thr = 0.0;
-        double best_left = 0.0;
-        double best_right = 0.0;
-        bool found = false;
-        for (std::size_t f = 0; f < kSurrogateFeatures; ++f) {
-            double left_sum = 0.0;
-            for (std::size_t pos = 0; pos + 1 < n; ++pos) {
-                const std::size_t i = order[f][pos];
-                left_sum += resid[i];
-                const double v = x[i][f];
-                const double vn = x[order[f][pos + 1]][f];
-                if (v == vn)
-                    continue; // not a split boundary
-                const auto left_cnt = static_cast<double>(pos + 1);
-                const auto right_cnt = static_cast<double>(n - pos - 1);
-                const double right_sum = total - left_sum;
-                // Squared-error reduction of splitting here
-                // (constant terms cancel).
-                const double gain =
-                    left_sum * left_sum / left_cnt +
-                    right_sum * right_sum / right_cnt;
-                // Strict >: earlier (feature, threshold) wins ties.
-                if (!found || gain > best_gain) {
-                    found = true;
-                    best_gain = gain;
-                    best_f = f;
-                    best_thr = v + (vn - v) * 0.5;
-                    best_left = left_sum / left_cnt;
-                    best_right = right_sum / right_cnt;
-                }
+        for (std::size_t b = 0; b < bounds.size(); ++b) {
+            const double ls = left_sum[b];
+            const double rs = total - ls;
+            const double gain = ls * ls / bounds[b].left_cnt +
+                rs * rs / bounds[b].right_cnt;
+            if (b == 0 || gain > best_gain) {
+                best = b;
+                best_gain = gain;
             }
         }
-        if (!found || best_gain <= kMinGain)
+        if (best_gain <= kMinGain)
             break; // residuals are flat: converged
-        Stump s;
-        s.feature = best_f;
-        s.threshold = best_thr;
-        s.left = kLearningRate * best_left;
-        s.right = kLearningRate * best_right;
-        stumps_.push_back(s);
-        for (std::size_t i = 0; i < n; ++i)
-            resid[i] -= x[i][best_f] < best_thr ? s.left : s.right;
+        const Boundary &split = bounds[best];
+        const double ls = left_sum[best];
+        const double rs = total - ls;
+        const double step[2] = {kLearningRate * (rs / split.right_cnt),
+                                kLearningRate * (ls / split.left_cnt)};
+        feature_.push_back(split.feature);
+        threshold_.push_back(split.threshold);
+        left_.push_back(step[1]);
+        right_.push_back(step[0]);
+        const double *col = cols.data() + split.feature * n;
+        total = 0.0;
+#pragma GCC unroll 8
+        for (std::size_t i = 0; i < n; ++i) {
+            resid[i] -= step[col[i] < split.threshold];
+            total += resid[i];
+        }
     }
 }
 
@@ -114,22 +195,29 @@ double
 CostSurrogate::predict(const FeatureVec &x) const
 {
     double acc = base_;
-    for (const Stump &s : stumps_)
-        acc += x[s.feature] < s.threshold ? s.left : s.right;
+    for (std::size_t s = 0; s < feature_.size(); ++s)
+        acc += x[feature_[s]] < threshold_[s] ? left_[s] : right_[s];
     return acc;
 }
 
 std::vector<double>
 CostSurrogate::predictAll(const std::vector<FeatureVec> &xs) const
 {
-    // Stumps outer, candidates inner: each candidate still adds base_
-    // and then every stump in order, so out[i] == predict(xs[i]) bit
-    // for bit.
-    std::vector<double> out(xs.size(), base_);
-    for (const Stump &s : stumps_) {
-        for (std::size_t i = 0; i < xs.size(); ++i)
-            out[i] += xs[i][s.feature] < s.threshold ? s.left : s.right;
+    const std::size_t n = xs.size();
+    std::vector<double> out(n);
+    if (n == 0)
+        return out;
+    // Transposed once, so each stump streams one feature column.
+    std::vector<double> cols(kSurrogateFeatures * n);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t f = 0; f < kSurrogateFeatures; ++f)
+            cols[f * n + i] = xs[i][f];
     }
+    const simd::StumpTable table{base_,          feature_.size(),
+                                 feature_.data(), threshold_.data(),
+                                 left_.data(),   right_.data()};
+    simd::stumpPredict(simd::activeIsa(), table, cols.data(), n,
+                       out.data());
     return out;
 }
 
@@ -139,13 +227,13 @@ CostSurrogate::describe() const
     std::ostringstream os;
     os << "stumps base=";
     hexDouble(os, base_);
-    for (const Stump &s : stumps_) {
-        os << " [f" << s.feature << "<";
-        hexDouble(os, s.threshold);
+    for (std::size_t s = 0; s < feature_.size(); ++s) {
+        os << " [f" << feature_[s] << "<";
+        hexDouble(os, threshold_[s]);
         os << " ? ";
-        hexDouble(os, s.left);
+        hexDouble(os, left_[s]);
         os << " : ";
-        hexDouble(os, s.right);
+        hexDouble(os, right_[s]);
         os << ']';
     }
     return os.str();
@@ -155,15 +243,19 @@ CostSurrogate::describe() const
 
 namespace {
 
-/** Really evaluate @p idx, in order. */
+/** Really evaluate @p idx, in order. A non-finite cost would win or
+ *  lose every comparison below arbitrarily, so it is rejected. */
 std::vector<double>
 evalBatch(const std::vector<std::size_t> &idx,
           const std::function<double(std::size_t)> &real_cost)
 {
     std::vector<double> cost;
     cost.reserve(idx.size());
-    for (std::size_t i : idx)
+    for (std::size_t i : idx) {
         cost.push_back(real_cost(i));
+        MTIA_CHECK(std::isfinite(cost.back()))
+            << ": real cost of candidate " << i << " is " << cost.back();
+    }
     return cost;
 }
 
@@ -255,25 +347,37 @@ surrogateArgmin(std::size_t n,
         grid[i] = feature(i);
     const std::vector<double> pred_raw = model.predictAll(grid);
     r.predicted.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t i = 0; i < n; ++i) {
+        MTIA_CHECK(std::isfinite(pred_raw[i]))
+            << ": surrogate prediction of candidate " << i << " is "
+            << pred_raw[i];
         r.predicted[i] = std::sinh(pred_raw[i]);
+    }
     r.surrogate_evals = n;
 
-    // 4. Verify the top-k predicted candidates not already measured.
-    std::vector<std::size_t> rank(n);
-    std::iota(rank.begin(), rank.end(), std::size_t{0});
-    std::sort(rank.begin(), rank.end(),
-              [&](std::size_t a, std::size_t b) {
-                  if (pred_raw[a] != pred_raw[b])
-                      return pred_raw[a] < pred_raw[b];
-                  return a < b; // lowest index wins ties
-              });
+    // 4. Verify the top-k predicted candidates not already measured:
+    // the first top_k of the unmeasured candidates in (prediction,
+    // index) order. With finite predictions that is a total order, so
+    // a partial selection picks the set a full rank sort would. They
+    // are evaluated in index order.
     std::vector<std::size_t> verify;
-    verify.reserve(opts.top_k);
-    for (std::size_t i = 0; i < n && verify.size() < opts.top_k; ++i) {
-        const std::size_t c = rank[i];
-        if (!std::binary_search(seeds.begin(), seeds.end(), c))
-            verify.push_back(c);
+    verify.reserve(n - seeds.size());
+    for (std::size_t i = 0, si = 0; i < n; ++i) {
+        if (si < seeds.size() && seeds[si] == i)
+            ++si;
+        else
+            verify.push_back(i);
+    }
+    if (opts.top_k < verify.size()) {
+        const auto kth =
+            verify.begin() + static_cast<std::ptrdiff_t>(opts.top_k);
+        std::nth_element(verify.begin(), kth, verify.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             if (pred_raw[a] != pred_raw[b])
+                                 return pred_raw[a] < pred_raw[b];
+                             return a < b; // lowest index wins ties
+                         });
+        verify.erase(kth, verify.end());
     }
     std::sort(verify.begin(), verify.end());
     const std::vector<double> verify_cost = evalBatch(verify, real_cost);

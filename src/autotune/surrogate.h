@@ -31,6 +31,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -51,8 +52,10 @@ class CostSurrogate
 {
   public:
     /**
-     * Train from scratch on @p x / @p y (same length, nonempty).
-     * Calling fit again discards the previous model.
+     * Train from scratch on @p x / @p y (same length, nonempty, every
+     * feature and target finite: a NaN would break the sort order the
+     * split search relies on). Calling fit again discards the previous
+     * model.
      */
     void fit(const std::vector<FeatureVec> &x, const std::vector<double> &y);
 
@@ -60,7 +63,8 @@ class CostSurrogate
     double predict(const FeatureVec &x) const;
 
     /** predict() of every row of @p xs, bit-equal to calling it per
-     *  row, in one pass per stump. @pre fit() has run. */
+     *  row, through the active SIMD tier's stump kernel
+     *  (core/simd_stumps.h). @pre fit() has run. */
     std::vector<double> predictAll(const std::vector<FeatureVec> &xs) const;
 
     /**
@@ -70,16 +74,15 @@ class CostSurrogate
     std::string describe() const;
 
   private:
-    struct Stump
-    {
-        std::size_t feature = 0;
-        double threshold = 0.0;
-        double left = 0.0; ///< learning-rate-scaled response, x[f] < thr
-        double right = 0.0;
-    };
-
     double base_ = 0.0;
-    std::vector<Stump> stumps_;
+    // The stumps in fit order, as parallel arrays (the layout the
+    // batch predict kernel reads): stump s adds left_[s] when
+    // x[feature_[s]] < threshold_[s], else right_[s], both
+    // learning-rate scaled.
+    std::vector<std::uint32_t> feature_;
+    std::vector<double> threshold_;
+    std::vector<double> left_;
+    std::vector<double> right_;
 };
 
 /** Tuning-loop knobs. Defaults suit grids of a few hundred to a few
@@ -137,8 +140,9 @@ struct SurrogateSweepResult
  *  2. train a surrogate on warm-start + seed samples — targets in
  *     asinh space, so 1e18 penalty tiers don't drown the feasible
  *     region's resolution (monotone: ranking is unaffected),
- *  3. predict all n candidates and rank by (prediction, index),
- *  4. really evaluate the top-k not already measured,
+ *  3. predict all n candidates,
+ *  4. really evaluate the k candidates not already measured that
+ *     come first in (prediction, index) order,
  *  5. return the argmin of real cost over everything measured
  *     (lowest index wins ties).
  *
@@ -147,7 +151,10 @@ struct SurrogateSweepResult
  * in its own order, and no cost may depend on that order. When
  * n <= seed_count + top_k (no overflow: top_k may be SIZE_MAX), every
  * candidate is evaluated for real instead (the exhaustive path,
- * bit-identical to a plain sweep).
+ * bit-identical to a plain sweep). Real costs, warm-start rows and seed
+ * features must be finite: a non-finite real cost is a checked failure
+ * that names its candidate index, a non-finite training feature or
+ * warm cost one that names its training row.
  *
  * Every call feeds the autotune.{surrogate_evals,real_evals,
  * surrogate_mae} process-wide stats (autotune_stats.h).

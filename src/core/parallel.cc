@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "core/check.h"
+#include "core/simd.h"
 
 namespace mtia {
 
@@ -57,6 +58,8 @@ struct ThreadPool::Impl
     std::vector<std::thread> threads;
     // Published job: bumping the generation releases the workers.
     const std::function<void(unsigned)> *fn = nullptr;
+    // The caller's SIMD tier, which every shard of the job runs at.
+    simd::SimdIsa isa = simd::SimdIsa::Scalar;
     unsigned shards = 0;
     std::uint64_t generation = 0;
     unsigned remaining = 0;
@@ -78,9 +81,13 @@ struct ThreadPool::Impl
             if (my_shard >= shards)
                 continue; // not participating in this job
             const auto *job = fn;
+            const simd::SimdIsa job_isa = isa;
             lock.unlock();
             tls_in_parallel_region = true;
-            (*job)(my_shard);
+            {
+                const simd::ScopedIsa caller_tier(job_isa);
+                (*job)(my_shard);
+            }
             tls_in_parallel_region = false;
             lock.lock();
             if (--remaining == 0)
@@ -127,6 +134,7 @@ ThreadPool::run(unsigned shards, const std::function<void(unsigned)> &fn)
     {
         std::lock_guard<std::mutex> lock(impl_->mu);
         impl_->fn = &fn;
+        impl_->isa = simd::activeIsa();
         impl_->shards = shards;
         impl_->remaining = shards - 1;
         ++impl_->generation;

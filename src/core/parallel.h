@@ -78,8 +78,10 @@ class ThreadPool
     /**
      * Run @p fn(shard) for every shard in [0, shards), shard 0 on the
      * calling thread and shard s > 0 on worker s - 1, blocking until
-     * all complete. @pre shards <= workers() + 1. If any shard throws,
-     * the lowest-indexed exception is rethrown on the caller.
+     * all complete. Every shard runs at the caller's SIMD tier
+     * (simd::activeIsa(), including a ScopedIsa override). @pre shards
+     * <= workers() + 1. If any shard throws, the lowest-indexed
+     * exception is rethrown on the caller.
      */
     void run(unsigned shards, const std::function<void(unsigned)> &fn);
 

@@ -525,8 +525,9 @@ SimdIsa detectBestIsa();
  * Tier the GEMM and numerics kernels should use right now. Resolution order:
  * innermost thread-local ScopedIsa override, else the cached
  * `MTIA_SIMD_ISA` env override (checked against isaSupported), else
- * detectBestIsa(). Drivers resolve this on the calling thread before
- * fanning out, so pool workers inherit the caller's choice.
+ * detectBestIsa(). ThreadPool::run (core/parallel.h) resolves it on
+ * the calling thread and runs every worker shard under that tier, so
+ * pool workers inherit the caller's choice, a ScopedIsa included.
  */
 SimdIsa activeIsa();
 

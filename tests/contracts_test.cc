@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "autotune/coalescing_tuner.h"
 #include "autotune/sharding.h"
+#include "autotune/surrogate.h"
 #include "chip/device.h"
 #include "cluster/cluster_sim.h"
 #include "core/check.h"
@@ -447,6 +450,60 @@ TEST(ContractsAutotune, ShardingPlannerRejectsRuntimeBuffersFillingDram)
     EXPECT_THROW(planner.plan(1_GiB, dram + 1,
                               std::vector<bool>(64, false)),
                  CheckFailedError);
+}
+
+TEST(ContractsAutotune, SurrogateFitRejectsNonFiniteFeaturesAndTargets)
+{
+    ScopedCheckThrow guard;
+    std::vector<FeatureVec> x(4, FeatureVec{});
+    for (std::size_t i = 0; i < x.size(); ++i)
+        x[i][3] = static_cast<double>(i);
+    const std::vector<double> y = {1.0, 2.0, 3.0, 4.0};
+    CostSurrogate model;
+    EXPECT_NO_THROW(model.fit(x, y));
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+        std::vector<double> bad_y = y;
+        bad_y[2] = bad;
+        EXPECT_THROW(model.fit(x, bad_y), CheckFailedError);
+        std::vector<FeatureVec> bad_x = x;
+        bad_x[1][7] = bad;
+        EXPECT_THROW(model.fit(bad_x, y), CheckFailedError);
+    }
+}
+
+TEST(ContractsAutotune, SurrogateArgminRejectsNonFiniteRealCostByIndex)
+{
+    ScopedCheckThrow guard;
+    const auto feature = [](std::size_t i) {
+        FeatureVec f{};
+        f[0] = static_cast<double>(i);
+        return f;
+    };
+    // Index 0 is a seed, index 1 a verified candidate (the cost rises
+    // with the index, so the model ranks the low indices first), and
+    // top_k = n takes the exhaustive path.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const auto &[bad, value, n, top_k] :
+         {std::tuple{std::size_t{0}, nan, std::size_t{100}, std::size_t{8}},
+          std::tuple{std::size_t{1}, inf, std::size_t{100}, std::size_t{8}},
+          std::tuple{std::size_t{3}, nan, std::size_t{10}, std::size_t{10}}}) {
+        const auto cost = [&](std::size_t i) {
+            return i == bad ? value : static_cast<double>(i);
+        };
+        try {
+            (void)surrogateArgmin(n, feature, cost, {.top_k = top_k});
+            ADD_FAILURE() << "non-finite cost at " << bad << " accepted";
+        } catch (const CheckFailedError &err) {
+            const std::string what = err.what();
+            EXPECT_NE(what.find("real cost of candidate " +
+                                std::to_string(bad) + " is"),
+                      std::string::npos)
+                << what;
+        }
+    }
 }
 
 // -------------------------------------------------------------- graph

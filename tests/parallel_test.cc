@@ -7,12 +7,14 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/parallel.h"
+#include "core/simd.h"
 #include "sim/random.h"
 
 namespace mtia {
@@ -141,6 +143,28 @@ TEST(ParallelTest, PoolRunsEachShardOnItsOwnLane)
     std::set<std::thread::id> unique(ids.begin(), ids.end());
     EXPECT_EQ(unique.size(), 4u);
     EXPECT_EQ(ids[0], std::this_thread::get_id());
+}
+
+TEST(ParallelTest, WorkersInheritCallersScopedIsa)
+{
+    ScopedParallelism lanes(4);
+    std::vector<std::string> tier(8);
+    {
+        const simd::ScopedIsa forced(simd::SimdIsa::Scalar);
+        parallelFor(tier.size(), [&](std::size_t i) {
+            tier[i] = simd::isaName(simd::activeIsa());
+        });
+    }
+    for (std::size_t i = 0; i < tier.size(); ++i)
+        EXPECT_EQ(tier[i], "scalar") << "task " << i;
+    // The override ends with the job: the next one runs at the tier
+    // the caller now has.
+    const std::string caller = simd::isaName(simd::activeIsa());
+    parallelFor(tier.size(), [&](std::size_t i) {
+        tier[i] = simd::isaName(simd::activeIsa());
+    });
+    for (std::size_t i = 0; i < tier.size(); ++i)
+        EXPECT_EQ(tier[i], caller) << "task " << i;
 }
 
 TEST(RngForkTest, ForkIsPureAndDoesNotAdvanceParent)
