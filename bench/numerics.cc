@@ -12,7 +12,8 @@
  *   codec         4-way interleaved rANS (format v2) vs the scalar
  *                 single-state v1 stream, plus hash-chain vs greedy LZ;
  *                 also the MB/s of rANS v2 encode and decode, LZ
- *                 encode and decode, and SHA-256 (wall-clock rows)
+ *                 encode and decode, and SHA-256 (wall-clock rows),
+ *                 and LZ encode on incompressible FP16 weights
  *   gather        blocked, prefetched TBE row gather-accumulate vs
  *                 the scalar reference kernel
  *
@@ -132,6 +133,28 @@ makeConversionInput(std::size_t n, Rng &rng)
     for (std::size_t i = 0, k = 0; i < n; i += 1009, ++k)
         src[i] = specials[k % kSpecialCount];
     return src;
+}
+
+/** MB/s of LzCodec::compress on 1 MiB of FP16 weights, bytes LZ cannot
+ *  shrink, where the matcher's miss-run stride engages. The weights
+ *  come from their own Rng, so no other section's input moves. */
+double
+lzIncompressibleMbPerSec()
+{
+    Rng rng(31);
+    std::vector<float> w(std::size_t{1} << 19);
+    for (float &x : w)
+        x = static_cast<float>(rng.gaussian(0.0, 0.02));
+    std::vector<std::uint16_t> half(w.size());
+    convertBuffer(w.data(), half.data(), w.size(), DType::FP16);
+    ByteBuffer fp16(half.size() * 2);
+    std::memcpy(fp16.data(), half.data(), fp16.size());
+    ByteBuffer lz;
+    const Timed encode = bestOf([&] { lz = LzCodec::compress(fp16); },
+                                [&] { return fnv(lz.data(), lz.size()); });
+    MTIA_CHECK(LzCodec::decompress(lz) == fp16)
+        << ": LZ round trip on FP16 weights";
+    return encode.seconds > 0.0 ? 1.048576 / encode.seconds : 0.0;
 }
 
 } // namespace
@@ -438,5 +461,14 @@ main()
                                               // directly, so note here
     numerics::publishNumericsMetrics(metrics);
     report.attachTelemetry(&metrics);
+
+    // Runs after the counters are published, so its conversion and
+    // compress calls leave the golden's counters as they were.
+    const double lz_incompressible = lzIncompressibleMbPerSec();
+    bench::section("LZ encode on incompressible bytes (1 MiB FP16)");
+    bench::row("lz_encode_incompressible MB/sec", "-",
+               bench::fmt("%.1f", lz_incompressible));
+    report.wallClock("lz_encode_incompressible_mb_s", lz_incompressible,
+                     "MB/s");
     return 0;
 }

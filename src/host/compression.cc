@@ -330,6 +330,11 @@ constexpr std::size_t kMaxOffset = 65535;
 constexpr std::size_t kHashBits = 16;
 constexpr std::size_t kChainMask = 65535; // position ring == window
 constexpr int kMaxChainWalk = 32;         // candidates tried per pos
+// After a failed search the matcher steps 1 + (misses >> kSkipTrigger)
+// positions, capped at kMaxStride, where misses counts the failed
+// searches since the last match (LZ4's acceleration rule).
+constexpr unsigned kSkipTrigger = 8;
+constexpr std::size_t kMaxStride = 16;
 
 std::uint32_t
 load32(const std::uint8_t *p)
@@ -530,6 +535,7 @@ LzCodec::compress(const ByteBuffer &input)
     };
 
     std::size_t anchor = 0; // start of the pending literal run
+    std::size_t misses = 0; // failed searches since the last match
     std::size_t i = 0;
     while (i + kMinMatch <= n) {
         std::size_t best_len = 0;
@@ -567,9 +573,13 @@ LzCodec::compress(const ByteBuffer &input)
                 link(j, head[hashWord(load32(data + j))]);
             i += best_len;
             anchor = i;
+            misses = 0;
         } else {
+            // Bytes that keep failing to match are skipped ever faster,
+            // so incompressible input costs a fraction of a search per
+            // byte; the skipped positions are never linked.
             link(i, bucket);
-            ++i;
+            i += std::min(1 + (misses++ >> kSkipTrigger), kMaxStride);
         }
     }
     // Trailing literals with no match.

@@ -65,7 +65,12 @@ class RansCodec
  * LZ4-flavoured LZ77 codec matching against a 64 KiB window with
  * token/extension encoding. Fast-path analog of the GZIP engine.
  * compress() finds matches with a hash-chain matcher (bounded
- * candidate walk per position); compressGreedy() is the seed
+ * candidate walk per position). After a failed search it steps
+ * 1 + misses / 256 positions, at most 16, where misses counts the
+ * failed searches since the last match: incompressible input (FP16
+ * weights, wide-spectrum INT8) is skipped through at a fraction of a
+ * search per byte, while input with a match every few hundred bytes
+ * is searched at every position. compressGreedy() is the seed
  * single-entry-hash greedy matcher kept as the reference. Both emit
  * the same stream format and decompress() reads either.
  */

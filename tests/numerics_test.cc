@@ -547,7 +547,12 @@ TEST(NumericsCodec, LzHashChainMatchesGreedySemantics)
         const ByteBuffer greedy = LzCodec::compressGreedy(p);
         EXPECT_EQ(LzCodec::decompress(chain), p) << p.size();
         EXPECT_EQ(LzCodec::decompress(greedy), p) << p.size();
-        // The chain matcher searches strictly more candidates.
+        // The stride engages only after 256 failed searches in a row.
+        // Matches on the repetitive and overlapping payloads come far
+        // sooner, so there the stride never engages and the matcher
+        // still searches every position, over more candidates than
+        // greedy's one; on the random payload neither finds a match and
+        // both write the all-literal stream.
         EXPECT_LE(chain.size(), greedy.size()) << p.size();
     }
 }
@@ -614,26 +619,30 @@ pinnedCodecInput(int kind, std::size_t n)
 TEST(NumericsCodec, StreamBytesArePinned)
 {
     // One SHA-256 per (input kind, stream) over every size's stream,
-    // each prefixed by its length. The digests were recorded from the
-    // byte-at-a-time codecs (rANS with per-symbol division, LZ with a
-    // byte compare loop), so a fast path that changes any stream byte
-    // fails here. The digests are taken on the scalar tier, so this
-    // test does not depend on the SHA-NI path either.
+    // each prefixed by its length. The rANS and greedy LZ digests were
+    // recorded from the byte-at-a-time codecs (rANS with per-symbol
+    // division, LZ with a byte compare loop), so a fast path that
+    // changes any stream byte fails here. The LZ chain digests (column
+    // 2) were recorded from the matcher with its miss-run stride: the
+    // stride changed kinds 0, 1, 2 and 5, and kinds 3 and 4 kept the
+    // digests of the matcher that searched every position. The digests
+    // are taken on the scalar tier, so this test does not depend on the
+    // SHA-NI path either.
     static constexpr std::size_t kSizes[] = {0,     1,     3,     4,
                                              5,     63,    64,    65,
                                              65535, 65536, 65537, 524288};
     static constexpr const char *kPinned[6][4] = {
         {"34e7203bf72f099d2c6ac6540ca2de61e2fd5d4d1a7144c36e41df9c7470de69",
          "26c62197d0b123dc5e861d87a2df35efa87986c87e6611b20ec31e6a4c682c6d",
-         "46acf8893a1ac990de86bce1a8b16f324cf34fa76f127277da8fc4f921a3710a",
+         "e28a37bb5512df9219b1d02fba2fa3c8a9543d98ea1bc3b83cd9d3c6ae96a075",
          "48ca76223a9bbcc14c543284d607e4d5a34a643783d585ba58f2b028c88242ce"},
         {"8e023e8cd5936fbbe2b0e4099bc449f9189c68a4de849cb926d168770069faa4",
          "7071a10517983acd9eee5de1a04e873b93e51cba64492583e6d60e76cf67ba3b",
-         "0d7fd28f5da25c3fa4d6f9f0fcd951c8e7f69e9d21f947ab086c1c8aeb55c0df",
+         "6758069140b81f2bd5e73a86c0fb06db3345d17d7afff11b624b9c48e4d606bb",
          "f9a15fc29b212cb271378bb70355e5fa565c72d61095613ac6ebeb480d22b295"},
         {"0a555c6cab83fabfc59218c084ed2fdf59a138573488a458547a61be15d4c32f",
          "0dfeef7919b39185e8c411a739c4e493c42a9ee705dd3c1f7d82bd7fbca48684",
-         "1b9fd33d9c55506e7109a9911f36ce0bf62aacf421dde5e156351a54950e3e5f",
+         "69921a440078e9842f34b61b92cd7ea554c15851c8b8d7bf2efd77211aa5d413",
          "ad4fd1087fc73a5761c8c5ecb52bd5f1b489869ef6e9868c92e0e92e56e4e541"},
         {"4aad5cfce2ec14f1a9653061d86583a88039ff67a6d22411922a1df382e5dd64",
          "ab9084e45f5067dfda5df4c94bf3d5895b56e632e9d48643e926da2a2fca0201",
@@ -645,7 +654,7 @@ TEST(NumericsCodec, StreamBytesArePinned)
          "55ace9c208a286674774e3e9b784f3a4c10c0b2d62059ce09ba79f2994d4fe38"},
         {"278bcce7aefca10485296433db3d24844c8fd7c459b2a4efa03984daa2dc5fe8",
          "0e875ff22e93d26ca98263fd7d9582ce33b141d4335a56a022bded1fdea419fd",
-         "7551cc8315e89cccb4cc6600e2912eb6179cd6121e856a41bd969c1cacfd6e01",
+         "c7b2b0bcee8d977c14d0f692a5eca1b79a9d7a055e48c98de91ba507f16c3cd3",
          "5fc4e995ce44ea354e3ba37dbc9420f18e88eb842c9d7e093bf3cced4d8dd7a6"},
     };
     for (int kind = 0; kind < 6; ++kind) {
@@ -675,6 +684,58 @@ TEST(NumericsCodec, StreamBytesArePinned)
                 << "kind " << kind << " stream " << s
                 << " (0 rANS v2, 1 rANS v1, 2 LZ chain, 3 LZ greedy)";
         }
+    }
+}
+
+TEST(NumericsCodec, LzChainRatioHoldsOnEveryKindAndMixedInputs)
+{
+    // The chain matcher may skip ahead through a long run of failed
+    // searches. This guards what that costs: each stream below may be
+    // at most the size the matcher wrote when it searched every
+    // position (recorded constants), plus 0.05% of the input for the
+    // six pinned kinds and 0.1% for the mixes of random and repetitive
+    // bytes, where the skip must wind down at the boundary.
+    constexpr std::size_t kBytes = 512 * 1024;
+    static constexpr std::size_t kKindBytes[6] = {374550, 526326, 526227,
+                                                  263864, 2065,   526345};
+    for (int kind = 0; kind < 6; ++kind) {
+        const ByteBuffer in = pinnedCodecInput(kind, kBytes);
+        const ByteBuffer lz = LzCodec::compress(in);
+        EXPECT_EQ(LzCodec::decompress(lz), in) << "kind " << kind;
+        EXPECT_LE(lz.size(), kKindBytes[kind] + kBytes * 5 / 10000)
+            << "kind " << kind;
+    }
+
+    // Mixes of two 256 KiB halves: uniform random bytes and the
+    // (i % 96) * 5 pattern with 1% of its bytes flipped.
+    constexpr std::size_t kHalf = kBytes / 2;
+    Rng rng(4111);
+    ByteBuffer random(kHalf), pattern(kHalf);
+    for (auto &b : random)
+        b = static_cast<std::uint8_t>(rng.below(256));
+    for (std::size_t i = 0; i < kHalf; ++i) {
+        pattern[i] = static_cast<std::uint8_t>((i % 96) * 5);
+        if (rng.chance(0.01))
+            pattern[i] ^= 0xff;
+    }
+    ByteBuffer mixes[3];
+    mixes[0] = random; // random, then repetitive
+    mixes[0].insert(mixes[0].end(), pattern.begin(), pattern.end());
+    mixes[1] = pattern; // repetitive, then random
+    mixes[1].insert(mixes[1].end(), random.begin(), random.end());
+    constexpr std::size_t kPiece = 4096; // 64 pieces of each, alternating
+    for (std::size_t off = 0; off < kHalf; off += kPiece) {
+        mixes[2].insert(mixes[2].end(), random.begin() + off,
+                        random.begin() + off + kPiece);
+        mixes[2].insert(mixes[2].end(), pattern.begin() + off,
+                        pattern.begin() + off + kPiece);
+    }
+    static constexpr std::size_t kMixBytes[3] = {274757, 274758, 275872};
+    for (int m = 0; m < 3; ++m) {
+        ASSERT_EQ(mixes[m].size(), kBytes);
+        const ByteBuffer lz = LzCodec::compress(mixes[m]);
+        EXPECT_EQ(LzCodec::decompress(lz), mixes[m]) << "mix " << m;
+        EXPECT_LE(lz.size(), kMixBytes[m] + kBytes / 1000) << "mix " << m;
     }
 }
 
