@@ -62,6 +62,8 @@ LookupTable::LookupTable(std::function<float(float)> fn, float lo,
 float
 LookupTable::evaluate(float x) const
 {
+    if (std::isnan(x))
+        return x; // no table position to read: NaN out, as the exact path
     if (x <= lo_)
         return table_.front();
     if (x >= hi_)

@@ -54,7 +54,8 @@ class LookupTable
     LookupTable(std::function<float(float)> fn, float lo, float hi,
                 unsigned entries);
 
-    /** Evaluate via table lookup + linear interpolation. */
+    /** Evaluate via table lookup + linear interpolation; inputs
+     *  outside [lo, hi] take the end entries and a NaN passes through. */
     float evaluate(float x) const;
 
     /** Table memory footprint in bytes (fp32 entries). */

@@ -14,10 +14,7 @@
  * viewers group and label the rows.
  *
  * Cost model: every recording entry point checks a single bool first,
- * so a disabled recorder costs one predictable branch; the
- * MTIA_TRACE_* macros additionally compile to nothing when the build
- * sets MTIA_TRACING_ENABLED=0 (CMake option MTIA_TRACING=OFF), making
- * instrumented hot paths zero-cost.
+ * so a disabled recorder costs one predictable branch.
  */
 
 #include <cstdint>
@@ -123,36 +120,5 @@ class TraceRecorder
 };
 
 } // namespace mtia::telemetry
-
-/**
- * Compile-time tracing switch: build with MTIA_TRACING_ENABLED=0 (CMake
- * -DMTIA_TRACING=OFF) and the MTIA_TRACE_* macros vanish entirely.
- * Each macro takes a TraceRecorder* that may be null.
- */
-#ifndef MTIA_TRACING_ENABLED
-#define MTIA_TRACING_ENABLED 1
-#endif
-
-#if MTIA_TRACING_ENABLED
-#define MTIA_TRACE_COMPLETE(rec, track, name, cat, start, end) \
-    do { \
-        if ((rec) != nullptr && (rec)->enabled()) \
-            (rec)->complete((track), (name), (cat), (start), (end)); \
-    } while (false)
-#define MTIA_TRACE_INSTANT(rec, track, name, cat, ts) \
-    do { \
-        if ((rec) != nullptr && (rec)->enabled()) \
-            (rec)->instant((track), (name), (cat), (ts)); \
-    } while (false)
-#define MTIA_TRACE_COUNTER(rec, track, name, ts, value) \
-    do { \
-        if ((rec) != nullptr && (rec)->enabled()) \
-            (rec)->counter((track), (name), (ts), (value)); \
-    } while (false)
-#else
-#define MTIA_TRACE_COMPLETE(rec, track, name, cat, start, end) ((void)0)
-#define MTIA_TRACE_INSTANT(rec, track, name, cat, ts) ((void)0)
-#define MTIA_TRACE_COUNTER(rec, track, name, ts, value) ((void)0)
-#endif
 
 #endif // MTIA_TELEMETRY_TRACE_H_

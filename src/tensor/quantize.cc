@@ -258,7 +258,7 @@ quantizeStatic(const Tensor &weights, double saturate_percentile)
     float amax = absMaxRange(f, n, vec128);
     MTIA_CHECK(std::isfinite(amax))
         << ": quantizeStatic input holds an inf or a NaN";
-    if (saturate_percentile < 100.0) {
+    if (saturate_percentile < 100.0 && n > 0) {
         std::vector<float> mags(f, f + n);
         for (float &v : mags)
             v = std::abs(v);

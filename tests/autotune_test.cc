@@ -8,9 +8,10 @@
  * surrogate-guided explore -> predict -> verify loop: batch vs
  * per-row prediction, monotone-feature sanity, warm-start
  * equivalence, held-out accuracy, the exhaustive fallback a full
- * verify budget (top_k = grid size) takes, fit and batch predict
- * against the direct reference (reference_surrogate.h) on every SIMD
- * tier, and a digest pin of tuneSurrogate over the Figure 6 FC shapes.
+ * verify budget (top_k = grid size) takes, and a digest pin of
+ * tuneSurrogate over the Figure 6 FC shapes. The fit and batch predict
+ * against the direct reference on every SIMD tier is a row of
+ * conformance_test.cc.
  */
 
 #include <gtest/gtest.h>
@@ -33,11 +34,9 @@
 #include "autotune/perf_database.h"
 #include "autotune/sharding.h"
 #include "autotune/surrogate.h"
-#include "core/simd.h"
 #include "host/sha256.h"
 #include "models/model_zoo.h"
 #include "ops/dense_ops.h"
-#include "reference_surrogate.h"
 #include "sim/random.h"
 
 namespace mtia {
@@ -619,137 +618,7 @@ TEST_F(KernelTunerTest, WarmStartFromDatabaseEqualsManualWarmSamples)
     EXPECT_EQ(via_db.loop.mae, raw.mae);
 }
 
-// ------------------------------------- surrogate differential and pin
-
-/** A training set for the differential test. */
-struct TrainingSet
-{
-    std::vector<FeatureVec> x;
-    std::vector<double> y;
-};
-
-/**
- * n rows whose columns are each constant, binary, ordinal {0,1,2},
- * continuous, or drawn from a three-value pool holding both zeros;
- * with warm rows, a prefix of rows carries other shape columns (0..2)
- * while the rest share one shape, as tuneSurrogate's warm start
- * gives. Targets are asinh'd costs with 1e18 penalties, raw costs
- * with raw 1e18 penalties, a constant, a few repeated values, or a
- * smooth function of the features.
- */
-TrainingSet
-randomTrainingSet(Rng &rng, std::size_t n)
-{
-    TrainingSet t;
-    t.x.assign(n, FeatureVec{});
-    for (std::size_t f = 0; f < kSurrogateFeatures; ++f) {
-        const std::uint64_t mode = rng.below(5);
-        const double c = static_cast<double>(rng.range(-2, 12));
-        const double pool[3] = {-0.0, 0.0, rng.uniform(-3.0, 3.0)};
-        for (std::size_t i = 0; i < n; ++i) {
-            double v = c;
-            if (mode == 1)
-                v = static_cast<double>(rng.below(2));
-            else if (mode == 2)
-                v = static_cast<double>(rng.below(3));
-            else if (mode == 3)
-                v = rng.uniform(-4.0, 12.0);
-            else if (mode == 4)
-                v = pool[rng.below(3)];
-            t.x[i][f] = v;
-        }
-    }
-    if (rng.chance(0.5)) {
-        const std::size_t warm = rng.below(std::min<std::size_t>(n, 9));
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t f = 0; f < 3; ++f) {
-                t.x[i][f] = i < warm
-                    ? static_cast<double>(rng.range(4, 14))
-                    : static_cast<double>(f + 8);
-            }
-        }
-    }
-    const std::uint64_t target = rng.below(5);
-    const double constant = rng.uniform(-50.0, 50.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const double cost = rng.chance(0.3) ? 1e18 : rng.uniform(1e5, 1e8);
-        double v = constant;
-        if (target == 0)
-            v = std::asinh(cost);
-        else if (target == 1)
-            v = cost;
-        else if (target == 3)
-            v = static_cast<double>(rng.below(4)) * 2.5;
-        else if (target == 4)
-            v = 3.0 * t.x[i][3] - t.x[i][5] * t.x[i][5] +
-                rng.uniform(-0.1, 0.1);
-        t.y.push_back(v);
-    }
-    return t;
-}
-
-/** Prediction rows: training rows, per-column mixes of training
- *  values and of threshold-style midpoints between two of them, and
- *  fresh random rows. */
-std::vector<FeatureVec>
-predictionGrid(Rng &rng, const TrainingSet &t, std::size_t rows)
-{
-    std::vector<FeatureVec> grid;
-    for (std::size_t r = 0; r < rows; ++r) {
-        FeatureVec g{};
-        const std::uint64_t kind = rng.below(3);
-        if (kind == 0) {
-            g = t.x[rng.below(t.x.size())];
-        } else {
-            for (std::size_t f = 0; f < kSurrogateFeatures; ++f) {
-                const double a = t.x[rng.below(t.x.size())][f];
-                const double b = t.x[rng.below(t.x.size())][f];
-                g[f] = kind == 1 ? (rng.chance(0.5) ? a : a + (b - a) * 0.5)
-                                 : rng.uniform(-5.0, 15.0);
-            }
-        }
-        grid.push_back(g);
-    }
-    return grid;
-}
-
-TEST(SurrogateTest, FitAndPredictAllMatchTheReferenceOnEveryTier)
-{
-    Rng rng(2811);
-    for (std::size_t trial = 0; trial < 640; ++trial) {
-        const std::size_t n = 1 + trial % 64;
-        const TrainingSet t = randomTrainingSet(rng, n);
-        CostSurrogate model;
-        model.fit(t.x, t.y);
-        reference::CostSurrogate ref;
-        ref.fit(t.x, t.y);
-        ASSERT_EQ(model.describe(), ref.describe()) << "trial " << trial;
-
-        const std::size_t rows =
-            trial % 7 == 0 ? 288 : 1 + rng.below(80);
-        const std::vector<FeatureVec> grid = predictionGrid(rng, t, rows);
-        for (simd::SimdIsa isa :
-             {simd::SimdIsa::Scalar, simd::SimdIsa::Sse2,
-              simd::SimdIsa::Avx2, simd::SimdIsa::Avx512,
-              simd::SimdIsa::Neon}) {
-            if (!simd::isaSupported(isa))
-                continue;
-            const simd::ScopedIsa tier(isa);
-            const std::vector<double> all = model.predictAll(grid);
-            ASSERT_EQ(all.size(), grid.size());
-            for (std::size_t i = 0; i < grid.size(); ++i) {
-                const double want = ref.predict(grid[i]);
-                ASSERT_EQ(std::bit_cast<std::uint64_t>(all[i]),
-                          std::bit_cast<std::uint64_t>(want))
-                    << "trial " << trial << " row " << i << " tier "
-                    << simd::isaName(isa);
-                ASSERT_EQ(std::bit_cast<std::uint64_t>(
-                              model.predict(grid[i])),
-                          std::bit_cast<std::uint64_t>(want));
-            }
-        }
-    }
-}
+// ------------------------------------------------------ surrogate pin
 
 /** Every field of a tuneSurrogate result, bit for bit, into @p sha. */
 void

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "copy_executor.h"
 #include "graph/executor.h"
 #include "graph/fusion.h"
 #include "graph/graph.h"
@@ -304,39 +303,6 @@ TEST(ExecutorOwnership, BoundInputsAreNeverMovedFrom)
     EXPECT_EQ(r.outputs.at(lone).raw(), y.raw());
     for (std::int64_t i = 0; i < t.x.numel(); ++i)
         EXPECT_EQ(r.outputs.at(t.relu).at(i), t.relued(i));
-}
-
-TEST(ExecutorOwnership, ZooModelMatchesCopySemantics)
-{
-    RankingModelParams p;
-    p.batch = 16;
-    p.dense_features = 32;
-    p.bottom_mlp = {32, 16};
-    p.tbe.tables = 2;
-    p.tbe.rows_per_table = 1024;
-    p.tbe.dim = 16;
-    p.tbe_pooling = 4;
-    p.top_mlp = {32, 1};
-    p.dhen_layers = 2;
-    p.dhen_width = 64;
-    p.mha_blocks = 1;
-    p.mha_seq = 4;
-    p.mha_dim = 16;
-    ModelInfo as_built = buildRankingModel(p);
-    ModelInfo optimized = buildRankingModel(p);
-    EXPECT_GT(optimizeGraph(optimized.graph), 0);
-
-    for (const Graph *g : {&as_built.graph, &optimized.graph}) {
-        const CopySemanticsRun ref = runWithInputCopies(*g, 42);
-        const ExecutionResult r = Executor(42).run(*g);
-        EXPECT_GT(ref.movable_input_bytes, 0u);
-        EXPECT_EQ(r.peak_bytes, ref.result.peak_bytes);
-        ASSERT_EQ(r.outputs.size(), ref.result.outputs.size());
-        for (const auto &[id, t] : ref.result.outputs) {
-            EXPECT_EQ(r.outputs.at(id).shape(), t.shape());
-            EXPECT_EQ(r.outputs.at(id).raw(), t.raw()) << "output " << id;
-        }
-    }
 }
 
 TEST(LivenessTest, ChainFreesAsItGoes)

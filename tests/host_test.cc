@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "core/simd.h"
 #include "host/compression.h"
 #include "host/control_core.h"
 #include "host/pcie.h"
@@ -184,100 +183,6 @@ TEST(Lz, RandomInputDoesNotExplode)
     for (auto &b : data)
         b = static_cast<std::uint8_t>(rng.below(256));
     EXPECT_LT(LzCodec::ratio(data), 1.1);
-}
-
-/** Runs @p body under every SIMD tier this machine supports, scalar
- *  first: Sha256 runs SHA-NI on every tier but Scalar when the CPU has
- *  it, so each body checks both paths. */
-template <typename Fn>
-void
-forEachTier(Fn &&body)
-{
-    for (const simd::SimdIsa isa :
-         {simd::SimdIsa::Scalar, simd::SimdIsa::Sse2, simd::SimdIsa::Neon,
-          simd::SimdIsa::Avx2, simd::SimdIsa::Avx512}) {
-        if (!simd::isaSupported(isa))
-            continue;
-        SCOPED_TRACE(simd::isaName(isa));
-        const simd::ScopedIsa scope(isa);
-        body();
-    }
-}
-
-TEST(Sha, FipsVectors)
-{
-    forEachTier([] {
-        EXPECT_EQ(Sha256::hex(Sha256::hash(std::string(""))),
-                  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca49599"
-                  "1b7852b855");
-        EXPECT_EQ(Sha256::hex(Sha256::hash(std::string("abc"))),
-                  "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff"
-                  "61f20015ad");
-        EXPECT_EQ(Sha256::hex(Sha256::hash(std::string(
-                      "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnop"
-                      "nopq"))),
-                  "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6eced"
-                  "d419db06c1");
-        // One million 'a' characters.
-        Sha256 h;
-        const std::string chunk(1000, 'a');
-        for (int i = 0; i < 1000; ++i)
-            h.update(chunk);
-        EXPECT_EQ(Sha256::hex(h.finish()),
-                  "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39"
-                  "ccc7112cd0");
-    });
-}
-
-TEST(Sha, IncrementalMatchesOneShot)
-{
-    forEachTier([] {
-        Rng rng(77);
-        std::vector<std::uint8_t> data(100000);
-        for (auto &b : data)
-            b = static_cast<std::uint8_t>(rng.below(256));
-        Sha256 inc;
-        std::size_t pos = 0;
-        while (pos < data.size()) {
-            const std::size_t take = std::min<std::size_t>(
-                1 + rng.below(999), data.size() - pos);
-            inc.update(data.data() + pos, take);
-            pos += take;
-        }
-        EXPECT_EQ(inc.finish(), Sha256::hash(data));
-    });
-}
-
-TEST(Sha, ActiveTierMatchesPortableRoundLoop)
-{
-    // Every length 0..300 (each padding case: tails of 0..63 bytes,
-    // 55/56/64 at the length-field boundary) and 1 MiB, in one shot
-    // and in ragged update() chunks, against the portable round loop.
-    Rng rng(81);
-    std::vector<std::size_t> lengths(301);
-    for (std::size_t n = 0; n < lengths.size(); ++n)
-        lengths[n] = n;
-    lengths.push_back(std::size_t{1} << 20);
-    for (const std::size_t n : lengths) {
-        std::vector<std::uint8_t> data(n);
-        for (auto &b : data)
-            b = static_cast<std::uint8_t>(rng.below(256));
-        Sha256Digest ref;
-        {
-            const simd::ScopedIsa scalar(simd::SimdIsa::Scalar);
-            ref = Sha256::hash(data);
-        }
-        EXPECT_EQ(Sha256::hash(data), ref) << n;
-        for (const std::size_t chunk : {1, 63, 64, 65, 1000}) {
-            Sha256 inc;
-            for (std::size_t pos = 0; pos < n; pos += chunk)
-                inc.update(data.data() + pos, std::min(chunk, n - pos));
-            EXPECT_EQ(inc.finish(), ref) << n << " in chunks of " << chunk;
-        }
-    }
-    if (!Sha256::usesShaNi())
-        GTEST_SKIP() << "SHA-NI not in use (CPU, binary or a Scalar "
-                        "tier): only the portable round loop ran";
 }
 
 TEST(Sha, SingleBitChangeChangesDigest)

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/parallel.h"
 #include "graph/executor.h"
 #include "graph/fusion.h"
 #include "graph/graph_cost.h"
@@ -15,7 +14,6 @@
 #include "models/llm.h"
 #include "models/model_zoo.h"
 #include "models/workload.h"
-#include "host/sha256.h"
 
 namespace mtia {
 namespace {
@@ -190,67 +188,6 @@ TEST(Workload, DiurnalModulationChangesWindowRates)
         first += r.arrival < fromSeconds(5.0);
     EXPECT_GT(static_cast<double>(first),
               0.55 * static_cast<double>(trace.size()));
-}
-
-/**
- * The DHEN functional model: batch 192, 8 x 64K x 64 FP16 tables, two
- * DHEN layers, vertical FC+activation fusion applied.
- */
-ModelInfo
-dhenFunctionalModel()
-{
-    RankingModelParams p;
-    p.name = "dhen-functional";
-    p.batch = 192;
-    p.tbe.tables = 8;
-    p.tbe.rows_per_table = 64 * 1024;
-    p.tbe.dim = 64;
-    p.dhen_layers = 2;
-    ModelInfo m = buildRankingModel(p);
-    fuseVerticalFcActivation(m.graph);
-    return m;
-}
-
-/** SHA-256 of every output's raw bytes, in node-id order. */
-std::string
-outputDigest(const ExecutionResult &r)
-{
-    Sha256 h;
-    for (const auto &[id, t] : r.outputs)
-        h.update(t.raw());
-    return Sha256::hex(h.finish());
-}
-
-/**
- * Executor::run output digests of the DHEN functional model for
- * executor seeds 1, 2 and 3. Every SIMD tier and lane count must
- * reproduce them byte for byte.
- */
-constexpr const char *kDhenDigests[] = {
-    "dede8f3bc0cacc9e15a704cd4a8ff9289a3b50323622899bb47e79632568ad7d",
-    "dfda6ed78fb8f0149aeb00f999d27ef5b26e14a65c6e2d2604f5dbfe3b941704",
-    "b8ceb7ec382465a4500fceea7ba879488cb6583408574fd2bfc3ee577d79ea0d",
-};
-
-void
-expectPinnedDhenDigests(unsigned lanes)
-{
-    const ScopedParallelism scoped(lanes);
-    const ModelInfo m = dhenFunctionalModel();
-    for (std::uint64_t seed = 1; seed <= 3; ++seed)
-        EXPECT_EQ(outputDigest(Executor(seed).run(m.graph)),
-                  kDhenDigests[seed - 1])
-            << "executor seed " << seed << ", " << lanes << " lane(s)";
-}
-
-TEST(ExecutorGolden, DhenDigestsOneLane)
-{
-    expectPinnedDhenDigests(1);
-}
-
-TEST(ExecutorGolden, DhenDigestsTwoLanes)
-{
-    expectPinnedDhenDigests(2);
 }
 
 } // namespace

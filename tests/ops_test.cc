@@ -3,7 +3,8 @@
  * Tests for the operator library: functional correctness of dense,
  * sparse, and attention ops, and the cost-model behaviours the
  * co-design story depends on (fusion savings, TBE hit rates, MHA
- * custom transpose).
+ * custom transpose), and the GEMM drivers' flop counter and degenerate
+ * shapes.
  */
 
 #include <gtest/gtest.h>
@@ -21,9 +22,13 @@
 #include "chip/device.h"
 #include "chip/kernel_cost_model.h"
 #include "core/check.h"
+#include "core/numerics_stats.h"
+#include "core/simd_gemm.h"
+#include "ops/gemm_kernels.h"
 #include "ops/attention_ops.h"
 #include "ops/dense_ops.h"
 #include "ops/sparse_ops.h"
+#include "telemetry/metrics.h"
 
 namespace mtia {
 namespace {
@@ -351,6 +356,41 @@ TEST_F(OpsTest, FusedTransposeFcMatchesUnfusedPipeline)
     CostContext cc;
     const Tick fused_t = fused.cost(km_, cc).total;
     EXPECT_GT(fused_t, 0u);
+}
+
+// ------------------------------------------------------------- GEMM
+
+TEST(GemmKernelsTest, GemmFlopsCounterTracksWork)
+{
+    numerics::resetStats();
+    Rng rng(107);
+    Tensor a(Shape{12, 34}, DType::FP32);
+    Tensor b(Shape{34, 56}, DType::FP32);
+    a.fillGaussian(rng);
+    b.fillGaussian(rng);
+    (void)gemm_kernels::gemm(a, b, DType::FP32);
+    EXPECT_EQ(numerics::gemmFlops(), 2ull * 12 * 34 * 56);
+    (void)gemm_kernels::fusedGemmActivation(
+        a, b, DType::FP32, Nonlinearity::Relu, /*use_lut=*/true);
+    EXPECT_EQ(numerics::gemmFlops(), 2ull * 2ull * 12 * 34 * 56);
+
+    telemetry::MetricRegistry metrics;
+    numerics::publishNumericsMetrics(metrics);
+    EXPECT_EQ(metrics.counter("numerics.gemm_flops").value(),
+              2ull * 2ull * 12 * 34 * 56);
+}
+
+TEST(GemmKernelsTest, RawPointerGemmHandlesDegenerateShapes)
+{
+    // m == 0 / n == 0 are no-ops; k == 0 zero-fills C.
+    std::vector<float> c(6, 42.0f);
+    simd::gemmF32(nullptr, nullptr, c.data(), 0, 3, 4,
+                  simd::SimdIsa::Scalar, simd::GemmBlocking{});
+    EXPECT_EQ(c[0], 42.0f);
+    simd::gemmF32(nullptr, nullptr, c.data(), 2, 3, 0,
+                  simd::SimdIsa::Scalar, simd::GemmBlocking{});
+    for (const float v : c)
+        EXPECT_EQ(v, 0.0f);
 }
 
 } // namespace

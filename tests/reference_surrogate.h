@@ -11,11 +11,12 @@
  * base then every stump in order. The production versions in
  * autotune/surrogate.cc and core/simd_stumps.cc must return exactly
  * what these return: the same describe() text and the same prediction
- * bits.
+ * bits, and reject the same samples.
  */
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <numeric>
 #include <sstream>
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "autotune/surrogate.h"
+#include "core/check.h"
 
 namespace mtia::reference {
 
@@ -36,6 +38,14 @@ class CostSurrogate
         constexpr double kLearningRate = 0.25;
         constexpr double kMinGain = 1e-12;
 
+        // The production fit's contract: a non-empty sample of finite
+        // features and targets.
+        MTIA_CHECK(!x.empty() && x.size() == y.size());
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            MTIA_CHECK(std::isfinite(y[i]));
+            for (const double v : x[i])
+                MTIA_CHECK(std::isfinite(v));
+        }
         stumps_.clear();
         const std::size_t n = x.size();
         base_ = std::accumulate(y.begin(), y.end(), 0.0) /

@@ -11,8 +11,6 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <queue>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -494,185 +492,6 @@ TEST(EventQueue, NextEventTickSeesRunAndHeap)
     EXPECT_EQ(q.nextEventTick(), 7u);
     q.runUntil(7);
     EXPECT_EQ(q.nextEventTick(), 2048u);
-}
-
-/**
- * Reference for the differential test: the textbook (when, seq) queue,
- * one std::priority_queue with the EventQueue interface the test uses.
- */
-class ReferenceQueue
-{
-  public:
-    using Callback = std::function<void()>;
-
-    Tick now() const { return now_; }
-    std::size_t pending() const { return heap_.size(); }
-    void schedule(Tick when, Callback cb)
-    {
-        heap_.push(Entry{when, seq_++, std::move(cb)});
-    }
-    Tick nextEventTick() const { return heap_.top().when; }
-    void
-    runUntil(Tick limit)
-    {
-        while (!heap_.empty() && heap_.top().when <= limit)
-            dispatchTop();
-        now_ = std::max(now_, limit);
-    }
-    void
-    run()
-    {
-        while (!heap_.empty())
-            dispatchTop();
-    }
-    void clear() { heap_ = {}; }
-
-  private:
-    struct Entry
-    {
-        Tick when;
-        std::uint64_t seq;
-        Callback cb;
-    };
-    struct Later
-    {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-        }
-    };
-    void
-    dispatchTop()
-    {
-        Entry e = heap_.top();
-        heap_.pop();
-        now_ = e.when;
-        e.cb();
-    }
-
-    Tick now_ = 0;
-    std::uint64_t seq_ = 0;
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-};
-
-/**
- * One seeded operation script, run against queue type Q. Returns the
- * trace: every dispatch as (event id, tick), plus every
- * nextEventTick(), pending() and now() the script reads. Callbacks
- * draw from the same Rng, so two queues only produce equal traces if
- * they dispatch in the same order.
- */
-template <typename Q>
-std::vector<std::pair<std::uint64_t, Tick>>
-differentialTrace(std::uint64_t seed)
-{
-    constexpr std::uint64_t kRead = ~std::uint64_t{0};
-    struct Ctx
-    {
-        Q q;
-        Rng rng;
-        std::vector<std::pair<std::uint64_t, Tick>> trace;
-        std::uint64_t next_id = 0;
-        std::uint64_t budget = 20000; // events callbacks may spawn
-
-        void
-        add(Tick when)
-        {
-            const std::uint64_t id = next_id++;
-            q.schedule(when, [this, id] { fire(id); });
-        }
-
-        void
-        fire(std::uint64_t id)
-        {
-            trace.emplace_back(id, q.now());
-            if (budget == 0)
-                return;
-            --budget;
-            switch (rng.below(6)) {
-            case 0: // same tick as the dispatching event
-                add(q.now());
-                break;
-            case 1: // short hop
-                add(q.now() + 1 + rng.below(16));
-                break;
-            case 2: // service-like delta
-                add(q.now() + rng.below(5000));
-                break;
-            case 3: // lands on the earliest pending tick, if any
-                add(q.pending() > 0 ? q.nextEventTick() : q.now());
-                break;
-            default: // no child
-                break;
-            }
-        }
-    };
-    Ctx c{Q{}, Rng(seed), {}, 0, 20000};
-    Tick chain_a = 0;
-    Tick chain_b = 0;
-    for (int op = 0; op < 3000; ++op) {
-        const Tick now = c.q.now();
-        switch (c.rng.below(10)) {
-        case 0: { // same-tick burst
-            const Tick t = now + c.rng.below(4);
-            const std::uint64_t k = 1 + c.rng.below(12);
-            for (std::uint64_t i = 0; i < k; ++i)
-                c.add(t);
-            break;
-        }
-        case 1: // two interleaved monotone chains
-            chain_a = std::max(chain_a, now) + c.rng.below(300);
-            c.add(chain_a);
-            break;
-        case 2:
-            chain_b = std::max(chain_b, now) + c.rng.below(300);
-            c.add(chain_b);
-            break;
-        case 3: // out of order, microsecond-scale spread
-            c.add(now + c.rng.below(100000));
-            break;
-        case 4: // chain A's tick again: a same-tick tie, later seq
-            c.add(std::max(chain_a, now));
-            break;
-        case 5: // runUntil exactly at the earliest pending event
-            if (c.q.pending() > 0)
-                c.q.runUntil(c.q.nextEventTick());
-            c.trace.emplace_back(kRead, c.q.now());
-            break;
-        case 6: // runUntil an arbitrary limit
-            c.q.runUntil(now + c.rng.below(3000));
-            c.trace.emplace_back(kRead, c.q.now());
-            break;
-        case 7:
-            c.trace.emplace_back(
-                kRead, c.q.pending() > 0 ? c.q.nextEventTick() : 0);
-            c.trace.emplace_back(kRead, c.q.pending());
-            break;
-        case 8:
-            if (c.rng.below(40) == 0)
-                c.q.clear();
-            c.trace.emplace_back(kRead, c.q.pending());
-            break;
-        default: // sorted arrivals far ahead, as a trace pre-schedules
-            for (int i = 0; i < 8; ++i)
-                c.add(now + 100000 + static_cast<Tick>(i) * 977);
-            break;
-        }
-    }
-    c.q.run();
-    c.trace.emplace_back(kRead, c.q.now());
-    return c.trace;
-}
-
-TEST(EventQueue, DispatchTraceMatchesReferenceHeap)
-{
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-        const auto got = differentialTrace<EventQueue>(seed);
-        const auto want = differentialTrace<ReferenceQueue>(seed);
-        EXPECT_GT(got.size(), 10000u);
-        EXPECT_EQ(got, want) << "dispatch trace diverged at seed " << seed;
-    }
 }
 
 TEST(EventQueue, SameTickFifoDeterministicAcrossLaneCounts)
